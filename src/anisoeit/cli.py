@@ -22,7 +22,6 @@ def _add_common(p):
                    help="use a shipped benchmark config instead of --config")
     p.add_argument("--seed", type=int, default=None, help="override the config noise seed")
     p.add_argument("--out", type=str, default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--inverse-crime", action="store_true",
                    help="reconstruct on the simulation mesh (solver validation only)")
     p.add_argument("--mode", type=str, choices=harness.MODES, default=None,
@@ -75,8 +74,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     config = _load_config(args)
-    report = harness.run_experiment(config, args.out, threads=args.threads,
-                                    inverse_crime=args.inverse_crime, seed=args.seed)
+    report = harness.run_experiment(config, args.out, inverse_crime=args.inverse_crime,
+                                    seed=args.seed)
     if not report.success:
         print(report.message, file=sys.stderr)
         return 2

@@ -562,22 +562,17 @@ def reconstruct_scene(config: ExperimentConfig, scene: Scene) -> ReconState:
         raise HarnessError("reconstruct", str(exc)) from exc
 
 
-def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1,
-                   inverse_crime: bool = False,
+def run_experiment(config: ExperimentConfig, out_dir, inverse_crime: bool = False,
                    seed: Optional[int] = None) -> RunReport:
     """Full pipeline: simulate, reconstruct, measure, export.
 
     Returns a failure report tagged with the stage name instead of raising.
-    ``threads`` is recorded for provenance; all reductions use a fixed
-    order, so results are identical for any value.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_id = f"{config.name}-{config.mode}-{config.hash()[:8]}"
     manifest = []
     try:
-        if threads < 1:
-            raise HarnessError("config", "threads must be >= 1")
         t0 = time.time()
         scene = build_scene(config, inverse_crime=inverse_crime, seed=seed)
         state = reconstruct_scene(config, scene)
@@ -588,7 +583,6 @@ def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1,
             raise HarnessError("metrics", str(exc)) from exc
         manifest.extend(files)
         metrics["wall_time_s"] = time.time() - t0
-        metrics["threads"] = threads
         metrics["inverse_crime"] = inverse_crime
         report = RunReport(run_id=run_id, config_hash=config.hash(), mode=config.mode,
                            success=True, metrics=metrics, manifest=[str(p) for p in manifest])
@@ -635,14 +629,8 @@ def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconStat
                                             out / f"{run_tag}_{main_name}")
     files += [main_csv, main_pgm]
 
-    if state.mode == "uniformly-anisotropic":
-        init = inverse.forward_map(
-            _unit_params(scene.lattice), scene.protocol, scene.mesh_recon,
-            scene.lattice, scene.layout_recon)
-    else:
-        init = inverse.forward_map_isotropic(
-            np.ones(scene.lattice.n_active), scene.protocol, scene.mesh_recon,
-            scene.lattice, scene.layout_recon)
+    init = inverse.forward_map(_unit_params(scene.lattice), scene.protocol,
+                               scene.mesh_recon, scene.lattice, scene.layout_recon)
     initial_misfit = float(np.sum((scene.data.values - init) ** 2))
 
     blobs = lattice_blobs(pixel_values, scene.lattice)

@@ -2,9 +2,15 @@
 
 Minimizes  ||V - U(params)||^2 + penalties + barrier  by damped
 Gauss-Newton with Armijo backtracking, sweeping a decreasing interior-point
-schedule that keeps eta (or the isotropic gamma) strictly positive.  The
-anisotropy scale lam is optimized in log parameterization so no barrier is
-needed for it; results are reported with the canonical lam >= 1.
+schedule that keeps eta strictly positive.  The anisotropy scale lam is
+optimized in log parameterization so no barrier is needed for it; results
+are reported with the canonical lam >= 1.
+
+There is one reconstruction problem, over the unknowns (eta, theta, log lam).
+The isotropic baseline is that problem with theta = 0 and lam = 1 frozen:
+the tensor is then eta * I, so eta is the isotropic conductivity gamma and
+only the M entries of eta move.  Both modes predict through `forward_map`
+and `jacobian` and evaluate the objective through one path.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice
-from anisoeit.tensors import TensorField, UniformAnisoParams, gamma_hat
+from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat
 from anisoeit import fem
 
 
@@ -93,13 +100,12 @@ class NeighborGraph:
         return NeighborGraph(M=lattice.n_active, pairs=lattice.neighbor_pairs())
 
     def laplacian(self) -> np.ndarray:
-        L = np.zeros((self.M, self.M))
-        for a, b in self.pairs:
-            L[a, a] += 1.0
-            L[b, b] += 1.0
-            L[a, b] -= 1.0
-            L[b, a] -= 1.0
-        return L
+        a, b = self.pairs[:, 0], self.pairs[:, 1]
+        ones = np.ones(len(a))
+        entries = np.concatenate([ones, ones, -ones, -ones])
+        rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+        return scipy.sparse.coo_matrix((entries, (rows, cols)),
+                                       shape=(self.M, self.M)).toarray()
 
 
 @dataclass
@@ -291,74 +297,75 @@ def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     return U_pred, np.hstack([J_eta, J_theta, J_lam[:, None]])
 
 
+def _isotropic_params(gamma: np.ndarray) -> UniformAnisoParams:
+    gamma = np.asarray(gamma, dtype=float)
+    return UniformAnisoParams(eta=gamma, theta=np.zeros_like(gamma), lam=1.0)
+
+
 def forward_map_isotropic(gamma: np.ndarray, protocol: fem.MeasurementProtocol,
                           mesh: Mesh, lattice: PixelLattice,
                           layout: ElectrodeLayout) -> np.ndarray:
-    fld = TensorField.isotropic(gamma[lattice.element_to_pixel])
-    return fem.predict(mesh, fld, layout, protocol)
+    """`forward_map` of the isotropic field gamma (theta = 0, lam = 1)."""
+    return forward_map(_isotropic_params(gamma), protocol, mesh, lattice, layout)
 
 
 def jacobian_isotropic(gamma: np.ndarray, protocol: fem.MeasurementProtocol,
                        mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout):
-    fld = TensorField.isotropic(gamma[lattice.element_to_pixel])
-    system = fem.assemble(mesh, fld, layout)
-    U_pred, S = _sensitivity_blocks(system, protocol, lattice)
-    Jg = -(S[:, :, 0, 0] + S[:, :, 1, 1]).T  # identity perturbation direction
-    return U_pred, Jg
+    """(U_pred, J): the eta columns of `jacobian` at theta = 0, lam = 1."""
+    U_pred, J = jacobian(_isotropic_params(gamma), protocol, mesh, lattice, layout)
+    return U_pred, J[:, :lattice.n_active]
 
 
 # ---------------------------------------------------------------------------
-# objective
+# the reconstruction problem and its objective
 # ---------------------------------------------------------------------------
 
-def objective(state, data: fem.DataVector, protocol: fem.MeasurementProtocol,
-              mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout,
-              weights: RegWeights, xi: float) -> float:
-    """Augmented objective: misfit + penalties + interior-point barrier.
+ANISOTROPIC, ISOTROPIC = "uniformly-anisotropic", "isotropic"
 
-    ``state`` is a UniformAnisoParams (anisotropic model) or a positive
-    vector of pixel conductivities (isotropic model).
+
+class _Problem:
+    """Unknowns x = (eta_1..eta_M, theta_1..theta_M, log lam) of one mode.
+
+    Only the leading `n_free` entries of x move: all 2M + 1 in the
+    uniformly anisotropic mode, eta alone in the isotropic mode, where
+    theta = 0 and log lam = 0 stay frozen.  Gradients, Hessians and trust
+    blocks cover the free entries only.
     """
-    graph = NeighborGraph.from_lattice(lattice)
-    if isinstance(state, UniformAnisoParams):
-        if np.any(state.eta <= 0) or state.lam <= 0:
-            raise ReconError("infeasible state")
-        U = forward_map(state, protocol, mesh, lattice, layout)
-        r = data.values - U
-        return (float(r @ r)
-                + penalty_eta(state.eta, graph, weights.alpha0, weights.alpha1)
-                + penalty_theta(state.theta, graph, weights.beta0, weights.beta1)
-                + penalty_lambda(state.lam, weights.beta2, weights.nu)
-                + barrier(state.eta, xi))
-    gamma = np.asarray(state, dtype=float)
-    if np.any(gamma <= 0):
-        raise ReconError("infeasible state")
-    U = forward_map_isotropic(gamma, protocol, mesh, lattice, layout)
-    r = data.values - U
-    return (float(r @ r)
-            + penalty_eta(gamma, graph, weights.alpha0, weights.alpha1)
-            + barrier(gamma, xi))
 
+    def __init__(self, mode, data: fem.DataVector, protocol: fem.MeasurementProtocol,
+                 mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout,
+                 weights: RegWeights):
+        if data.N != protocol.N:
+            raise ReconError(f"data has {data.N} measurements but the protocol "
+                             f"expects {protocol.N}")
+        if not data.J == protocol.J == layout.J:
+            raise ReconError(f"electrode counts disagree: data J={data.J}, "
+                             f"protocol J={protocol.J}, layout J={layout.J}")
+        if not np.all(np.isfinite(data.values)):
+            raise ReconError("data values contain non-finite entries")
+        self.mode, self.data, self.weights = mode, data, weights
+        self.model = (protocol, mesh, lattice, layout)
+        self.graph = NeighborGraph.from_lattice(lattice)
+        M = self.M = lattice.n_active
+        blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
+        self.blocks = blocks if mode == ANISOTROPIC else blocks[:1]
+        self.n_free = self.blocks[-1].stop
+        hess_blocks = [penalty_eta_hess(self.graph, weights.alpha0, weights.alpha1),
+                       penalty_theta_hess(self.graph, weights.beta0, weights.beta1),
+                       [[2.0 * weights.beta2 / weights.nu ** 2]]]
+        self._pen_hess = scipy.linalg.block_diag(*hess_blocks[:len(self.blocks)])
 
-# ---------------------------------------------------------------------------
-# Gauss-Newton driver
-# ---------------------------------------------------------------------------
-
-class _AnisoProblem:
-    mode = "uniformly-anisotropic"
-
-    def __init__(self, protocol, mesh, lattice, layout, weights, graph):
-        self.protocol, self.mesh, self.lattice, self.layout = protocol, mesh, lattice, layout
-        self.weights, self.graph = weights, graph
-        self.M = lattice.n_active
+    def initial(self, free=None) -> np.ndarray:
+        """Unit isotropic conductivity, with the free entries set to `free`."""
         M = self.M
-        self._pen_hess = np.zeros((2 * M + 1, 2 * M + 1))
-        self._pen_hess[:M, :M] = penalty_eta_hess(graph, weights.alpha0, weights.alpha1)
-        self._pen_hess[M:2 * M, M:2 * M] = penalty_theta_hess(graph, weights.beta0, weights.beta1)
-        self._pen_hess[2 * M, 2 * M] = 2.0 * weights.beta2 / weights.nu ** 2
-
-    def initial(self):
-        return np.concatenate([np.ones(self.M), np.zeros(self.M), [0.0]])
+        x = np.concatenate([np.ones(M), np.zeros(M), [0.0]])
+        if free is not None:
+            free = np.asarray(free, dtype=float)
+            if free.shape != (self.n_free,):
+                raise ReconError(f"{self.mode} iterate needs {self.n_free} entries, "
+                                 f"got shape {free.shape}")
+            x[:self.n_free] = free
+        return x
 
     def unpack(self, x) -> UniformAnisoParams:
         M = self.M
@@ -367,15 +374,17 @@ class _AnisoProblem:
     def feasible(self, x) -> bool:
         return bool(np.all(x[:self.M] > 0))
 
-    def predict(self, x) -> np.ndarray:
-        return forward_map(self.unpack(x), self.protocol, self.mesh, self.lattice, self.layout)
+    def value(self, x, xi: float):
+        """(objective, misfit) at a feasible x."""
+        r = self.data.values - forward_map(self.unpack(x), *self.model)
+        misfit = float(r @ r)
+        return misfit + self.penalty(x)[0] + barrier(x[:self.M], xi), misfit
 
     def predict_and_jacobian(self, x):
         params = self.unpack(x)
-        U, J = jacobian(params, self.protocol, self.mesh, self.lattice, self.layout)
-        J = J.copy()
+        U, J = jacobian(params, *self.model)
         J[:, -1] *= params.lam  # chain rule to the internal log-lam variable
-        return U, J
+        return U, J[:, :self.n_free]
 
     def penalty(self, x):
         M, w = self.M, self.weights
@@ -387,71 +396,47 @@ class _AnisoProblem:
             penalty_eta_grad(eta, self.graph, w.alpha0, w.alpha1),
             penalty_theta_grad(theta, self.graph, w.beta0, w.beta1),
             [w.beta2 * (1.0 + 2.0 * ll / w.nu ** 2)]])
-        return val, grad, self._pen_hess
+        return val, grad[:self.n_free], self._pen_hess
 
     def lam_of(self, x) -> float:
         return float(np.exp(x[2 * self.M]))
 
     def block_caps(self, settings: GNSettings):
-        M = self.M
-        return [(slice(0, M), settings.eta_step_cap),
-                (slice(M, 2 * M), settings.theta_step_cap),
-                (slice(2 * M, 2 * M + 1), settings.loglam_step_cap)]
+        caps = (settings.eta_step_cap, settings.theta_step_cap, settings.loglam_step_cap)
+        return list(zip(self.blocks, caps))
 
     def to_state(self, x, history, trace, converged, obj, misfit) -> ReconState:
-        from anisoeit.tensors import canonicalize
-        params = canonicalize(self.unpack(x))
-        return ReconState(mode=self.mode, params=params, gamma=None, history=history,
+        if self.mode == ANISOTROPIC:
+            params, gamma = canonicalize(self.unpack(x)), None
+        else:
+            params, gamma = None, x[:self.M].copy()
+        return ReconState(mode=self.mode, params=params, gamma=gamma, history=history,
                           lambda_trace=trace, converged=converged,
                           final_objective=obj, final_misfit=misfit)
 
 
-class _IsoProblem:
-    mode = "isotropic"
+def objective(state, data: fem.DataVector, protocol: fem.MeasurementProtocol,
+              mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout,
+              weights: RegWeights, xi: float) -> float:
+    """Augmented objective: misfit + penalties + interior-point barrier.
 
-    def __init__(self, protocol, mesh, lattice, layout, weights, graph):
-        self.protocol, self.mesh, self.lattice, self.layout = protocol, mesh, lattice, layout
-        self.weights, self.graph = weights, graph
-        self.M = lattice.n_active
-        self._pen_hess = penalty_eta_hess(graph, weights.alpha0, weights.alpha1)
-
-    def initial(self):
-        return np.ones(self.M)
-
-    def feasible(self, x) -> bool:
-        return bool(np.all(x > 0))
-
-    def predict(self, x) -> np.ndarray:
-        return forward_map_isotropic(x, self.protocol, self.mesh, self.lattice, self.layout)
-
-    def predict_and_jacobian(self, x):
-        return jacobian_isotropic(x, self.protocol, self.mesh, self.lattice, self.layout)
-
-    def penalty(self, x):
-        w = self.weights
-        val = penalty_eta(x, self.graph, w.alpha0, w.alpha1)
-        grad = penalty_eta_grad(x, self.graph, w.alpha0, w.alpha1)
-        return val, grad, self._pen_hess
-
-    def lam_of(self, x) -> float:
-        return 1.0
-
-    def block_caps(self, settings: GNSettings):
-        return [(slice(0, self.M), settings.eta_step_cap)]
-
-    def to_state(self, x, history, trace, converged, obj, misfit) -> ReconState:
-        return ReconState(mode=self.mode, params=None, gamma=x.copy(), history=history,
-                          lambda_trace=trace, converged=converged,
-                          final_objective=obj, final_misfit=misfit)
+    ``state`` is a UniformAnisoParams (anisotropic model) or a positive
+    vector of pixel conductivities (isotropic model).
+    """
+    if isinstance(state, UniformAnisoParams):
+        mode, free = ANISOTROPIC, np.concatenate([state.eta, state.theta, [np.log(state.lam)]])
+    else:
+        mode, free = ISOTROPIC, state
+    problem = _Problem(mode, data, protocol, mesh, lattice, layout, weights)
+    x = problem.initial(free)
+    if not problem.feasible(x):
+        raise ReconError("infeasible state")
+    return problem.value(x, xi)[0]
 
 
-def _augmented_value(problem, x, data, xi):
-    U = problem.predict(x)
-    r = data.values - U
-    misfit = float(r @ r)
-    pen_val, _, _ = problem.penalty(x)
-    return misfit + pen_val + barrier(x[:problem.M], xi), misfit
-
+# ---------------------------------------------------------------------------
+# Gauss-Newton driver
+# ---------------------------------------------------------------------------
 
 def _trust_capped_step(H0, g, block_caps, shifts):
     """Newton step with per-block Levenberg shifts escalated until each
@@ -484,48 +469,51 @@ def _trust_capped_step(H0, g, block_caps, shifts):
     return delta
 
 
-def _run_gauss_newton(problem, data, schedule: BarrierSchedule,
+def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                       settings: GNSettings, x0=None) -> ReconState:
-    x = problem.initial() if x0 is None else np.asarray(x0, dtype=float).copy()
+    """Barrier-staged damped GN over the free unknowns; `x0` holds their
+    starting values (default: unit isotropic conductivity)."""
+    x = problem.initial(x0)
     if not problem.feasible(x):
         raise ReconError("initial iterate is infeasible")
+    M, n, y = problem.M, problem.n_free, problem.data.values
     history = []
     trace = [problem.lam_of(x)]
     total = 0
     converged = True
-    obj, misfit = _augmented_value(problem, x, data, float(schedule.xi[0]))
 
     for stage, xi in enumerate(schedule.xi):
         xi = float(xi)
-        obj, misfit = _augmented_value(problem, x, data, xi)
+        obj, misfit = problem.value(x, xi)
         for _ in range(settings.max_inner):
             if total >= settings.max_iterations:
                 break
             U, Jm = problem.predict_and_jacobian(x)
-            r = data.values - U
+            r = y - U
             misfit = float(r @ r)
             pen_val, pen_grad, pen_hess = problem.penalty(x)
-            bar_val = barrier(x[:problem.M], xi)
+            bar_val = barrier(x[:M], xi)
             obj = misfit + pen_val + bar_val
 
             H0 = 2.0 * (Jm.T @ Jm) + pen_hess
-            idx = np.arange(problem.M)
-            H0[idx, idx] += barrier_hess_diag(x[:problem.M], xi)
+            idx = np.arange(M)
+            H0[idx, idx] += barrier_hess_diag(x[:M], xi)
             g = -2.0 * (Jm.T @ r) + pen_grad
-            g[:problem.M] += barrier_grad(x[:problem.M], xi)
+            g[:M] += barrier_grad(x[:M], xi)
 
             accepted = False
             base = settings.damping * np.trace(H0)
-            shifts = np.full(len(problem.block_caps(settings)), base)
+            shifts = np.full(len(problem.blocks), base)
             for _esc in range(settings.damping_escalations + 1):
                 delta = _trust_capped_step(H0, g, problem.block_caps(settings), shifts)
                 slope = float(g @ delta)
 
                 t = 1.0
                 for _bt in range(settings.max_backtracks + 1):
-                    xt = x + t * delta
+                    xt = x.copy()
+                    xt[:n] += t * delta
                     if problem.feasible(xt):
-                        obj_t, misfit_t = _augmented_value(problem, xt, data, xi)
+                        obj_t, misfit_t = problem.value(xt, xi)
                         if obj_t <= obj + settings.armijo * t * slope:
                             accepted = True
                             break
@@ -561,20 +549,25 @@ def gauss_newton_reconstruct(data: fem.DataVector, protocol: fem.MeasurementProt
                              mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout,
                              weights: RegWeights, schedule: BarrierSchedule,
                              settings: GNSettings = None, x0=None) -> ReconState:
-    """Reconstruct (eta, theta, lam) starting from isotropic unit conductivity."""
-    graph = NeighborGraph.from_lattice(lattice)
-    problem = _AnisoProblem(protocol, mesh, lattice, layout, weights, graph)
-    return _run_gauss_newton(problem, data, schedule, settings or GNSettings(), x0)
+    """Reconstruct (eta, theta, lam) starting from isotropic unit conductivity.
+
+    ``x0``, if given, is the starting (eta, theta, log lam) vector."""
+    problem = _Problem(ANISOTROPIC, data, protocol, mesh, lattice, layout, weights)
+    return _run_gauss_newton(problem, schedule, settings or GNSettings(), x0)
 
 
 def isotropic_reconstruct(data: fem.DataVector, protocol: fem.MeasurementProtocol,
                           mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout,
                           weights: RegWeights, schedule: BarrierSchedule,
                           settings: GNSettings = None, x0=None) -> ReconState:
-    """Baseline reconstruction of an isotropic pixel conductivity vector."""
-    graph = NeighborGraph.from_lattice(lattice)
-    problem = _IsoProblem(protocol, mesh, lattice, layout, weights, graph)
-    return _run_gauss_newton(problem, data, schedule, settings or GNSettings(), x0)
+    """Baseline reconstruction of an isotropic pixel conductivity vector.
+
+    This is the anisotropic problem with theta = 0 and lam = 1 frozen, so
+    only eta (= gamma) moves and each GN step is an M x M solve; the result
+    is reported as ``state.gamma``.  ``x0``, if given, is the starting gamma.
+    """
+    problem = _Problem(ISOTROPIC, data, protocol, mesh, lattice, layout, weights)
+    return _run_gauss_newton(problem, schedule, settings or GNSettings(), x0)
 
 
 # ---------------------------------------------------------------------------

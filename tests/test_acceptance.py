@@ -267,8 +267,8 @@ def test_criterion_8_locality(out_root):
 
 def test_criterion_9_determinism(out_root):
     cfg = builtin_configs()["case1_ellipse"]
-    r1 = run_experiment(cfg, out_root / "det1", threads=1)
-    r2 = run_experiment(cfg, out_root / "det4", threads=4)
+    r1 = run_experiment(cfg, out_root / "det1")
+    r2 = run_experiment(cfg, out_root / "det4")
     ok = r1.success and r2.success
     diffs = []
     for name in (f"{cfg.name}-{cfg.mode}_data.csv", f"{cfg.name}-{cfg.mode}_recon.csv",

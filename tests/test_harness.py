@@ -186,8 +186,8 @@ def test_run_experiment_end_to_end(tiny_config, tmp_path):
 
 
 def test_determinism_across_runs_and_threads(tiny_config, tmp_path):
-    r1 = run_experiment(tiny_config, tmp_path / "a", threads=1)
-    r2 = run_experiment(tiny_config, tmp_path / "b", threads=4)
+    r1 = run_experiment(tiny_config, tmp_path / "a")
+    r2 = run_experiment(tiny_config, tmp_path / "b")
     assert r1.success and r2.success
     for name in (f"{tiny_config.name}-{tiny_config.mode}_data.csv",
                  f"{tiny_config.name}-{tiny_config.mode}_recon.csv",

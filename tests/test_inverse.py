@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,11 +117,26 @@ def test_barrier_schedule_validation():
     assert np.all(np.diff(sched.xi) < 0)
 
 
+def loop_laplacian(graph):
+    L = np.zeros((graph.M, graph.M))
+    for a, b in graph.pairs:
+        L[a, a] += 1.0
+        L[b, b] += 1.0
+        L[a, b] -= 1.0
+        L[b, a] -= 1.0
+    return L
+
+
 def test_neighbor_graph_symmetric(small_lattice):
-    graph = NeighborGraph.from_lattice(small_lattice)
-    L = graph.laplacian()
-    assert np.allclose(L, L.T)
-    assert np.allclose(L.sum(axis=1), 0.0)
+    lattice_graph = NeighborGraph.from_lattice(small_lattice)
+    cases = [(lattice_graph, loop_laplacian(lattice_graph)),
+             (two_pixel_graph(), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+    for graph, expected in cases:
+        L = graph.laplacian()
+        assert isinstance(L, np.ndarray)
+        assert np.array_equal(L, expected)
+        assert np.allclose(L, L.T)
+        assert np.allclose(L.sum(axis=1), 0.0)
 
 
 # --- forward map, objective, jacobian -------------------------------------------
@@ -261,8 +278,7 @@ def test_augmented_gradient_matches_fd(small_problem):
     data = fem.simulate_measurements(mesh, gamma_hat(truth, lattice), layout, prot, 0.0, None)
     w = RegWeights(alpha0=1e-6, alpha1=1e-5, beta0=1e-6, beta1=1e-5, beta2=0.3, nu=1.1)
     xi = 1e-6
-    graph = NeighborGraph.from_lattice(lattice)
-    problem = inverse._AnisoProblem(prot, mesh, lattice, layout, w, graph)
+    problem = inverse._Problem(inverse.ANISOTROPIC, data, prot, mesh, lattice, layout, w)
 
     for _ in range(5):
         x = np.concatenate([rng.uniform(0.7, 1.5, M), rng.uniform(-0.5, 0.5, M),
@@ -274,9 +290,7 @@ def test_augmented_gradient_matches_fd(small_problem):
         g[:M] += barrier_grad(x[:M], xi)
 
         def value(xx):
-            Uv = problem.predict(xx)
-            rv = data.values - Uv
-            return float(rv @ rv) + problem.penalty(xx)[0] + barrier(xx[:M], xi)
+            return problem.value(xx, xi)[0]
 
         idx = [0, M // 2, M, M + M // 2, 2 * M]
         h = 1e-6
@@ -422,6 +436,24 @@ def test_line_search_failure_flags_nonconverged(small_problem):
                                      RegWeights(0, 0), BarrierSchedule.inactive(1),
                                      settings)
     assert not state.converged
+
+
+@pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])
+def test_reconstruct_rejects_mismatched_inputs(small_problem, reconstruct):
+    """Inconsistent data fail at the start with a ReconError that names the
+    mismatch, not inside the Gauss-Newton loop."""
+    mesh, lattice, layout, prot = small_problem
+    data = fem.simulate_measurements(mesh, TensorField.isotropic(1.0, mesh.n_elements),
+                                     layout, prot, 0.0, None)
+    nan_values = data.values.copy()
+    nan_values[3] = np.nan
+    bad = [(dataclasses.replace(data, values=data.values[:-1]), "measurements"),
+           (dataclasses.replace(data, J=data.J + 1), "electrode counts"),
+           (dataclasses.replace(data, values=nan_values), "non-finite")]
+    for bad_data, message in bad:
+        with pytest.raises(ReconError, match=message):
+            reconstruct(bad_data, prot, mesh, lattice, layout, RegWeights(0, 0),
+                        BarrierSchedule.inactive(1), GNSettings(max_iterations=1))
 
 
 def test_recon_state_csv(small_problem):

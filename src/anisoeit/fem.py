@@ -6,8 +6,12 @@ The weak form couples nodal potentials u with electrode potentials U:
                    + sum_j (1/z_j) int_{e_j} (u - U_j)(v - W_j) ds
 
 driven by electrode currents, with the gauge sum_j U_j = 0 imposed through
-a Lagrange multiplier so all electrodes are treated identically.  One
-sparse LU factorization per conductivity serves every current pattern.
+a Lagrange multiplier so all electrodes are treated identically.  The
+bordered matrix is linear in the per-element (g11, g12, g22) and the
+per-electrode 1/z_j; a `CEMOperator`, built once per mesh and kept as
+`Mesh.cem_operator`, holds all the geometry-only work, so assembling for a
+conductivity is one sparse mat-vec.  One sparse LU factorization per
+conductivity serves every current pattern.
 """
 
 from __future__ import annotations
@@ -28,45 +32,67 @@ class ModelError(ValueError):
     """Invalid forward-model input (incompatible pattern, bad tensor, ...)."""
 
 
-@dataclass
-class P1Basis:
-    """Per-element P1 gradient coefficients: grad(phi_i) = (b_i, c_i) / (2 A)."""
+class CEMOperator:
+    """The conductivity-independent part of the CEM system on one mesh.
 
-    b: np.ndarray      # (T, 3)
-    c: np.ndarray      # (T, 3)
-    areas: np.ndarray  # (T,)
+    The CSC data array is `data_map @ [g.ravel(), 1/z, 1]`: element e's
+    (g11, g12, g22) are inputs 3e..3e+2, 1/z_j is input 3T + j and the
+    constant last input carries the gauge border.  On an element,
+    grad(phi_i) = (b_i, c_i) / (2 area).
+    """
 
-    @staticmethod
-    def from_mesh(mesh: Mesh) -> "P1Basis":
-        p = mesh.nodes[mesh.triangles]
+    def __init__(self, mesh: Mesh):
+        tri = self.triangles = mesh.triangles
+        p = mesh.nodes[tri]
         x, y = p[..., 0], p[..., 1]
-        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        areas = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
-        return P1Basis(b=b, c=c, areas=areas)
+        b = self.b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = self.c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        areas = self.areas = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
+        ea, eb, ej = np.array([(*e.nodes, e.electrode) for e in mesh.boundary_edges
+                               if e.electrode is not None], dtype=int).reshape(-1, 3).T
+        n, T, J = mesh.n_nodes, mesh.n_elements, int(ej.max(initial=-1)) + 1
+        bare = np.flatnonzero(np.bincount(ej, minlength=J) == 0)
+        if len(bare):
+            raise ModelError(f"electrode {bare[0]} has no boundary edges on this mesh")
+        self.n_nodes, self.J = n, J
+        size = self.size = n + J + 1
 
-    def gradients(self, u: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-        """Per-element gradient of a nodal field, shape (T, 2)."""
-        ue = u[triangles]
-        gx = np.sum(ue * self.b, axis=1) / (2.0 * self.areas)
-        gy = np.sum(ue * self.c, axis=1) / (2.0 * self.areas)
-        return np.stack([gx, gy], axis=1)
+        # stiffness entry (i, j) of an element: (b_i b_j, b_i c_j + c_i b_j, c_i c_j) / (4 area)
+        i, j = np.divmod(np.arange(9), 3)
+        stiff = np.stack([b[:, i] * b[:, j], b[:, i] * c[:, j] + c[:, i] * b[:, j],
+                          c[:, i] * c[:, j]], axis=2) / (4.0 * areas)[:, None, None]
+        # edge mass (ell/6) [[2,1],[1,2]] and trace couplings, exact for P1
+        ell = np.linalg.norm(mesh.nodes[ea] - mesh.nodes[eb], axis=1)
+        edge = np.outer(ell, [1 / 3, 1 / 6, 1 / 6, 1 / 3, -1 / 2, -1 / 2, -1 / 2, -1 / 2, 1])
+        U, Us, gauge = n + ej, n + np.arange(J), np.full(J, n + J)  # gauge: sum_j U_j = 0
+        rows = np.concatenate([np.repeat(tri[:, i], 3, axis=1).ravel(),
+                               np.stack([ea, ea, eb, eb, ea, eb, U, U, U], axis=1).ravel(),
+                               gauge, Us])
+        cols = np.concatenate([np.repeat(tri[:, j], 3, axis=1).ravel(),
+                               np.stack([ea, eb, ea, eb, U, U, ea, eb, U], axis=1).ravel(),
+                               Us, gauge])
+        inputs = np.concatenate([np.arange(3 * T).reshape(T, 1, 3).repeat(9, axis=1).ravel(),
+                                 np.repeat(3 * T + ej, 9), np.full(2 * J, 3 * T + J)])
+        coef = np.concatenate([stiff.ravel(), edge.ravel(), np.ones(2 * J)])
 
+        keys, position = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
+        self.indices = (keys % size).astype(np.int32)
+        self.indptr = np.cumsum(np.bincount(keys // size + 1, minlength=size + 1)).astype(np.int32)
+        self.data_map = sp.csr_matrix((coef, (position, inputs)),
+                                      shape=(len(keys), 3 * T + J + 1))
 
-def stiffness_coo(mesh: Mesh, basis: P1Basis, fld: TensorField):
-    """COO triplets of the anisotropic P1 stiffness matrix (linear in g)."""
-    g11, g12, g22 = fld.g[:, 0], fld.g[:, 1], fld.g[:, 2]
-    b, c, A = basis.b, basis.c, basis.areas
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            kij = (g11 * b[:, i] * b[:, j]
-                   + g12 * (b[:, i] * c[:, j] + c[:, i] * b[:, j])
-                   + g22 * c[:, i] * c[:, j]) / (4.0 * A)
-            rows.append(mesh.triangles[:, i])
-            cols.append(mesh.triangles[:, j])
-            vals.append(kij)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    def matrix(self, g: np.ndarray, inv_z: np.ndarray) -> sp.csc_matrix:
+        """The bordered CEM matrix for per-element tensors g (T, 3) and
+        per-electrode 1/z (J,)."""
+        data = self.data_map @ np.concatenate([g.ravel(), inv_z, [1.0]])
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+
+    def gradients(self, u: np.ndarray):
+        """Per-element gradients (gx, gy) of nodal fields u (n, K), each (T, K)."""
+        ue = u[self.triangles]
+        scale = (2.0 * self.areas)[:, None]
+        return (np.einsum("tik,ti->tk", ue, self.b) / scale,
+                np.einsum("tik,ti->tk", ue, self.c) / scale)
 
 
 @dataclass
@@ -77,7 +103,7 @@ class CEMSystem:
     layout: ElectrodeLayout
     fld: TensorField
     matrix: sp.csc_matrix
-    basis: P1Basis
+    operator: CEMOperator
     n_nodes: int
     J: int
     _lu: object = field(default=None, repr=False)
@@ -95,59 +121,18 @@ class CEMSystem:
 def assemble(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout) -> CEMSystem:
     """Assemble the bordered CEM matrix for a tensor field.
 
-    Raises ModelError naming the first element whose tensor is not SPD
-    (TensorField validates on construction; re-checked cheaply here because
-    optimizer line searches build fields through the same path).
+    The field is SPD by construction (`TensorField` validates every element).
     """
+    op = mesh.cem_operator
     if fld.n_elements != mesh.n_elements:
         raise ModelError("tensor field does not match mesh")
-    det = fld.g[:, 0] * fld.g[:, 2] - fld.g[:, 1] ** 2
-    if np.any((fld.g[:, 0] <= 0) | (det <= 0)):
-        bad = int(np.where((fld.g[:, 0] <= 0) | (det <= 0))[0][0])
-        raise ModelError(f"element {bad} tensor is not positive definite")
+    if layout.J != op.J:
+        raise ModelError(f"layout has {layout.J} electrodes but the mesh tags {op.J}")
     if np.any(layout.contact_impedances <= 0):
         raise ModelError("contact impedances must be positive")
-
-    basis = P1Basis.from_mesh(mesh)
-    n = mesh.n_nodes
-    J = layout.J
-    rows, cols, vals = stiffness_coo(mesh, basis, fld)
-    rows, cols, vals = [list(rows)], [list(cols)], [list(vals)]
-
-    z = layout.contact_impedances
-    elen = np.zeros(J)
-    for edge in mesh.boundary_edges:
-        if edge.electrode is None:
-            continue
-        j = edge.electrode
-        a, bnode = edge.nodes
-        ell = float(np.linalg.norm(mesh.nodes[a] - mesh.nodes[bnode]))
-        elen[j] += ell
-        zj = z[j]
-        # edge mass (ell/6) [[2,1],[1,2]] and trace couplings, exact for P1
-        rows[0] += [a, a, bnode, bnode]
-        cols[0] += [a, bnode, a, bnode]
-        vals[0] += [2 * ell / (6 * zj), ell / (6 * zj), ell / (6 * zj), 2 * ell / (6 * zj)]
-        rows[0] += [a, bnode, n + j, n + j]
-        cols[0] += [n + j, n + j, a, bnode]
-        vals[0] += [-ell / (2 * zj)] * 4
-
-    for j in range(J):
-        if elen[j] == 0:
-            raise ModelError(f"electrode {j} has no boundary edges on this mesh")
-        rows[0].append(n + j)
-        cols[0].append(n + j)
-        vals[0].append(elen[j] / z[j])
-        # gauge border: sum_j U_j = 0
-        rows[0] += [n + J, n + j]
-        cols[0] += [n + j, n + J]
-        vals[0] += [1.0, 1.0]
-
-    size = n + J + 1
-    mat = sp.coo_matrix((np.array(vals[0]), (np.array(rows[0]), np.array(cols[0]))),
-                        shape=(size, size)).tocsc()
+    mat = op.matrix(fld.g, 1.0 / layout.contact_impedances)
     return CEMSystem(mesh=mesh, layout=layout, fld=fld, matrix=mat,
-                     basis=basis, n_nodes=n, J=J)
+                     operator=op, n_nodes=op.n_nodes, J=op.J)
 
 
 def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
@@ -276,23 +261,25 @@ def predict(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout,
     return np.einsum("klj,kj->kl", protocol.projectors, U).ravel()
 
 
-def simulate_measurements(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout,
-                          protocol: MeasurementProtocol, noise_fraction: float,
-                          seed: Optional[int]) -> DataVector:
-    """Simulate one EIT experiment; Gaussian noise scaled to the clean max.
+def add_noise(clean: np.ndarray, noise_fraction: float, seed: Optional[int]) -> np.ndarray:
+    """Gaussian noise scaled to the clean max, from one seeded RNG stream.
 
-    noise std = noise_fraction * max_m |clean V_m|, one seeded RNG stream
-    per data vector; noise_fraction 0 skips the draw entirely so repeated
-    calls are bitwise identical.
+    noise std = noise_fraction * max_m |clean V_m|; noise_fraction 0 skips
+    the draw entirely so repeated calls are bitwise identical.
     """
     if noise_fraction < 0:
         raise ModelError("noise_fraction must be nonnegative")
-    clean = predict(mesh, fld, layout, protocol)
-    values = clean
-    if noise_fraction > 0:
-        sigma = noise_fraction * np.abs(clean).max()
-        rng = np.random.default_rng(seed)
-        values = clean + rng.normal(0.0, sigma, clean.shape)
+    if noise_fraction == 0:
+        return clean
+    sigma = noise_fraction * np.abs(clean).max()
+    return clean + np.random.default_rng(seed).normal(0.0, sigma, clean.shape)
+
+
+def simulate_measurements(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout,
+                          protocol: MeasurementProtocol, noise_fraction: float,
+                          seed: Optional[int]) -> DataVector:
+    """Simulate one EIT experiment: `predict` plus `add_noise`."""
+    values = add_noise(predict(mesh, fld, layout, protocol), noise_fraction, seed)
     return DataVector(values=values, noise_fraction=float(noise_fraction),
                       seed=seed, J=protocol.J, K=protocol.K, L=protocol.L,
                       contact_impedances=layout.contact_impedances.copy())

@@ -8,6 +8,7 @@ any mesh-generator dependency.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -156,6 +157,13 @@ class Mesh:
     def boundary_polygon(self) -> np.ndarray:
         """Boundary loop vertices in CCW order."""
         return self.nodes[[e.nodes[0] for e in self.boundary_edges]]
+
+    @functools.cached_property
+    def cem_operator(self):
+        """The geometry-only `anisoeit.fem.CEMOperator` of this mesh, built
+        on first use and kept for every later conductivity."""
+        from anisoeit.fem import CEMOperator  # fem imports this module
+        return CEMOperator(self)
 
     def to_json(self) -> str:
         doc = {

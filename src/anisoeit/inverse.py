@@ -209,69 +209,61 @@ def barrier_hess_diag(eta: np.ndarray, xi: float) -> np.ndarray:
 # forward map and adjoint Jacobian
 # ---------------------------------------------------------------------------
 
-def _pair_patterns(J: int) -> np.ndarray:
-    Q = np.zeros((J, J))
-    for m in range(J):
-        Q[m, m] = 1.0
-        Q[m, (m + 1) % J] = -1.0
-    return Q
+def _adjoint_drives(protocol: fem.MeasurementProtocol) -> np.ndarray:
+    """Index of the drive pattern equal to each measurement's pair-difference row.
 
-
-def _sensitivity_blocks(system: fem.CEMSystem, protocol: fem.MeasurementProtocol,
-                        lattice: PixelLattice):
-    """Forward data and per-pixel bilinear sensitivity tensors.
-
-    Returns (U_pred, S) where S[i, n, a, b] = sum over elements of pixel i of
-    area * d_a u_(drive n) * d_b w_(pair n): contracting S[i, n] with a
-    tensor perturbation direction gives the (negative) derivative of
-    measurement n.
+    The adjoint field of a measurement is the potential driven by its
+    pair-difference row as a current pattern, so when every row is one of
+    the drive patterns the drive solutions are the adjoint fields too.
     """
-    mesh, basis = system.mesh, system.basis
-    K, L, J = protocol.K, protocol.L, protocol.J
+    rows = protocol.projectors.reshape(protocol.N, protocol.J)
+    match = np.all(rows[:, None, :] == protocol.patterns[None, :, :], axis=2)
+    missing = np.flatnonzero(~match.any(axis=1))
+    if len(missing):
+        k, row = divmod(int(missing[0]), protocol.L)
+        raise fem.ModelError(
+            f"measurement {row} of pattern {k} (pair {protocol.retained_pairs[k, row]}) "
+            "is not one of the drive patterns, so its adjoint field is not a drive solution")
+    return match.argmax(axis=1)
+
+
+def _element_products(system: fem.CEMSystem, protocol: fem.MeasurementProtocol):
+    """Forward data and per-element adjoint products of every measurement.
+
+    Returns (U_pred, P) with P of shape (T, 3, N): for the drive field u and
+    the adjoint field w of measurement n, P[e, :, n] holds the symmetric
+    components (d1u d1w, d1u d2w + d2u d1w, d2u d2w) on element e, so the
+    (negative) derivative of measurement n along a tensor perturbation
+    (dg11, dg12, dg22) on element e is area_e * P[e, :, n] . dg.
+    """
+    drive = np.repeat(np.arange(protocol.K), protocol.L)
+    adjoint = _adjoint_drives(protocol)
     u_nodal, U = fem.solve_many(system, protocol.patterns)
-    w_nodal, _ = fem.solve_many(system, _pair_patterns(J))
     U_pred = np.einsum("klj,kj->kl", protocol.projectors, U).ravel()
+    gx, gy = system.operator.gradients(u_nodal.T)
+    ux, uy, wx, wy = gx[:, drive], gy[:, drive], gx[:, adjoint], gy[:, adjoint]
+    return U_pred, np.stack([ux * wx, ux * wy + uy * wx, uy * wy], axis=1)
 
-    T = mesh.n_elements
-    GU = np.stack([basis.gradients(u_nodal[k], mesh.triangles) for k in range(K)])
-    GW = np.stack([basis.gradients(w_nodal[m], mesh.triangles) for m in range(J)])
 
-    M = lattice.n_active
-    pix = lattice.element_to_pixel
-    S_full = np.zeros((M, K, J, 2, 2))
-    step = max(1, int(2e6 // (K * J * 4)))
-    for e0 in range(0, T, step):
-        sl = slice(e0, e0 + step)
-        O = np.einsum("kea,meb,e->ekmab", GU[:, sl], GW[:, sl], basis.areas[sl])
-        np.add.at(S_full, pix[sl], O)
-    # keep only the retained pair of each measurement row
-    idx_k = np.arange(K)[:, None]
-    S = S_full[:, idx_k, protocol.retained_pairs, :, :].reshape(M, K * L, 2, 2)
-    return U_pred, S
+def _pixel_sum(lattice: PixelLattice, areas: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Sparse M x T matrix summing area-weighted element values to pixels."""
+    T = len(areas)
+    return scipy.sparse.csr_matrix((areas, (lattice.element_to_pixel, np.arange(T))),
+                                   shape=(lattice.n_active, T))
 
 
 def _aniso_derivative_tensors(params: UniformAnisoParams):
-    """Per-pixel tensor derivatives wrt eta_i, theta_i and lam."""
+    """Per-pixel tensor derivatives wrt eta_i, theta_i and lam, each (M, 3)
+    in the (g11, g12, g22) component order of `TensorField`."""
     eta, theta, lam = params.eta, params.theta, params.lam
     p, q = np.sqrt(lam), 1.0 / np.sqrt(lam)
     c, s = np.cos(theta), np.sin(theta)
     c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
-
-    D_eta = np.empty((params.M, 2, 2))
-    D_eta[:, 0, 0] = p * c ** 2 + q * s ** 2
-    D_eta[:, 1, 1] = p * s ** 2 + q * c ** 2
-    D_eta[:, 0, 1] = D_eta[:, 1, 0] = (q - p) * c * s
-
-    D_theta = np.empty((params.M, 2, 2))
-    D_theta[:, 0, 0] = eta * (q - p) * s2
-    D_theta[:, 1, 1] = -D_theta[:, 0, 0]
-    D_theta[:, 0, 1] = D_theta[:, 1, 0] = eta * (q - p) * c2
-
+    D_eta = np.stack([p * c ** 2 + q * s ** 2, (q - p) * c * s, p * s ** 2 + q * c ** 2], axis=1)
+    D_theta = np.stack([eta * (q - p) * s2, eta * (q - p) * c2, -eta * (q - p) * s2], axis=1)
     dp, dq = 0.5 / np.sqrt(lam), -0.5 * lam ** -1.5
-    D_lam = np.empty((params.M, 2, 2))
-    D_lam[:, 0, 0] = eta * (dp * c ** 2 + dq * s ** 2)
-    D_lam[:, 1, 1] = eta * (dp * s ** 2 + dq * c ** 2)
-    D_lam[:, 0, 1] = D_lam[:, 1, 0] = eta * (dq - dp) * c * s
+    D_lam = np.stack([eta * (dp * c ** 2 + dq * s ** 2), eta * (dq - dp) * c * s,
+                      eta * (dp * s ** 2 + dq * c ** 2)], axis=1)
     return D_eta, D_theta, D_lam
 
 
@@ -289,11 +281,13 @@ def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     eta_1..eta_M, theta_1..theta_M, lam.
     """
     system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
-    U_pred, S = _sensitivity_blocks(system, protocol, lattice)
+    U_pred, P = _element_products(system, protocol)
+    T, _, N = P.shape
+    S = (_pixel_sum(lattice, system.operator.areas) @ P.reshape(T, 3 * N)).reshape(-1, 3, N)
     D_eta, D_theta, D_lam = _aniso_derivative_tensors(params)
-    J_eta = -np.einsum("inab,iab->ni", S, D_eta)
-    J_theta = -np.einsum("inab,iab->ni", S, D_theta)
-    J_lam = -np.einsum("inab,iab->n", S, D_lam)
+    J_eta = -np.einsum("icn,ic->ni", S, D_eta)
+    J_theta = -np.einsum("icn,ic->ni", S, D_theta)
+    J_lam = -np.einsum("icn,ic->n", S, D_lam)
     return U_pred, np.hstack([J_eta, J_theta, J_lam[:, None]])
 
 
@@ -445,6 +439,8 @@ def _trust_capped_step(H0, g, block_caps, shifts):
     Damping a block inflates its diagonal, which keeps the system SPD, so
     the returned step is always a descent direction; near a minimizer the
     raw step is small, no cap binds, and plain Gauss-Newton speed returns.
+    Raises ReconError when a shifted system is not positive definite or the
+    caps still bind after 40 escalations.
     """
     n = H0.shape[0]
     shifts = shifts.copy()
@@ -455,8 +451,8 @@ def _trust_capped_step(H0, g, block_caps, shifts):
             H[d, d] += sh
         try:
             delta = scipy.linalg.solve(H, -g, assume_a="pos")
-        except scipy.linalg.LinAlgError:
-            delta = np.linalg.lstsq(H, -g, rcond=None)[0]
+        except scipy.linalg.LinAlgError as exc:
+            raise ReconError(f"GN step system is not positive definite ({exc})") from exc
         violated = False
         for k, (sl, cap) in enumerate(block_caps):
             if len(delta[sl]) and np.abs(delta[sl]).max() > cap:
@@ -466,7 +462,7 @@ def _trust_capped_step(H0, g, block_caps, shifts):
                 violated = True
         if not violated:
             return delta
-    return delta
+    raise ReconError("GN step still breaks its trust caps after 40 damping escalations")
 
 
 def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,

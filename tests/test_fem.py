@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from anisoeit import fem
-from anisoeit.fem import (ModelError, P1Basis, adjacent_protocol,
+from anisoeit.fem import (CEMOperator, ModelError, add_noise, adjacent_protocol,
                           assemble, data_vector_from_csv, data_vector_to_csv,
                           electrode_matrix, power, predict, simulate_measurements,
-                          solve_current_drive, stiffness_coo)
+                          solve_current_drive)
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, Mesh, build_boundary,
                                place_electrodes, triangulate)
-from anisoeit.tensors import TensorField
+from anisoeit.tensors import TensorError, TensorField
 
 
 @pytest.fixture(scope="module")
@@ -27,22 +29,64 @@ def test_reference_triangle_stiffness():
                 boundary_edges=(BoundaryEdge((0, 1), (0.0, 1.0), None),
                                 BoundaryEdge((1, 2), (1.0, 1.0 + np.sqrt(2)), None),
                                 BoundaryEdge((2, 0), (1.0 + np.sqrt(2), 2 + np.sqrt(2)), None)))
-    basis = P1Basis.from_mesh(mesh)
-    rows, cols, vals = stiffness_coo(mesh, basis, TensorField.isotropic(1.0, 1))
-    K = np.zeros((3, 3))
-    for r, c, v in zip(rows, cols, vals):
-        K[r, c] += v
+    op = CEMOperator(mesh)
+    assert op.J == 0
+    K = op.matrix(TensorField.isotropic(1.0, 1).g, np.zeros(0)).toarray()[:3, :3]
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(K, expected, atol=1e-14)
 
 
 def test_stiffness_linear_in_tensor(small_disk_mesh):
-    basis = P1Basis.from_mesh(small_disk_mesh)
+    op = small_disk_mesh.cem_operator
+    n, no_contact = small_disk_mesh.n_nodes, np.zeros(op.J)
     f1 = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
     f2 = TensorField.isotropic(2.0, small_disk_mesh.n_elements)
-    _, _, v1 = stiffness_coo(small_disk_mesh, basis, f1)
-    _, _, v2 = stiffness_coo(small_disk_mesh, basis, f2)
+    v1 = op.matrix(f1.g, no_contact)[:n, :n].toarray()
+    v2 = op.matrix(f2.g, no_contact)[:n, :n].toarray()
     assert np.allclose(v2, 2.0 * v1, rtol=1e-15)
+
+
+def test_operator_is_built_once_per_mesh(small_disk_mesh, disk_layout):
+    f1 = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
+    f2 = TensorField.isotropic(2.0, small_disk_mesh.n_elements)
+    s1 = assemble(small_disk_mesh, f1, disk_layout)
+    s2 = assemble(small_disk_mesh, f2, disk_layout)
+    assert s1.operator is s2.operator is small_disk_mesh.cem_operator
+
+
+def test_energy_identity_random_fields(small_disk_mesh, disk_layout):
+    """For v = (u, U, 0): v'Av = sum_e area_e grad(u)' gamma_e grad(u)
+    + sum_j (1/z_j) int_{e_j} (u - U_j)^2 ds, with the right-hand side
+    evaluated edge by edge, on random SPD fields and contact impedances."""
+    mesh = small_disk_mesh
+    rng = np.random.default_rng(11)
+    p = mesh.nodes[mesh.triangles]
+    edges1, edges2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * np.abs(edges1[:, 0] * edges2[:, 1] - edges1[:, 1] * edges2[:, 0])
+    for _ in range(5):
+        a, c = rng.uniform(0.2, 3.0, (2, mesh.n_elements))
+        g = np.column_stack([a, rng.uniform(-0.9, 0.9, mesh.n_elements) * np.sqrt(a * c), c])
+        z = rng.uniform(0.05, 5.0, disk_layout.J)
+        layout = dataclasses.replace(disk_layout, contact_impedances=z)
+        A = assemble(mesh, TensorField(g=g), layout).matrix
+        u, U = rng.normal(size=mesh.n_nodes), rng.normal(size=disk_layout.J)
+        v = np.concatenate([u, U, [0.0]])
+
+        ue = u[mesh.triangles]
+        grads = np.linalg.solve(np.stack([edges1, edges2], axis=1),
+                                np.stack([ue[:, 1] - ue[:, 0], ue[:, 2] - ue[:, 0]], axis=1)[..., None])[..., 0]
+        bulk = np.sum(areas * (g[:, 0] * grads[:, 0] ** 2 + 2 * g[:, 1] * grads[:, 0] * grads[:, 1]
+                               + g[:, 2] * grads[:, 1] ** 2))
+        contact = 0.0
+        for edge in mesh.boundary_edges:
+            if edge.electrode is None:
+                continue
+            j, (na, nb) = edge.electrode, edge.nodes
+            ell = np.linalg.norm(mesh.nodes[na] - mesh.nodes[nb])
+            da, db = u[na] - U[j], u[nb] - U[j]
+            contact += ell * (da * da + da * db + db * db) / 3.0 / z[j]
+        energy = bulk + contact
+        assert abs(v @ (A @ v) - energy) <= 1e-12 * energy
 
 
 def test_assembled_matrix_symmetric(disk_system):
@@ -51,14 +95,12 @@ def test_assembled_matrix_symmetric(disk_system):
     assert asym <= 1e-14 * abs(M).max()
 
 
-def test_assemble_rejects_non_spd(disk_mesh, disk_layout):
+def test_assemble_rejects_non_spd(disk_mesh):
     g = np.ones((disk_mesh.n_elements, 3))
     g[:, 1] = 0.0
-    bad = object.__new__(TensorField)
-    object.__setattr__(bad, "g", g.copy())
-    bad.g[7] = [1.0, 2.0, 1.0]
-    with pytest.raises(ModelError, match="element 7"):
-        assemble(disk_mesh, bad, disk_layout)
+    g[7] = [1.0, 2.0, 1.0]
+    with pytest.raises(TensorError, match="element 7"):
+        TensorField(g=g)
 
 
 # --- current drive solves --------------------------------------------------
@@ -242,11 +284,16 @@ def test_noise_std_monte_carlo(disk_curve):
     prot = adjacent_protocol(16)
     clean = predict(mesh, field, layout, prot)
     target = 0.01 * np.abs(clean).max()
-    samples = np.array([
-        simulate_measurements(mesh, field, layout, prot, 0.01, seed).values[17]
-        for seed in range(10_000)])
+    samples = np.array([add_noise(clean, 0.01, seed)[17] for seed in range(10_000)])
     sample_std = samples.std(ddof=1)
     assert abs(sample_std - target) <= 0.05 * target
+
+
+def test_simulate_is_predict_plus_noise(small_disk_mesh, disk_layout, protocol16):
+    field = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
+    data = simulate_measurements(small_disk_mesh, field, disk_layout, protocol16, 0.01, 5)
+    clean = predict(small_disk_mesh, field, disk_layout, protocol16)
+    assert np.array_equal(data.values, add_noise(clean, 0.01, 5))
 
 
 def test_rotational_symmetry_cyclic_shifts(disk_curve):

@@ -239,16 +239,34 @@ def test_jacobian_column_locality(small_problem):
     M = lattice.n_active
     params = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.4)
     system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
-    _, S = inverse._sensitivity_blocks(system, prot, lattice)
+    _, P = inverse._element_products(system, prot)
+    areas = system.operator.areas
     i = M // 2
-    col_from_blocks = -np.einsum("nab,ab->n", S[i],
-                                 inverse._aniso_derivative_tensors(params)[0][i])
+    mine = lattice.element_to_pixel == i
+    D_eta_i = inverse._aniso_derivative_tensors(params)[0][i]
+    col_from_elements = -np.einsum("e,ecn,c->n", areas[mine], P[mine], D_eta_i)
     _, J = jacobian(params, prot, mesh, lattice, layout)
-    assert np.allclose(J[:, i], col_from_blocks, atol=1e-15)
-    S_zeroed = S.copy()
-    S_zeroed[i] = 0.0
-    assert np.linalg.norm(-np.einsum("nab,ab->n", S_zeroed[i],
-                                     inverse._aniso_derivative_tensors(params)[0][i])) == 0.0
+    assert np.allclose(J[:, i], col_from_elements, atol=1e-15)
+    P_zeroed = P.copy()
+    P_zeroed[mine] = 0.0
+    T, _, N = P.shape
+    S_zeroed = (inverse._pixel_sum(lattice, areas) @ P_zeroed.reshape(T, 3 * N)).reshape(M, 3, N)
+    assert np.linalg.norm(-np.einsum("cn,c->n", S_zeroed[i], D_eta_i)) == 0.0
+
+
+def test_jacobian_rejects_pair_rows_outside_the_drives(small_problem):
+    """One solve set serves the Jacobian only when every pair-difference row
+    is a drive pattern; opposite drives leave the adjacent rows uncovered."""
+    mesh, lattice, layout, _ = small_problem
+    adjacent = fem.adjacent_protocol(16)
+    opposite = np.zeros((16, 16))
+    opposite[np.arange(16), np.arange(16)] = 1.0
+    opposite[np.arange(16), (np.arange(16) + 8) % 16] = -1.0
+    prot = dataclasses.replace(adjacent, patterns=opposite)
+    M = lattice.n_active
+    params = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.0)
+    with pytest.raises(fem.ModelError, match=r"measurement 0 of pattern 0 \(pair 2\)"):
+        jacobian(params, prot, mesh, lattice, layout)
 
 
 def test_isotropic_jacobian_matches_fd(small_problem):
@@ -436,6 +454,16 @@ def test_line_search_failure_flags_nonconverged(small_problem):
                                      RegWeights(0, 0), BarrierSchedule.inactive(1),
                                      settings)
     assert not state.converged
+
+
+def test_step_solve_rejects_indefinite_system():
+    """A step system that is not positive definite raises instead of
+    falling back to a least-squares step."""
+    H0 = np.diag([2.0, 1.0, -3.0])
+    g = np.array([0.1, -0.2, 0.3])
+    caps = [(slice(0, 2), 1.0), (slice(2, 3), 1.0)]
+    with pytest.raises(ReconError, match="not positive definite"):
+        inverse._trust_capped_step(H0, g, caps, np.zeros(2))
 
 
 @pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])

@@ -147,9 +147,7 @@ class Mesh:
         return self.triangles.shape[0]
 
     def areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        return 0.5 * _twice_areas(self.nodes, self.triangles)
 
     def centroids(self) -> np.ndarray:
         return self.nodes[self.triangles].mean(axis=1)
@@ -202,21 +200,26 @@ class PixelLattice:
         return (x1 - x0) / self.grid_n, (y1 - y0) / self.grid_n
 
     def neighbor_pairs(self) -> np.ndarray:
-        """Unordered active-pixel pairs adjacent in the 4-neighborhood."""
-        index = {(int(i), int(j)): k for k, (i, j) in enumerate(self.active_ij)}
-        pairs = []
-        for k, (i, j) in enumerate(self.active_ij):
-            for di, dj in ((1, 0), (0, 1)):
-                other = index.get((int(i) + di, int(j) + dj))
-                if other is not None:
-                    pairs.append((k, other))
-        return np.array(pairs, dtype=int).reshape(-1, 2)
+        """Unordered active-pixel pairs adjacent in the 4-neighborhood, as
+        (k, right neighbor of k) then (k, upper neighbor of k) for each k."""
+        index = np.pad(_cell_index(self.active_ij, self.grid_n), (0, 1), constant_values=-1)
+        i, j = self.active_ij.T
+        other = np.column_stack([index[i + 1, j], index[i, j + 1]]).ravel()
+        return np.column_stack([np.repeat(np.arange(self.n_active), 2), other])[other >= 0]
 
     def image(self, values: np.ndarray) -> np.ndarray:
         """Paint per-pixel values onto a (grid_n, grid_n) array, NaN outside."""
         img = np.full((self.grid_n, self.grid_n), np.nan)
         img[self.active_ij[:, 1], self.active_ij[:, 0]] = values
         return img
+
+
+def _cell_index(active_ij: np.ndarray, grid_n: int) -> np.ndarray:
+    """(grid_n, grid_n) array holding the index of each active cell at
+    [ix, iy], -1 at inactive cells."""
+    index = np.full((grid_n, grid_n), -1, dtype=int)
+    index[active_ij[:, 0], active_ij[:, 1]] = np.arange(len(active_ij))
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,7 @@ def _sharp_truncated_ellipse(a: float, b: float, cut_frac: float, n_dense: int) 
 def _round_corners(points: np.ndarray, corner_idx: tuple, window: float) -> np.ndarray:
     """Replace the polyline near each corner by a quadratic Bezier fillet."""
     s, S = _cumulative_arclength(points)
+    curve = BoundaryCurve(points=points, s=s, total_length=S)
     out = points.copy()
     for ci in corner_idx:
         sc = s[ci % len(points)]
@@ -305,8 +309,7 @@ def _round_corners(points: np.ndarray, corner_idx: tuple, window: float) -> np.n
         # anchor points at the window ends, control point at the corner
         idx_sorted = np.argsort(rel[mask])
         sel = np.where(mask)[0][idx_sorted]
-        p0 = _interp_on_polyline(points, s, S, lo % S)
-        p2 = _interp_on_polyline(points, s, S, hi % S)
+        p0, p2 = curve.point_at(lo), curve.point_at(hi)
         p1 = points[ci % len(points)]
         t = (rel[sel] + window) / (2 * window)
         bez = ((1 - t) ** 2)[:, None] * p0 + (2 * t * (1 - t))[:, None] * p1 + (t ** 2)[:, None] * p2
@@ -314,13 +317,14 @@ def _round_corners(points: np.ndarray, corner_idx: tuple, window: float) -> np.n
     return out
 
 
-def _interp_on_polyline(points, s, S, target):
-    ext = np.vstack([points, points[:1]])
-    knots = np.append(s, S)
-    k = np.clip(np.searchsorted(knots, target, side="right") - 1, 0, len(s) - 1)
-    seg = knots[k + 1] - knots[k]
-    t = (target - knots[k]) / (seg if seg > 0 else 1.0)
-    return ext[k] * (1 - t) + ext[k + 1] * t
+def _fourier_radius(cos_c: np.ndarray, sin_c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """r(t) = 1 + sum_k cos_c[k-1] cos(k t) + sin_c[k-1] sin(k t)."""
+    r = np.ones_like(t)
+    for k, c in enumerate(cos_c, start=1):
+        r += c * np.cos(k * t)
+    for k, c in enumerate(sin_c, start=1):
+        r += c * np.sin(k * t)
+    return r
 
 
 def build_boundary(spec: DomainSpec, n_samples: int) -> BoundaryCurve:
@@ -345,18 +349,10 @@ def build_boundary(spec: DomainSpec, n_samples: int) -> BoundaryCurve:
         cos_c = np.asarray(p.get("cos", []), dtype=float)
         sin_c = np.asarray(p.get("sin", []), dtype=float)
         t = np.linspace(0, 2 * np.pi, n_samples, endpoint=False)
-        r = np.ones_like(t)
-        for k, c in enumerate(cos_c, start=1):
-            r += c * np.cos(k * t)
-        for k, c in enumerate(sin_c, start=1):
-            r += c * np.sin(k * t)
+        r = _fourier_radius(cos_c, sin_c, t)
         # positivity checked on a finer grid than the requested sampling
         tf = np.linspace(0, 2 * np.pi, 8 * n_samples, endpoint=False)
-        rf = np.ones_like(tf)
-        for k, c in enumerate(cos_c, start=1):
-            rf += c * np.cos(k * tf)
-        for k, c in enumerate(sin_c, start=1):
-            rf += c * np.sin(k * tf)
+        rf = _fourier_radius(cos_c, sin_c, tf)
         if rf.min() <= 0:
             raise GeometryError(
                 f"fourier radius is nonpositive (min {rf.min():.4g} at phi={tf[rf.argmin()]:.4g})")
@@ -373,8 +369,8 @@ def build_boundary(spec: DomainSpec, n_samples: int) -> BoundaryCurve:
         dense = np.roll(dense, -int(np.argmax(dense[:, 0])), axis=0)
         # resample to n_samples equal-arclength points
         s, S = _cumulative_arclength(dense)
-        targets = np.linspace(0, S, n_samples, endpoint=False)
-        pts = np.array([_interp_on_polyline(dense, s, S, ti) for ti in targets])
+        dense_curve = BoundaryCurve(points=dense, s=s, total_length=S)
+        pts = dense_curve.point_at(np.linspace(0, S, n_samples, endpoint=False))
     else:  # pragma: no cover
         raise GeometryError(f"unknown kind {kind!r}")
 
@@ -482,20 +478,14 @@ def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -
     tri = Delaunay(nodes)
     simplices = tri.simplices.copy()
 
-    p = nodes[simplices]
-    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    flip = area2 < 0
+    flip = _twice_areas(nodes, simplices) < 0
     simplices[flip] = simplices[flip][:, [0, 2, 1]]
 
     cent = nodes[simplices].mean(axis=1)
     keep = _points_in_polygon(cent, bpts)
     simplices = simplices[keep]
 
-    p = nodes[simplices]
-    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    if np.any(area2 <= 0):
+    if np.any(_twice_areas(nodes, simplices) <= 0):
         raise GeometryError("degenerate triangle produced; geometry too coarse for target size")
 
     # deterministic triangle ordering: roll smallest index first, sort rows
@@ -508,67 +498,97 @@ def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -
     return Mesh(nodes=nodes, triangles=simplices, boundary_edges=boundary_edges)
 
 
+def _twice_areas(nodes: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle, positive for CCW vertices."""
+    p = nodes[simplices]
+    return ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+
 def _extract_boundary_loop(simplices, n_boundary, s_nodes, layout) -> tuple:
     """Boundary edges of the complex, validated as the CCW node loop 0..n_b-1."""
-    from collections import Counter
-    count = Counter()
-    for a, b, c in simplices:
-        for e in ((a, b), (b, c), (c, a)):
-            count[tuple(sorted(e))] += 1
-    loop_edges = {e for e, c in count.items() if c == 1}
+    edges, count = np.unique(np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1),
+                             axis=0, return_counts=True)
+    loop_edges = {(int(a), int(b)) for a, b in edges[count == 1]}
     expected = {tuple(sorted((k, (k + 1) % n_boundary))) for k in range(n_boundary)}
     if loop_edges != expected:
         raise GeometryError(
             "boundary of triangulation does not match the sampled curve "
             f"({len(loop_edges ^ expected)} mismatched edges)")
     S = layout.total_length
-    edges = []
-    for k in range(n_boundary):
-        a, b = k, (k + 1) % n_boundary
-        s0 = s_nodes[a]
-        seg = (s_nodes[b] - s0) % S
-        if seg == 0:
-            seg = S
-        mid = (s0 + seg / 2) % S
-        e = layout.contains_s(mid)[0]
-        edges.append(BoundaryEdge(nodes=(a, b), s_interval=(s0, s0 + seg),
-                                  electrode=(int(e) if e >= 0 else None)))
-    return tuple(edges)
+    seg = (np.roll(s_nodes, -1) - s_nodes) % S
+    seg[seg == 0] = S
+    tags = layout.contains_s((s_nodes + seg / 2) % S)
+    return tuple(BoundaryEdge(nodes=(k, (k + 1) % n_boundary),
+                              s_interval=(s_nodes[k], s_nodes[k] + seg[k]),
+                              electrode=(int(e) if e >= 0 else None))
+                 for k, e in enumerate(tags))
+
+
+_PAIR_CHUNK = 1 << 15   # (point, element) candidate pairs tested at once
 
 
 def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Containing-element index for each query point, -1 if outside.
 
-    KDTree candidate search over element centroids with a barycentric
-    containment test; falls back to a brute-force scan for stragglers.
+    A point lies in element e when its barycentric coordinates in e are all
+    >= -tol.  Tie rule: where several elements contain a point (shared edges
+    and vertices), the highest element index wins.  Candidates come from the
+    element bounding boxes binned on a uniform grid, padded so that no
+    element passing the test is missed.  Raises GeometryError unless ``pts``
+    is one point or a (P, 2) array of finite coordinates.
     """
-    pts = np.atleast_2d(pts)
-    cent = mesh.centroids()
-    tree = cKDTree(cent)
-    k = min(24, mesh.n_elements)
-    _, cand = tree.query(pts, k=k)
-    cand = np.atleast_2d(cand)
-    tri_pts = mesh.nodes[mesh.triangles]
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise GeometryError(f"query points must have shape (P, 2), got {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise GeometryError(f"query point {bad[0]} is not finite: {tuple(pts[bad[0]])}")
+    tri = mesh.nodes[mesh.triangles]
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    # l1 = k1 . (q - c) / d, l2 = k2 . (q - c) / d, l3 = 1 - l1 - l2
+    k1 = np.column_stack([b[:, 1] - c[:, 1], c[:, 0] - b[:, 0]])
+    k2 = np.column_stack([c[:, 1] - a[:, 1], a[:, 0] - c[:, 0]])
+    d = k1[:, 0] * (a[:, 0] - c[:, 0]) + k1[:, 1] * (a[:, 1] - c[:, 1])
+
+    # all l >= -tol keeps a point within 2 tol * extent of the element's box;
+    # the 1e-6 margin covers rounding in l
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    extent = (hi - lo).max(axis=1)
+    pad = (2.0 * tol + 1e-6) * extent[:, None]
+    origin, h = lo.min(axis=0) - pad.max(), float(np.median(extent))
+    cell_lo = np.floor((lo - pad - origin) / h).astype(int)
+    span = np.floor((hi + pad - origin) / h).astype(int) - cell_lo + 1
+    n_cells = (cell_lo + span).max(axis=0)
+    elem, k = _runs(span[:, 0] * span[:, 1])
+    cell = ((cell_lo[elem, 0] + k % span[elem, 0]) * n_cells[1]
+            + cell_lo[elem, 1] + k // span[elem, 0])
+    order = np.argsort(cell)
+    cell, elem = cell[order], elem[order]
+
+    u = np.floor((pts - origin) / h)
+    on_grid = np.all((u >= 0) & (u < n_cells), axis=1)
+    qcell = np.where(on_grid, u[:, 0] * n_cells[1] + u[:, 1], -1).astype(int)
+    first = np.searchsorted(cell, qcell)
+    count = np.searchsorted(cell, qcell, side="right") - first
     out = np.full(len(pts), -1, dtype=int)
-    for i, q in enumerate(pts):
-        for e in cand[i]:
-            if _in_triangle(q, tri_pts[e], tol):
-                out[i] = e
-                break
-        else:
-            hits = [e for e in range(mesh.n_elements) if _in_triangle(q, tri_pts[e], tol)]
-            if hits:
-                out[i] = hits[0]
+    # test the (point, element) pairs in chunks of about _PAIR_CHUNK
+    bounds = np.searchsorted(np.cumsum(count), np.arange(_PAIR_CHUNK, count.sum(), _PAIR_CHUNK))
+    for q in np.split(np.arange(len(pts)), bounds):
+        own, k = _runs(count[q])
+        p, e = q[own], elem[first[q][own] + k]
+        dx, dy = pts[p, 0] - c[e, 0], pts[p, 1] - c[e, 1]
+        l1 = (k1[e, 0] * dx + k1[e, 1] * dy) / d[e]
+        l2 = (k2[e, 0] * dx + k2[e, 1] * dy) / d[e]
+        hit = (l1 >= -tol) & (l2 >= -tol) & (1.0 - l1 - l2 >= -tol)
+        np.maximum.at(out, p[hit], e[hit])
     return out
 
 
-def _in_triangle(q, tri, tol):
-    a, b, c = tri
-    d = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
-    l1 = ((b[1] - c[1]) * (q[0] - c[0]) + (c[0] - b[0]) * (q[1] - c[1])) / d
-    l2 = ((c[1] - a[1]) * (q[0] - c[0]) + (a[0] - c[0]) * (q[1] - c[1])) / d
-    l3 = 1 - l1 - l2
-    return l1 >= -tol and l2 >= -tol and l3 >= -tol
+def _runs(counts: np.ndarray) -> tuple:
+    """Owner and position within the run for consecutive runs of `counts`."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def build_pixel_lattice(mesh: Mesh, target_M: int) -> PixelLattice:
@@ -607,23 +627,14 @@ def build_pixel_lattice(mesh: Mesh, target_M: int) -> PixelLattice:
         raise GeometryError("pixel grid search failed")
 
     cent = mesh.centroids()
-    cix = np.clip(((cent[:, 0] - x0) / wx).astype(int), 0, grid_n - 1)
-    ciy = np.clip(((cent[:, 1] - y0) / wy).astype(int), 0, grid_n - 1)
-    index = {(int(i), int(j)): k for k, (i, j) in enumerate(active_ij)}
-    e2p = np.array([index.get((int(i), int(j)), -1) for i, j in zip(cix, ciy)], dtype=int)
-    missing = np.where(e2p < 0)[0]
+    cix, ciy = np.clip(((cent - (x0, y0)) / (wx, wy)).astype(int), 0, grid_n - 1).T
+    e2p = _cell_index(active_ij, grid_n)[cix, ciy]
+    missing = np.flatnonzero(e2p < 0)
     if len(missing):
-        tree = cKDTree(active_centers)
-        _, nearest = tree.query(cent[missing], k=1)
-        e2p[missing] = nearest
+        e2p[missing] = cKDTree(active_centers).query(cent[missing], k=1)[1]
 
-    used = np.unique(e2p)
-    if len(used) < len(active_ij):
-        remap = -np.ones(len(active_ij), dtype=int)
-        remap[used] = np.arange(len(used))
-        e2p = remap[e2p]
-        active_ij = active_ij[used]
-        active_centers = active_centers[used]
+    used, e2p = np.unique(e2p, return_inverse=True)
+    active_ij, active_centers = active_ij[used], active_centers[used]
 
     # smallest-n rule can overshoot small targets by more than the nominal
     # 10% when the grid granularity jumps; production-scale targets land inside.

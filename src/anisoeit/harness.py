@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 from anisoeit import fem, inverse
 from anisoeit.geometry import (BoundaryCurve, DomainSpec, ElectrodeLayout, Mesh,
                                PixelLattice, build_boundary, build_pixel_lattice,
-                               place_electrodes, triangulate)
+                               locate_points, place_electrodes, triangulate)
 from anisoeit.inverse import (BarrierSchedule, GNSettings, ReconState, RegWeights,
                               gauss_newton_reconstruct, isotropic_reconstruct,
                               recon_state_to_csv, run_log_to_json)
@@ -382,35 +382,20 @@ def locality_fraction(delta_per_element: np.ndarray, mesh: Mesh, radius: float =
 # ---------------------------------------------------------------------------
 
 def rasterize(values_per_element: np.ndarray, mesh: Mesh, resolution: int = 256) -> np.ndarray:
-    """Paint per-element values onto a regular grid; NaN outside the domain."""
+    """Paint per-element values onto a regular grid; NaN outside the domain.
+
+    Each cell takes the value of the element containing its center, found by
+    `locate_points` with tol 1e-12; on shared edges and vertices the
+    highest-index element wins.
+    """
     x0, y0 = mesh.nodes.min(axis=0)
     x1, y1 = mesh.nodes.max(axis=0)
-    img = np.full((resolution, resolution), np.nan)
     wx, wy = (x1 - x0) / resolution, (y1 - y0) / resolution
-    tri = mesh.nodes[mesh.triangles]
-    for e in range(mesh.n_elements):
-        a, b, c = tri[e]
-        lo = np.floor(([min(a[0], b[0], c[0]), min(a[1], b[1], c[1])] - np.array([x0, y0]))
-                      / np.array([wx, wy])).astype(int)
-        hi = np.ceil(([max(a[0], b[0], c[0]), max(a[1], b[1], c[1])] - np.array([x0, y0]))
-                     / np.array([wx, wy])).astype(int)
-        lo = np.clip(lo, 0, resolution - 1)
-        hi = np.clip(hi, 0, resolution - 1)
-        ix = np.arange(lo[0], hi[0] + 1)
-        iy = np.arange(lo[1], hi[1] + 1)
-        if not len(ix) or not len(iy):
-            continue
-        px = x0 + (ix + 0.5) * wx
-        py = y0 + (iy + 0.5) * wy
-        X, Y = np.meshgrid(px, py)
-        d = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
-        l1 = ((b[1] - c[1]) * (X - c[0]) + (c[0] - b[0]) * (Y - c[1])) / d
-        l2 = ((c[1] - a[1]) * (X - c[0]) + (a[0] - c[0]) * (Y - c[1])) / d
-        l3 = 1.0 - l1 - l2
-        covered = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
-        yy, xx = np.where(covered)
-        img[iy[yy], ix[xx]] = values_per_element[e]
-    return img
+    cells = np.arange(resolution)
+    X, Y = np.meshgrid(x0 + (cells + 0.5) * wx, y0 + (cells + 0.5) * wy)
+    elem = locate_points(mesh, np.column_stack([X.ravel(), Y.ravel()]), tol=1e-12)
+    values = np.asarray(values_per_element, dtype=float)
+    return np.where(elem >= 0, values[elem], np.nan).reshape(resolution, resolution)
 
 
 def write_pgm(img: np.ndarray, path) -> None:
@@ -465,6 +450,13 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=1, default=_json_default)
+
+    def save(self, out: Path) -> "RunReport":
+        """Write report_<run_id>.json under `out` and list it in the manifest."""
+        path = out / f"report_{self.run_id}.json"
+        path.write_text(self.to_json())
+        self.manifest.append(str(path))
+        return self
 
 
 def _json_default(obj):
@@ -590,10 +582,7 @@ def run_experiment(config: ExperimentConfig, out_dir, inverse_crime: bool = Fals
         report = RunReport(run_id=run_id, config_hash=config.hash(), mode=config.mode,
                            success=False, metrics={}, manifest=[],
                            stage=exc.stage, message=str(exc))
-    path = out / f"report_{run_id}.json"
-    path.write_text(report.to_json())
-    report.manifest.append(str(path))
-    return report
+    return report.save(out)
 
 
 def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconState, out: Path):
@@ -713,10 +702,7 @@ def verify_invariance(out_dir, c: float = 0.3, element_levels=(550, 2200, 8800),
         report = RunReport(run_id=f"invariance-c{c}", config_hash="",
                            mode="verify-invariance", success=False, metrics={},
                            manifest=[], stage="invariance", message=str(exc))
-    path = out / f"report_{report.run_id}.json"
-    path.write_text(report.to_json())
-    report.manifest.append(str(path))
-    return report
+    return report.save(out)
 
 
 def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir,
@@ -781,10 +767,7 @@ def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir,
         report = RunReport(run_id=run_id, config_hash=config.hash(),
                            mode="verify-locality", success=False, metrics={},
                            manifest=[], stage=exc.stage, message=str(exc))
-    path = out / f"report_{run_id}.json"
-    path.write_text(report.to_json())
-    report.manifest.append(str(path))
-    return report
+    return report.save(out)
 
 
 def aggregate_reports(directory) -> dict:

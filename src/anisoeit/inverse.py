@@ -227,22 +227,27 @@ def _adjoint_drives(protocol: fem.MeasurementProtocol) -> np.ndarray:
     return match.argmax(axis=1)
 
 
-def _element_products(system: fem.CEMSystem, protocol: fem.MeasurementProtocol):
-    """Forward data and per-element adjoint products of every measurement.
+def _element_products(system: fem.CEMSystem, protocol: fem.MeasurementProtocol,
+                      pixel_sum: scipy.sparse.spmatrix):
+    """Forward data and summed per-element adjoint products of every measurement.
 
-    Returns (U_pred, P) with P of shape (T, 3, N): for the drive field u and
-    the adjoint field w of measurement n, P[e, :, n] holds the symmetric
-    components (d1u d1w, d1u d2w + d2u d1w, d2u d2w) on element e, so the
-    (negative) derivative of measurement n along a tensor perturbation
-    (dg11, dg12, dg22) on element e is area_e * P[e, :, n] . dg.
+    Returns (U_pred, S) with S = pixel_sum @ P of shape (rows, 3, N). For the
+    drive field u and the adjoint field w of measurement n, P[e, :, n] holds
+    (d1u d1w, d1u d2w + d2u d1w, d2u d2w) on element e, so the (negative)
+    derivative of measurement n along a tensor perturbation (dg11, dg12,
+    dg22) on element e is area_e * P[e, :, n] . dg.  Each (T, N) component
+    of P is summed as soon as it is formed.
     """
     drive = np.repeat(np.arange(protocol.K), protocol.L)
     adjoint = _adjoint_drives(protocol)
     u_nodal, U = fem.solve_many(system, protocol.patterns)
     U_pred = np.einsum("klj,kj->kl", protocol.projectors, U).ravel()
     gx, gy = system.operator.gradients(u_nodal.T)
-    ux, uy, wx, wy = gx[:, drive], gy[:, drive], gx[:, adjoint], gy[:, adjoint]
-    return U_pred, np.stack([ux * wx, ux * wy + uy * wx, uy * wy], axis=1)
+    S = np.empty((pixel_sum.shape[0], 3, protocol.N))
+    S[:, 0] = pixel_sum @ (gx[:, drive] * gx[:, adjoint])
+    S[:, 1] = pixel_sum @ (gx[:, drive] * gy[:, adjoint] + gy[:, drive] * gx[:, adjoint])
+    S[:, 2] = pixel_sum @ (gy[:, drive] * gy[:, adjoint])
+    return U_pred, S
 
 
 def _pixel_sum(lattice: PixelLattice, areas: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -281,9 +286,7 @@ def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     eta_1..eta_M, theta_1..theta_M, lam.
     """
     system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
-    U_pred, P = _element_products(system, protocol)
-    T, _, N = P.shape
-    S = (_pixel_sum(lattice, system.operator.areas) @ P.reshape(T, 3 * N)).reshape(-1, 3, N)
+    U_pred, S = _element_products(system, protocol, _pixel_sum(lattice, system.operator.areas))
     D_eta, D_theta, D_lam = _aniso_derivative_tensors(params)
     J_eta = -np.einsum("icn,ic->ni", S, D_eta)
     J_theta = -np.einsum("icn,ic->ni", S, D_theta)

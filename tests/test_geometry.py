@@ -1,11 +1,15 @@
+import functools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from anisoeit.geometry import (DomainSpec, GeometryError, build_boundary,
-                               build_pixel_lattice, place_electrodes, triangulate)
+from anisoeit.geometry import (BoundaryEdge, DomainSpec, GeometryError, _extract_boundary_loop,
+                               build_boundary, build_pixel_lattice, locate_points,
+                               place_electrodes, triangulate)
 
 
 def test_disk_circumference():
@@ -170,6 +174,39 @@ def test_boundary_edges_form_single_loop(disk_mesh):
     assert seen == len(disk_mesh.boundary_edges)
 
 
+def loop_boundary_edges(simplices, n_boundary, s_nodes, layout):
+    """Reference: edge counts in a Counter, one `contains_s` call per edge."""
+    count = Counter()
+    for a, b, c in simplices:
+        for e in ((a, b), (b, c), (c, a)):
+            count[tuple(sorted(e))] += 1
+    if {e for e, c in count.items() if c == 1} != {
+            tuple(sorted((k, (k + 1) % n_boundary))) for k in range(n_boundary)}:
+        raise GeometryError("mismatched edges")
+    S = layout.total_length
+    edges = []
+    for k in range(n_boundary):
+        a, b = k, (k + 1) % n_boundary
+        s0 = s_nodes[a]
+        seg = (s_nodes[b] - s0) % S
+        if seg == 0:
+            seg = S
+        e = layout.contains_s((s0 + seg / 2) % S)[0]
+        edges.append(BoundaryEdge(nodes=(a, b), s_interval=(s0, s0 + seg),
+                                  electrode=(int(e) if e >= 0 else None)))
+    return tuple(edges)
+
+
+def test_boundary_loop_matches_per_edge_loop(disk_layout, disk_mesh):
+    s_nodes = np.array([e.s_interval[0] for e in disk_mesh.boundary_edges])
+    args = (disk_mesh.triangles, len(s_nodes), s_nodes, disk_layout)
+    assert _extract_boundary_loop(*args) == loop_boundary_edges(*args)
+    holed = (disk_mesh.triangles[1:],) + args[1:]
+    for extract in (_extract_boundary_loop, loop_boundary_edges):
+        with pytest.raises(GeometryError, match="mismatched edges"):
+            extract(*holed)
+
+
 def test_electrode_arcs_resolved_by_edges(disk_curve, disk_layout, disk_mesh):
     # tagged edge lengths reproduce each electrode arc within one edge length
     S = disk_layout.total_length
@@ -245,9 +282,89 @@ def test_lattice_target_too_large(small_disk_mesh):
         build_pixel_lattice(small_disk_mesh, small_disk_mesh.n_elements + 1)
 
 
+def loop_neighbor_pairs(lattice):
+    """Reference: the active-cell dict and per-pixel loop over (1, 0), (0, 1)."""
+    index = {(int(i), int(j)): k for k, (i, j) in enumerate(lattice.active_ij)}
+    pairs = []
+    for k, (i, j) in enumerate(lattice.active_ij):
+        for di, dj in ((1, 0), (0, 1)):
+            other = index.get((int(i) + di, int(j) + dj))
+            if other is not None:
+                pairs.append((k, other))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
 def test_neighbor_pairs_are_4_neighborhood(small_lattice):
+    assert np.array_equal(small_lattice.neighbor_pairs(), loop_neighbor_pairs(small_lattice))
     cells = {tuple(ij) for ij in small_lattice.active_ij}
     for a, b in small_lattice.neighbor_pairs():
         ia, ib = small_lattice.active_ij[a], small_lattice.active_ij[b]
         assert abs(ia[0] - ib[0]) + abs(ia[1] - ib[1]) == 1
         assert tuple(ia) in cells and tuple(ib) in cells
+
+
+# --- point location ------------------------------------------------------
+
+LOCATE_DOMAINS = {
+    "disk": DomainSpec("disk", {}),
+    "ellipse": DomainSpec("ellipse", {"a": 1.3, "b": 0.7}),
+    "fourier": DomainSpec("fourier", {"cos": [0.0, 0.15], "sin": [0.0, 0.0, 0.1]}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def locate_mesh(kind):
+    curve = build_boundary(LOCATE_DOMAINS[kind], 256)
+    return triangulate(curve, place_electrodes(curve, 8, 0.5), 150)
+
+
+def brute_force_locate(mesh, pts, tol):
+    """Reference: every element tested against every point; assigning in
+    element order leaves the highest-index containing element."""
+    out = np.full(len(pts), -1)
+    for e, (a, b, c) in enumerate(mesh.nodes[mesh.triangles]):
+        d = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
+        l1 = ((b[1] - c[1]) * (pts[:, 0] - c[0]) + (c[0] - b[0]) * (pts[:, 1] - c[1])) / d
+        l2 = ((c[1] - a[1]) * (pts[:, 0] - c[0]) + (a[0] - c[0]) * (pts[:, 1] - c[1])) / d
+        l3 = 1.0 - l1 - l2
+        out[(l1 >= -tol) & (l2 >= -tol) & (l3 >= -tol)] = e
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(LOCATE_DOMAINS)), seed=st.integers(0, 2 ** 32 - 1),
+       tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7]))
+def test_locate_points_matches_brute_force(kind, seed, tol):
+    mesh = locate_mesh(kind)
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    tri = mesh.nodes[mesh.triangles[rng.integers(0, mesh.n_elements, 40)]]
+    t = rng.uniform(0, 1, (40, 1))
+    vertices = rng.choice(mesh.n_nodes, 40, replace=False)
+    pts = np.vstack([
+        rng.uniform(lo - 0.3, hi + 0.3, (200, 2)),     # inside and outside
+        mesh.nodes[vertices],                           # shared vertices
+        (tri[:, 0] + tri[:, 1]) / 2,                    # edge midpoints
+        t * tri[:, 1] + (1 - t) * tri[:, 2],            # points along edges
+        mesh.nodes[vertices] + rng.uniform(-0.1, 0.1, (40, 2)) * tol,  # within tol
+        rng.uniform(hi + 0.01, hi + 1.0, (10, 2)),      # beyond the mesh
+    ])
+    got = locate_points(mesh, pts, tol)
+    assert np.array_equal(got, brute_force_locate(mesh, pts, tol))
+    # a vertex lies in exactly its incident elements; the highest index wins
+    incident = [np.flatnonzero((mesh.triangles == v).any(axis=1)).max() for v in vertices]
+    assert np.array_equal(got[200:240], incident)
+    assert np.all(got[-10:] == -1)
+
+
+def test_locate_points_rejects_bad_queries(small_disk_mesh):
+    assert np.array_equal(locate_points(small_disk_mesh, [0.0, 0.0]),
+                          locate_points(small_disk_mesh, [[0.0, 0.0]]))
+    for bad in (np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(GeometryError, match=r"shape \(P, 2\)"):
+            locate_points(small_disk_mesh, bad)
+    pts = np.zeros((5, 2))
+    pts[3, 1] = np.inf
+    pts[4, 0] = np.nan
+    with pytest.raises(GeometryError, match="query point 3 is not finite"):
+        locate_points(small_disk_mesh, pts)

@@ -162,6 +162,44 @@ def test_export_csv_bitwise_roundtrip(small_disk_mesh, tmp_path):
     assert np.array_equal(back, vals)
 
 
+def loop_rasterize(values_per_element, mesh, resolution=256):
+    """Reference: a per-triangle loop over the cells of each bounding box,
+    overwriting in element order."""
+    x0, y0 = mesh.nodes.min(axis=0)
+    x1, y1 = mesh.nodes.max(axis=0)
+    img = np.full((resolution, resolution), np.nan)
+    wx, wy = (x1 - x0) / resolution, (y1 - y0) / resolution
+    tri = mesh.nodes[mesh.triangles]
+    for e in range(mesh.n_elements):
+        a, b, c = tri[e]
+        lo = np.floor(([min(a[0], b[0], c[0]), min(a[1], b[1], c[1])] - np.array([x0, y0]))
+                      / np.array([wx, wy])).astype(int)
+        hi = np.ceil(([max(a[0], b[0], c[0]), max(a[1], b[1], c[1])] - np.array([x0, y0]))
+                     / np.array([wx, wy])).astype(int)
+        lo = np.clip(lo, 0, resolution - 1)
+        hi = np.clip(hi, 0, resolution - 1)
+        ix = np.arange(lo[0], hi[0] + 1)
+        iy = np.arange(lo[1], hi[1] + 1)
+        px = x0 + (ix + 0.5) * wx
+        py = y0 + (iy + 0.5) * wy
+        X, Y = np.meshgrid(px, py)
+        d = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
+        l1 = ((b[1] - c[1]) * (X - c[0]) + (c[0] - b[0]) * (Y - c[1])) / d
+        l2 = ((c[1] - a[1]) * (X - c[0]) + (a[0] - c[0]) * (Y - c[1])) / d
+        l3 = 1.0 - l1 - l2
+        covered = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
+        yy, xx = np.where(covered)
+        img[iy[yy], ix[xx]] = values_per_element[e]
+    return img
+
+
+@pytest.mark.parametrize("resolution", [37, 256])
+def test_rasterize_matches_per_triangle_loop(small_disk_mesh, resolution):
+    vals = np.random.default_rng(3).standard_normal(small_disk_mesh.n_elements)
+    assert np.array_equal(rasterize(vals, small_disk_mesh, resolution),
+                          loop_rasterize(vals, small_disk_mesh, resolution), equal_nan=True)
+
+
 def test_rasterize_covers_domain(small_disk_mesh):
     vals = np.linspace(1, 2, small_disk_mesh.n_elements)
     img = rasterize(vals, small_disk_mesh, resolution=128)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from anisoeit import fem, inverse
 from anisoeit.geometry import build_pixel_lattice, triangulate
@@ -239,7 +240,7 @@ def test_jacobian_column_locality(small_problem):
     M = lattice.n_active
     params = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.4)
     system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
-    _, P = inverse._element_products(system, prot)
+    _, P = inverse._element_products(system, prot, scipy.sparse.identity(mesh.n_elements))
     areas = system.operator.areas
     i = M // 2
     mine = lattice.element_to_pixel == i

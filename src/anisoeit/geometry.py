@@ -251,16 +251,28 @@ def _cumulative_arclength(points: np.ndarray) -> tuple:
 
 
 def _check_simple(points: np.ndarray) -> None:
-    """Sampled segment-intersection test on a <=512-segment subsample."""
+    """Exact segment-intersection test of the closed polyline.
+
+    Segment bounding boxes are binned on a uniform grid (cell size = median
+    box extent); every pair of non-adjacent segments sharing a cell is
+    tested for a proper crossing, so no pair whose boxes overlap is missed.
+    """
     n = len(points)
-    stride = max(1, n // 512)
-    sub = points[::stride]
-    m = len(sub)
-    p = sub
-    q = np.roll(sub, -1, axis=0)
-    i, j = np.triu_indices(m, k=2)
-    # skip the wrap-adjacent pair (first, last)
-    keep = ~((i == 0) & (j == m - 1))
+    p, q = points, np.roll(points, -1, axis=0)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    origin, h = lo.min(axis=0), float(np.median((hi - lo).max(axis=1)))
+    cell_lo = np.floor((lo - origin) / h).astype(int)
+    span = np.floor((hi - origin) / h).astype(int) - cell_lo + 1
+    seg, k = _runs(span[:, 0] * span[:, 1])
+    cell = ((cell_lo[seg, 0] + k % span[seg, 0]) * (cell_lo[:, 1] + span[:, 1]).max()
+            + cell_lo[seg, 1] + k // span[seg, 0])
+    order = np.argsort(cell, kind="stable")
+    cell, seg = cell[order], seg[order]
+    # pair each entry with the later entries of its cell
+    later = np.searchsorted(cell, cell, side="right") - np.arange(len(cell)) - 1
+    own, k = _runs(later)
+    i, j = np.minimum(seg[own], seg[own + 1 + k]), np.maximum(seg[own], seg[own + 1 + k])
+    keep = (j - i > 1) & ~((i == 0) & (j == n - 1))
     i, j = i[keep], j[keep]
 
     def cross(o, a, b):
@@ -272,9 +284,8 @@ def _check_simple(points: np.ndarray) -> None:
     d4 = cross(p[j], q[j], q[i])
     crossing = ((d1 * d2) < 0) & ((d3 * d4) < 0)
     if np.any(crossing):
-        a, b = i[crossing][0], j[crossing][0]
-        raise GeometryError(
-            f"boundary curve self-intersects (segments near samples {a * stride} and {b * stride})")
+        a, b = min(zip(i[crossing], j[crossing]))
+        raise GeometryError(f"boundary curve self-intersects (segments {a} and {b})")
 
 
 def _sharp_truncated_ellipse(a: float, b: float, cut_frac: float, n_dense: int) -> tuple:
@@ -478,15 +489,17 @@ def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -
     tri = Delaunay(nodes)
     simplices = tri.simplices.copy()
 
-    flip = _twice_areas(nodes, simplices) < 0
+    twice_area = _twice_areas(nodes, simplices)
+    flip = twice_area < 0
     simplices[flip] = simplices[flip][:, [0, 2, 1]]
 
-    cent = nodes[simplices].mean(axis=1)
-    keep = _points_in_polygon(cent, bpts)
+    # Qhull fans collinear hull nodes (a straight chord) into zero-area
+    # slivers whose centroids lie on the boundary: drop them along with the
+    # elements outside the curve; the boundary loop check validates the rest
+    p = nodes[simplices]
+    longest = ((p - np.roll(p, 1, axis=1)) ** 2).sum(axis=2).max(axis=1)
+    keep = _points_in_polygon(p.mean(axis=1), bpts) & (np.abs(twice_area) > 1e-9 * longest)
     simplices = simplices[keep]
-
-    if np.any(_twice_areas(nodes, simplices) <= 0):
-        raise GeometryError("degenerate triangle produced; geometry too coarse for target size")
 
     # deterministic triangle ordering: roll smallest index first, sort rows
     roll = np.argmin(simplices, axis=1)

@@ -11,6 +11,13 @@ The isotropic baseline is that problem with theta = 0 and lam = 1 frozen:
 the tensor is then eta * I, so eta is the isotropic conductivity gamma and
 only the M entries of eta move.  Both modes predict through `forward_map`
 and `jacobian` and evaluate the objective through one path.
+
+The GN step is solved in data space (`_StepSystem`): the penalty Hessians
+stay sparse and are stored once per problem as LAPACK bands under a reverse
+Cuthill-McKee order of the pixel lattice; with the barrier curvature and a
+per-block shift they factor by banded Cholesky, and the Woodbury identity
+leaves one N x N Cholesky factorization over the measurements.  The lam
+column enters as a scalar border.  No dense (2M+1) x (2M+1) matrix is formed.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice
 from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat
@@ -99,13 +107,12 @@ class NeighborGraph:
     def from_lattice(lattice: PixelLattice) -> "NeighborGraph":
         return NeighborGraph(M=lattice.n_active, pairs=lattice.neighbor_pairs())
 
-    def laplacian(self) -> np.ndarray:
+    def laplacian(self) -> scipy.sparse.csr_matrix:
         a, b = self.pairs[:, 0], self.pairs[:, 1]
         ones = np.ones(len(a))
         entries = np.concatenate([ones, ones, -ones, -ones])
         rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
-        return scipy.sparse.coo_matrix((entries, (rows, cols)),
-                                       shape=(self.M, self.M)).toarray()
+        return scipy.sparse.csr_matrix((entries, (rows, cols)), shape=(self.M, self.M))
 
 
 @dataclass
@@ -158,8 +165,10 @@ def penalty_eta_grad(eta: np.ndarray, graph: NeighborGraph, alpha0: float, alpha
     return g
 
 
-def penalty_eta_hess(graph: NeighborGraph, alpha0: float, alpha1: float) -> np.ndarray:
-    return 2.0 * alpha0 * np.eye(graph.M) + 4.0 * alpha1 * graph.laplacian()
+def penalty_eta_hess(graph: NeighborGraph, alpha0: float,
+                     alpha1: float) -> scipy.sparse.csr_matrix:
+    identity = scipy.sparse.identity(graph.M, format="csr")
+    return 2.0 * alpha0 * identity + 4.0 * alpha1 * graph.laplacian()
 
 
 def penalty_theta(theta: np.ndarray, graph: NeighborGraph, beta0: float, beta1: float) -> float:
@@ -178,9 +187,11 @@ def penalty_theta_grad(theta: np.ndarray, graph: NeighborGraph, beta0: float, be
     return g
 
 
-def penalty_theta_hess(graph: NeighborGraph, beta0: float, beta1: float) -> np.ndarray:
+def penalty_theta_hess(graph: NeighborGraph, beta0: float,
+                       beta1: float) -> scipy.sparse.csr_matrix:
     # small-angle PSD surrogate of the circular difference term
-    return 2.0 * beta0 * np.eye(graph.M) + 4.0 * beta1 * graph.laplacian()
+    identity = scipy.sparse.identity(graph.M, format="csr")
+    return 2.0 * beta0 * identity + 4.0 * beta1 * graph.laplacian()
 
 
 def penalty_lambda(lam: float, beta2: float, nu: float = 1.0) -> float:
@@ -347,10 +358,12 @@ class _Problem:
         blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
         self.blocks = blocks if mode == ANISOTROPIC else blocks[:1]
         self.n_free = self.blocks[-1].stop
-        hess_blocks = [penalty_eta_hess(self.graph, weights.alpha0, weights.alpha1),
-                       penalty_theta_hess(self.graph, weights.beta0, weights.beta1),
-                       [[2.0 * weights.beta2 / weights.nu ** 2]]]
-        self._pen_hess = scipy.linalg.block_diag(*hess_blocks[:len(self.blocks)])
+        self.order = scipy.sparse.csgraph.reverse_cuthill_mckee(
+            self.graph.laplacian(), symmetric_mode=True)
+        pen_hess = [penalty_eta_hess(self.graph, weights.alpha0, weights.alpha1),
+                    penalty_theta_hess(self.graph, weights.beta0, weights.beta1)]
+        self._pen_bands = [_banded(h, self.order) for h in pen_hess[:len(self.blocks)]]
+        self._lam_curvature = 2.0 * weights.beta2 / weights.nu ** 2
 
     def initial(self, free=None) -> np.ndarray:
         """Unit isotropic conductivity, with the free entries set to `free`."""
@@ -393,7 +406,16 @@ class _Problem:
             penalty_eta_grad(eta, self.graph, w.alpha0, w.alpha1),
             penalty_theta_grad(theta, self.graph, w.beta0, w.beta1),
             [w.beta2 * (1.0 + 2.0 * ll / w.nu ** 2)]])
-        return val, grad[:self.n_free], self._pen_hess
+        return val, grad[:self.n_free]
+
+    def step_system(self, x, xi: float, Jm) -> _StepSystem:
+        """The GN step system at x: penalty bands plus the barrier curvature
+        on the eta diagonal, the free Jacobian columns `Jm`, and in the
+        anisotropic mode the lam curvature as a scalar border."""
+        eta_band = self._pen_bands[0].copy()
+        eta_band[-1] += barrier_hess_diag(x[:self.M], xi)[self.order]
+        border = self._lam_curvature if self.mode == ANISOTROPIC else None
+        return _StepSystem([eta_band] + self._pen_bands[1:], self.order, Jm, border)
 
     def lam_of(self, x) -> float:
         return float(np.exp(x[2 * self.M]))
@@ -435,9 +457,88 @@ def objective(state, data: fem.DataVector, protocol: fem.MeasurementProtocol,
 # Gauss-Newton driver
 # ---------------------------------------------------------------------------
 
-def _trust_capped_step(H0, g, block_caps, shifts):
+def _banded(matrix: scipy.sparse.spmatrix, order: np.ndarray) -> np.ndarray:
+    """LAPACK upper band storage of the symmetric `matrix` permuted to `order`:
+    entry (i, j), i <= j, sits at [bw + i - j, j], so row -1 is the diagonal."""
+    upper = scipy.sparse.triu(matrix.tocsr()[order][:, order], format="coo")
+    bw = int(np.max(upper.col - upper.row, initial=0))
+    band = np.zeros((bw + 1, matrix.shape[0]))
+    band[bw + upper.row - upper.col, upper.col] = upper.data
+    return band
+
+
+class _StepSystem:
+    """The GN step system H = R + 2 J^T J over the free unknowns, solved in
+    data space without forming H.
+
+    R is block diagonal: one M x M band per eta/theta block (LAPACK upper
+    band storage under the lattice order `order`) plus a per-block shift,
+    and, in the anisotropic mode, the lam curvature `border` plus its shift.
+    Each band block factors as R_k = U_k^T U_k and whitens its Jacobian
+    columns, Z_k = U_k^-T J_k^T, so the band part B = R_z + 2 J_z^T J_z of H
+    inverts through the N x N matrix C = I/2 + sum_k Z_k^T Z_k (Woodbury):
+    B^-1 v = U^-1 (w - Z C^-1 Z^T w) with w = U^-T v.  The lam column j is a
+    scalar border rather than part of R, because its curvature is often
+    only the tiny damping shift; its Schur complement is
+    border + shift + j^T C^-1 j, which is positive whenever C is.
+    """
+
+    def __init__(self, bands, order, J, border=None):
+        self.bands, self.order, self.border = bands, order, border
+        M = len(order)
+        self._Jt = [J[:, k * M + order].T for k in range(len(bands))]  # J_k^T in band order
+        self._j = J[:, -1] if border is not None else None
+        n = J.shape[1]
+        self.shape = (n, n)
+        self.trace = (2.0 * float(np.sum(J * J)) + sum(float(b[-1].sum()) for b in bands)
+                      + (border or 0.0))
+        self._factors = [None] * len(bands)  # per band block: (shift, U, Z, Z^T Z)
+
+    def _factor(self, k: int, shift: float):
+        cached = self._factors[k]
+        if cached is None or cached[0] != shift:
+            band = self.bands[k].copy()
+            band[-1] += shift
+            U, info = scipy.linalg.lapack.dpbtrf(band)
+            if info != 0:
+                raise ReconError(f"GN step system is not positive definite "
+                                 f"(block {k}, leading minor {info})")
+            Z = _band_solve(U, self._Jt[k], "T")
+            self._factors[k] = cached = (shift, U, Z, Z.T @ Z)
+        return cached[1:]
+
+    def solve(self, g: np.ndarray, shifts) -> np.ndarray:
+        """The step delta solving (H + block shifts) delta = -g."""
+        M, order = len(self.order), self.order
+        factors = [self._factor(k, shifts[k]) for k in range(len(self.bands))]
+        C = 0.5 * np.eye(self._Jt[0].shape[1]) + sum(G for _, _, G in factors)
+        C = scipy.linalg.cho_factor(C, lower=True)
+        w = [_band_solve(U, g[k * M + order], "T") for k, (U, _, _) in enumerate(factors)]
+        Ztw = sum(Z.T @ wk for (_, Z, _), wk in zip(factors, w))
+        delta = np.empty_like(g)
+        if self._j is not None:
+            Cj = scipy.linalg.cho_solve(C, self._j)
+            schur = self.border + shifts[-1] + self._j @ Cj
+            if not schur > 0:
+                raise ReconError(f"GN step system is not positive definite "
+                                 f"(lam Schur complement {schur:.3e})")
+            delta[-1] = (Cj @ Ztw - g[-1]) / schur
+            Ztw = Ztw - delta[-1] * self._j
+        p = scipy.linalg.cho_solve(C, Ztw)
+        for k, ((U, Z, _), wk) in enumerate(zip(factors, w)):
+            delta[k * M + order] = -_band_solve(U, wk - Z @ p, "N")
+        return delta
+
+
+def _band_solve(U: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
+    """U^-1 rhs (trans "N") or U^-T rhs (trans "T") for an upper band factor U."""
+    x, _info = scipy.linalg.lapack.dtbtrs(U, rhs.reshape(len(rhs), -1), trans=trans)
+    return x.reshape(rhs.shape)
+
+
+def _trust_capped_step(system: _StepSystem, g, block_caps, shifts):
     """Newton step with per-block Levenberg shifts escalated until each
-    block respects its trust cap.
+    block respects its trust cap; returns (delta, escalations).
 
     Damping a block inflates its diagonal, which keeps the system SPD, so
     the returned step is always a descent direction; near a minimizer the
@@ -445,26 +546,18 @@ def _trust_capped_step(H0, g, block_caps, shifts):
     Raises ReconError when a shifted system is not positive definite or the
     caps still bind after 40 escalations.
     """
-    n = H0.shape[0]
     shifts = shifts.copy()
-    for _ in range(40):
-        H = H0.copy()
-        for (sl, _cap), sh in zip(block_caps, shifts):
-            d = np.arange(n)[sl]
-            H[d, d] += sh
-        try:
-            delta = scipy.linalg.solve(H, -g, assume_a="pos")
-        except scipy.linalg.LinAlgError as exc:
-            raise ReconError(f"GN step system is not positive definite ({exc})") from exc
+    for escalations in range(40):
+        delta = system.solve(g, shifts)
         violated = False
         for k, (sl, cap) in enumerate(block_caps):
             if len(delta[sl]) and np.abs(delta[sl]).max() > cap:
                 scale = np.abs(delta[sl]).max() / cap
                 shifts[k] = max(shifts[k] * 10.0, shifts[k] * scale,
-                                1e-14 * np.trace(H0))
+                                1e-14 * system.trace)
                 violated = True
         if not violated:
-            return delta
+            return delta, escalations
     raise ReconError("GN step still breaks its trust caps after 40 damping escalations")
 
 
@@ -490,21 +583,22 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             U, Jm = problem.predict_and_jacobian(x)
             r = y - U
             misfit = float(r @ r)
-            pen_val, pen_grad, pen_hess = problem.penalty(x)
+            pen_val, pen_grad = problem.penalty(x)
             bar_val = barrier(x[:M], xi)
             obj = misfit + pen_val + bar_val
 
-            H0 = 2.0 * (Jm.T @ Jm) + pen_hess
-            idx = np.arange(M)
-            H0[idx, idx] += barrier_hess_diag(x[:M], xi)
+            system = problem.step_system(x, xi, Jm)
             g = -2.0 * (Jm.T @ r) + pen_grad
             g[:M] += barrier_grad(x[:M], xi)
 
             accepted = False
-            base = settings.damping * np.trace(H0)
+            backtracks = escalations = 0
+            base = settings.damping * system.trace
             shifts = np.full(len(problem.blocks), base)
             for _esc in range(settings.damping_escalations + 1):
-                delta = _trust_capped_step(H0, g, problem.block_caps(settings), shifts)
+                delta, cap_escalations = _trust_capped_step(
+                    system, g, problem.block_caps(settings), shifts)
+                escalations += cap_escalations
                 slope = float(g @ delta)
 
                 t = 1.0
@@ -516,10 +610,12 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                         if obj_t <= obj + settings.armijo * t * slope:
                             accepted = True
                             break
+                    backtracks += 1
                     t *= settings.shrink
                 if accepted:
                     break
-                shifts = np.maximum(shifts, 1e-14 * np.trace(H0)) * 1e4
+                escalations += 1
+                shifts = np.maximum(shifts, 1e-14 * system.trace) * 1e4
             if not accepted:
                 converged = False
                 break
@@ -532,6 +628,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                 "objective": obj_t, "misfit": misfit_t,
                 "penalty": pen_val, "barrier": bar_val,
                 "lambda": problem.lam_of(x), "step": t,
+                "backtracks": backtracks, "escalations": escalations,
             })
             trace.append(problem.lam_of(x))
             rel_drop = (obj - obj_t) / max(abs(obj), 1e-300)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from anisoeit.geometry import (BoundaryEdge, DomainSpec, GeometryError, _extract_boundary_loop,
-                               build_boundary, build_pixel_lattice, locate_points,
-                               place_electrodes, triangulate)
+from anisoeit.geometry import (BoundaryEdge, DomainSpec, GeometryError, _check_simple,
+                               _extract_boundary_loop, build_boundary, build_pixel_lattice,
+                               locate_points, place_electrodes, triangulate)
 
 
 def test_disk_circumference():
@@ -54,14 +54,56 @@ def test_nonpositive_fourier_radius_rejected():
 
 
 def test_self_intersecting_curve_rejected():
-    # polar curves with r > 0 are always simple, so drive the sampled
+    # polar curves with r > 0 are always simple, so drive the
     # segment-intersection validator directly with a figure eight
-    from anisoeit.geometry import _check_simple
     t = np.linspace(0, 2 * np.pi, 256, endpoint=False)
     eight = np.column_stack([np.sin(2 * t), np.sin(t)])
     with pytest.raises(GeometryError, match="intersect"):
         _check_simple(eight)
     _check_simple(np.column_stack([np.cos(t), np.sin(t)]))  # clean circle passes
+
+
+def test_narrow_crossing_between_subsample_points_rejected():
+    """Swapping samples 1001 and 1002 of a 2048-point circle makes segments
+    1000 and 1002 cross; a check on every fourth sample would miss it."""
+    t = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
+    circle = np.column_stack([np.cos(t), np.sin(t)])
+    circle[[1001, 1002]] = circle[[1002, 1001]]
+    with pytest.raises(GeometryError, match="segments 1000 and 1002"):
+        _check_simple(circle)
+
+
+def all_pairs_crossings(points):
+    """Reference: every pair of non-adjacent segments of the closed polyline
+    tested for a proper crossing."""
+    n = len(points)
+    q = np.roll(points, -1, axis=0)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    return [(i, j) for i in range(n) for j in range(i + 2, n) if not (i == 0 and j == n - 1)
+            and cross(points[i], q[i], points[j]) * cross(points[i], q[i], q[j]) < 0
+            and cross(points[j], q[j], points[i]) * cross(points[j], q[j], q[i]) < 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(8, 120), swaps=st.integers(0, 2),
+       wiggle=st.sampled_from([0.0, 0.2, 0.6]))
+def test_check_simple_matches_all_pairs(seed, n, swaps, wiggle):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0, 2 * np.pi, n))
+    r = 1.0 + wiggle * rng.uniform(-1, 1, n)
+    points = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    for _ in range(swaps):
+        k = rng.integers(0, n - 1)
+        points[[k, k + 1]] = points[[k + 1, k]]
+    expected = all_pairs_crossings(points)
+    if expected:
+        with pytest.raises(GeometryError, match=f"segments {expected[0][0]} and {expected[0][1]}"):
+            _check_simple(points)
+    else:
+        _check_simple(points)
 
 
 def test_truncated_ellipse_shape():
@@ -229,6 +271,19 @@ def test_refinement_area_error_decreases(disk_curve, disk_layout):
         mesh = triangulate(disk_curve, disk_layout, target)
         errors.append(abs(mesh.areas().sum() - np.pi))
     assert errors[0] > errors[1] > errors[2]
+
+
+def test_straight_chord_meshes_without_slivers():
+    """Qhull fans the collinear nodes of this chord into zero-area slivers;
+    they are dropped and the mesh still closes on the sampled boundary."""
+    spec = DomainSpec("truncated_ellipse", {"a": 1.4, "b": 0.7, "cut_frac": 0.3,
+                                            "round_frac": 0.05})
+    curve = build_boundary(spec, 1024)
+    mesh = triangulate(curve, place_electrodes(curve, 16, 0.5), 1500)
+    x, y = mesh.boundary_polygon().T
+    enclosed = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    assert mesh.areas().min() > 1e-6
+    assert abs(mesh.areas().sum() - enclosed) <= 1e-12 * enclosed
 
 
 def test_triangulate_rejects_tiny_target(disk_curve, disk_layout):

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
+from hypothesis import given, settings, strategies as st
 
 from anisoeit import fem, inverse
 from anisoeit.geometry import build_pixel_lattice, triangulate
@@ -134,7 +137,8 @@ def test_neighbor_graph_symmetric(small_lattice):
              (two_pixel_graph(), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
     for graph, expected in cases:
         L = graph.laplacian()
-        assert isinstance(L, np.ndarray)
+        assert isinstance(L, scipy.sparse.csr_matrix)
+        L = L.toarray()
         assert np.array_equal(L, expected)
         assert np.allclose(L, L.T)
         assert np.allclose(L.sum(axis=1), 0.0)
@@ -304,7 +308,7 @@ def test_augmented_gradient_matches_fd(small_problem):
                             [rng.uniform(-0.3, 0.4)]])
         U, Jm = problem.predict_and_jacobian(x)
         r = data.values - U
-        _, pen_grad, _ = problem.penalty(x)
+        _, pen_grad = problem.penalty(x)
         g = -2.0 * (Jm.T @ r) + pen_grad
         g[:M] += barrier_grad(x[:M], xi)
 
@@ -459,12 +463,61 @@ def test_line_search_failure_flags_nonconverged(small_problem):
 
 def test_step_solve_rejects_indefinite_system():
     """A step system that is not positive definite raises instead of
-    falling back to a least-squares step."""
-    H0 = np.diag([2.0, 1.0, -3.0])
+    falling back to a least-squares step: once through an indefinite band
+    block, once through a negative lam border."""
+    J = np.zeros((4, 3))
+    indefinite_band = inverse._StepSystem([np.array([[2.0, 1.0, -3.0]])], np.arange(3), J)
     g = np.array([0.1, -0.2, 0.3])
-    caps = [(slice(0, 2), 1.0), (slice(2, 3), 1.0)]
     with pytest.raises(ReconError, match="not positive definite"):
-        inverse._trust_capped_step(H0, g, caps, np.zeros(2))
+        inverse._trust_capped_step(indefinite_band, g, [(slice(0, 3), 1.0)], np.zeros(1))
+    negative_border = inverse._StepSystem([np.array([[2.0]]), np.array([[1.0]])], np.arange(1),
+                                          J, border=-3.0)
+    caps = [(slice(0, 1), 1.0), (slice(1, 2), 1.0), (slice(2, 3), 1.0)]
+    with pytest.raises(ReconError, match="not positive definite"):
+        inverse._trust_capped_step(negative_border, g, caps, np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(1, 25), N=st.integers(1, 70),
+       anisotropic=st.booleans(), beta2=st.sampled_from([0.0, 0.4]))
+def test_step_system_matches_dense_solve(seed, M, N, anisotropic, beta2):
+    """The data-space step equals a dense solve of the explicit shifted
+    H = penalty Hessians + barrier diagonal + lam curvature + 2 J^T J, on
+    random lattices and Jacobians with N below and above the unknown count."""
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(np.sqrt(M)))
+    cells = rng.permutation(side * side)[:M]
+    ij = np.column_stack(np.divmod(cells, side))
+    step = ij[None, :, :] - ij[:, None, :]
+    a, b = np.nonzero((step == [1, 0]).all(axis=2) | (step == [0, 1]).all(axis=2))
+    graph = NeighborGraph(M=M, pairs=np.column_stack([a, b]))
+    w = RegWeights(*rng.uniform(0, 1e-2, 4), beta2=beta2, nu=rng.uniform(0.5, 2.0))
+    order = scipy.sparse.csgraph.reverse_cuthill_mckee(graph.laplacian(), symmetric_mode=True)
+    hess = [inverse.penalty_eta_hess(graph, w.alpha0, w.alpha1),
+            inverse.penalty_theta_hess(graph, w.beta0, w.beta1)][:2 if anisotropic else 1]
+    bands = [inverse._banded(h, order) for h in hess]
+    bar = rng.uniform(0, 1, M) * rng.choice([0.0, 1.0])
+    bands[0][-1] += bar[order]
+    border = 2.0 * w.beta2 / w.nu ** 2 if anisotropic else None
+    n = 2 * M + 1 if anisotropic else M
+    J = rng.normal(size=(N, n)) * rng.uniform(0.1, 10.0)
+    system = inverse._StepSystem(bands, order, J, border)
+    g = rng.normal(size=n)
+
+    R = scipy.linalg.block_diag(*[h.toarray() for h in hess], *([[border]] if anisotropic else []))
+    R[np.arange(M), np.arange(M)] += bar
+    H = R + 2.0 * J.T @ J
+    assert system.shape == (n, n)
+    assert system.trace == pytest.approx(np.trace(H), rel=1e-12)
+    # a second solve escalates one block's shift, as the trust caps do
+    shifts = 10.0 ** rng.uniform(-8, 0, len(hess) + anisotropic)
+    escalated = shifts.copy()
+    escalated[rng.integers(len(shifts))] *= 1e3
+    for block_shifts in (shifts, escalated):
+        shifted = H + np.diag(np.repeat(block_shifts, [M] * len(hess) + [1] * anisotropic))
+        expected = scipy.linalg.solve(shifted, -g, assume_a="pos")
+        delta = system.solve(g, block_shifts)
+        assert np.linalg.norm(delta - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])

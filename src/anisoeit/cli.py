@@ -13,19 +13,23 @@ import sys
 from pathlib import Path
 
 from anisoeit import fem, harness
-from anisoeit.geometry import build_boundary, place_electrodes, triangulate
 
-
-def _add_common(p):
-    p.add_argument("--config", type=str, help="experiment config JSON path")
-    p.add_argument("--case", type=str, choices=sorted(harness.builtin_configs()),
-                   help="use a shipped benchmark config instead of --config")
-    p.add_argument("--seed", type=int, default=None, help="override the config noise seed")
-    p.add_argument("--out", type=str, default="out", help="output directory")
-    p.add_argument("--inverse-crime", action="store_true",
-                   help="reconstruct on the simulation mesh (solver validation only)")
-    p.add_argument("--mode", type=str, choices=harness.MODES, default=None,
-                   help="override the config reconstruction mode")
+_FLAGS = {
+    "--config": dict(type=str, help="experiment config JSON path"),
+    "--case": dict(type=str, choices=sorted(harness.builtin_configs()),
+                   help="use a shipped benchmark config instead of --config"),
+    "--seed": dict(type=int, default=None, help="override the config noise seed"),
+    "--mode": dict(type=str, choices=harness.MODES, default=None,
+                   help="override the config reconstruction mode"),
+    "--inverse-crime": dict(action="store_true",
+                            help="reconstruct on the simulation mesh (solver validation only)"),
+    "--out": dict(type=str, default="out", help="output directory"),
+    "--suite": dict(choices=("invariance", "locality"), required=True),
+    "--c": dict(type=float, default=0.3, help="radial map strength"),
+    "--perturbation-center": dict(type=float, nargs=2, default=(0.5, 0.22)),
+    "--perturbation-radius": dict(type=float, default=0.25),
+    "--perturbation-amplitude": dict(type=float, default=1.0),
+}
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -35,7 +39,7 @@ def _load_config(args) -> harness.ExperimentConfig:
         config = harness.builtin_configs()[args.case]
     else:
         raise harness.HarnessError("config", "need --config or --case")
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "mode", None):
         config = dataclasses.replace(config, mode=args.mode)
@@ -44,20 +48,13 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def cmd_mesh(args) -> int:
     config = _load_config(args)
+    scene = harness.build_scene(config, inverse_crime=args.inverse_crime)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        for which, spec, target in (("true", config.true_domain, config.sim_elements),
-                                    ("model", config.model_domain, config.recon_elements)):
-            curve = build_boundary(spec, config.boundary_samples)
-            layout = place_electrodes(curve, config.n_electrodes, config.coverage,
-                                      contact_impedance=config.contact_impedance)
-            mesh = triangulate(curve, layout, target)
-            path = out / f"{config.name}_mesh_{which}.json"
-            path.write_text(mesh.to_json())
-            print(f"{path}  nodes={mesh.n_nodes} elements={mesh.n_elements}")
-    except Exception as exc:
-        raise harness.HarnessError("geometry", str(exc)) from exc
+    for which, mesh in (("true", scene.mesh_sim), ("model", scene.mesh_recon)):
+        path = out / f"{config.name}_mesh_{which}.json"
+        path.write_text(mesh.to_json())
+        print(f"{path}  nodes={mesh.n_nodes} elements={mesh.n_elements}")
     return 0
 
 
@@ -65,7 +62,7 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scene = harness.build_scene(config, inverse_crime=args.inverse_crime, seed=args.seed)
+    scene = harness.build_scene(config)
     path = out / f"{config.name}_data.csv"
     path.write_text(fem.data_vector_to_csv(scene.data))
     print(f"{path}  N={scene.data.N} noise={scene.data.noise_fraction} seed={scene.data.seed}")
@@ -74,8 +71,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     config = _load_config(args)
-    report = harness.run_experiment(config, args.out, inverse_crime=args.inverse_crime,
-                                    seed=args.seed)
+    report = harness.run_experiment(config, args.out, inverse_crime=args.inverse_crime)
     if not report.success:
         print(report.message, file=sys.stderr)
         return 2
@@ -107,35 +103,30 @@ def cmd_report(args) -> int:
     return 0 if summary["count"] == summary["succeeded"] else 2
 
 
+# subcommand, help, handler and the flags its handler reads
+_COMMANDS = (
+    ("mesh", "emit the simulation and reconstruction meshes as JSON", cmd_mesh,
+     ("--config", "--case", "--mode", "--inverse-crime", "--out")),
+    ("simulate", "emit simulated data CSV", cmd_simulate,
+     ("--config", "--case", "--seed", "--out")),
+    ("reconstruct", "run an experiment end to end", cmd_reconstruct,
+     ("--config", "--case", "--seed", "--mode", "--inverse-crime", "--out")),
+    ("verify", "invariance / locality verification suites", cmd_verify,
+     ("--config", "--case", "--seed", "--out", "--suite", "--c", "--perturbation-center",
+      "--perturbation-radius", "--perturbation-amplitude")),
+    ("report", "aggregate run reports under --out", cmd_report, ("--out",)),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="anisoeit",
                                      description="2-D EIT simulation and reconstruction")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mesh", help="emit true/model meshes as JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_mesh)
-
-    p = sub.add_parser("simulate", help="emit simulated data CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("reconstruct", help="run an experiment end to end")
-    _add_common(p)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("verify", help="invariance / locality verification suites")
-    _add_common(p)
-    p.add_argument("--suite", choices=("invariance", "locality"), required=True)
-    p.add_argument("--c", type=float, default=0.3, help="radial map strength")
-    p.add_argument("--perturbation-center", type=float, nargs=2, default=(0.5, 0.22))
-    p.add_argument("--perturbation-radius", type=float, default=0.25)
-    p.add_argument("--perturbation-amplitude", type=float, default=1.0)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("report", help="aggregate run reports under --out")
-    p.add_argument("--out", type=str, default="out")
-    p.set_defaults(func=cmd_report)
+    for name, help_text, func, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

@@ -91,10 +91,6 @@ class BoundaryCurve:
         out = pts[idx] * (1 - t[:, None]) + pts[idx + 1] * t[:, None]
         return out if out.shape[0] > 1 else out[0]
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Even-odd rule point-in-polygon test, vectorized over query points."""
-        return _points_in_polygon(np.atleast_2d(pts), self.points)
-
     def area(self) -> float:
         x, y = self.points[:, 0], self.points[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))

@@ -10,11 +10,12 @@ reconstruction mesh unless the inverse-crime flag is set explicitly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -29,8 +30,8 @@ from anisoeit.geometry import (BoundaryCurve, DomainSpec, ElectrodeLayout, Mesh,
 from anisoeit.inverse import (BarrierSchedule, GNSettings, ReconState, RegWeights,
                               gauss_newton_reconstruct, isotropic_reconstruct,
                               recon_state_to_csv, run_log_to_json)
-from anisoeit.tensors import TensorField, det_sqrt, gamma_hat, Diffeo, push_forward_function
-from anisoeit.tensors import scalar_field_to_csv
+from anisoeit.tensors import (Diffeo, TensorField, UniformAnisoParams, det_sqrt, gamma_hat,
+                              push_forward_function, scalar_field_to_csv)
 
 
 class HarnessError(RuntimeError):
@@ -41,6 +42,18 @@ class HarnessError(RuntimeError):
         self.stage = stage
 
 
+@contextlib.contextmanager
+def _stage(stage: str, context: str = ""):
+    """Re-raise any failure in the block as HarnessError(stage), its message
+    prefixed by `context`; a HarnessError passes through unchanged."""
+    try:
+        yield
+    except HarnessError:
+        raise
+    except Exception as exc:
+        raise HarnessError(stage, f"{context}{exc}") from exc
+
+
 MODES = ("isotropic-correct", "isotropic-mismodeled", "uniformly-anisotropic")
 
 
@@ -49,6 +62,11 @@ class Inclusion:
     center: tuple
     radius: float
     amplitude: float
+
+    def __post_init__(self):
+        if len(self.center) != 2 or not self.radius > 0:
+            raise HarnessError("config", f"an inclusion needs a 2-D center and a positive "
+                                         f"radius, got {self.center} and {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +86,21 @@ class Phantom:
         return v
 
 
+# The JSON sections holding scalar ExperimentConfig fields: key -> field.
+_SECTIONS = {
+    "protocol": {"n_electrodes": "n_electrodes", "coverage": "coverage",
+                 "contact_impedance": "contact_impedance"},
+    "noise": {"fraction": "noise_fraction", "seed": "seed"},
+    "schedule": {"xi_start": "xi_start", "xi_end": "xi_end", "stages": "xi_stages"},
+    "mesh": {k: k for k in ("sim_elements", "recon_elements", "pixels", "boundary_samples")},
+    "gn": {"max_iterations": "max_iterations", "max_inner": "max_inner"},
+}
+# all top-level keys in file order; "weights" holds the RegWeights fields
+_TOP_KEYS = ("name", "true_domain", "model_domain", "phantom", "mode", "protocol", "noise",
+             "weights", "schedule", "mesh", "gn", "notes")
+_INCLUSION_KEYS = ("center", "radius", "amplitude")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -80,8 +113,7 @@ class ExperimentConfig:
     contact_impedance: float = 1.0
     noise_fraction: float = 0.01
     seed: int = 7
-    weights: RegWeights = field(default_factory=lambda: RegWeights(
-        alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6, beta2=0.0))
+    weights: RegWeights = RegWeights(alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6)
     xi_start: float = 1e-5
     xi_end: float = 1e-12
     xi_stages: int = 8
@@ -106,7 +138,7 @@ class ExperimentConfig:
         return GNSettings(max_iterations=self.max_iterations, max_inner=self.max_inner)
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "name": self.name,
             "true_domain": {"kind": self.true_domain.kind, "params": self.true_domain.params},
             "model_domain": {"kind": self.model_domain.kind, "params": self.model_domain.params},
@@ -117,60 +149,43 @@ class ExperimentConfig:
                     for i in self.phantom.inclusions],
             },
             "mode": self.mode,
-            "protocol": {"n_electrodes": self.n_electrodes, "coverage": self.coverage,
-                         "contact_impedance": self.contact_impedance},
-            "noise": {"fraction": self.noise_fraction, "seed": self.seed},
-            "weights": {"alpha0": self.weights.alpha0, "alpha1": self.weights.alpha1,
-                        "beta0": self.weights.beta0, "beta1": self.weights.beta1,
-                        "beta2": self.weights.beta2, "nu": self.weights.nu},
-            "schedule": {"xi_start": self.xi_start, "xi_end": self.xi_end,
-                         "stages": self.xi_stages},
-            "mesh": {"sim_elements": self.sim_elements, "recon_elements": self.recon_elements,
-                     "pixels": self.pixels, "boundary_samples": self.boundary_samples},
-            "gn": {"max_iterations": self.max_iterations, "max_inner": self.max_inner},
+            "weights": dataclasses.asdict(self.weights),
             "notes": self.notes,
         }
+        for section, keys in _SECTIONS.items():
+            doc[section] = {key: getattr(self, name) for key, name in keys.items()}
+        return {key: doc[key] for key in _TOP_KEYS}
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        ph = doc.get("phantom", {})
-        incs = tuple(Inclusion(center=tuple(i["center"]), radius=float(i["radius"]),
-                               amplitude=float(i["amplitude"]))
-                     for i in ph.get("inclusions", []))
-        proto = doc.get("protocol", {})
-        noise = doc.get("noise", {})
-        w = doc.get("weights", {})
-        sch = doc.get("schedule", {})
-        msh = doc.get("mesh", {})
-        gn = doc.get("gn", {})
-        return ExperimentConfig(
-            name=doc["name"],
-            true_domain=DomainSpec(doc["true_domain"]["kind"], doc["true_domain"].get("params", {})),
-            model_domain=DomainSpec(doc["model_domain"]["kind"], doc["model_domain"].get("params", {})),
-            phantom=Phantom(background=float(ph.get("background", 1.0)), inclusions=incs),
-            mode=doc.get("mode", "uniformly-anisotropic"),
-            n_electrodes=int(proto.get("n_electrodes", 16)),
-            coverage=float(proto.get("coverage", 0.5)),
-            contact_impedance=float(proto.get("contact_impedance", 1.0)),
-            noise_fraction=float(noise.get("fraction", 0.01)),
-            seed=int(noise.get("seed", 7)),
-            weights=RegWeights(alpha0=float(w.get("alpha0", 1e-8)),
-                               alpha1=float(w.get("alpha1", 1e-4)),
-                               beta0=float(w.get("beta0", 1e-8)),
-                               beta1=float(w.get("beta1", 5e-6)),
-                               beta2=float(w.get("beta2", 0.0)),
-                               nu=float(w.get("nu", 1.0))),
-            xi_start=float(sch.get("xi_start", 1e-5)),
-            xi_end=float(sch.get("xi_end", 1e-12)),
-            xi_stages=int(sch.get("stages", 8)),
-            sim_elements=int(msh.get("sim_elements", 2350)),
-            recon_elements=int(msh.get("recon_elements", 2190)),
-            pixels=int(msh.get("pixels", 437)),
-            boundary_samples=int(msh.get("boundary_samples", 2048)),
-            max_iterations=int(gn.get("max_iterations", 60)),
-            max_inner=int(gn.get("max_inner", 10)),
-            notes=doc.get("notes", ""),
-        )
+        """Inverse of `to_dict`; whatever the document leaves out takes the
+        dataclass defaults.  An unknown section or key, a missing `name` or
+        domain `kind`, or an invalid value raises HarnessError("config", ...)
+        naming the key."""
+        _config_part(doc, "", _TOP_KEYS, ("name", "true_domain", "model_domain"))
+        kw = {key: doc[key] for key in ("name", "mode", "notes") if key in doc}
+        for key in ("true_domain", "model_domain"):
+            with _stage("config", f"{key}: "):
+                kw[key] = DomainSpec(**_config_part(doc[key], f"{key}.", ("kind", "params"),
+                                                    ("kind",)))
+        ph = _config_part(doc.get("phantom", {}), "phantom.", ("background", "inclusions"))
+        with _stage("config", "phantom: "):
+            incs = [_config_part(i, "phantom.inclusions.", _INCLUSION_KEYS, _INCLUSION_KEYS)
+                    for i in ph.get("inclusions", [])]
+            kw["phantom"] = Phantom(
+                background=float(ph.get("background", Phantom.background)),
+                inclusions=tuple(Inclusion(center=tuple(i["center"]), radius=float(i["radius"]),
+                                           amplitude=float(i["amplitude"])) for i in incs))
+        for section, keys in _SECTIONS.items():
+            for key, value in _config_part(doc.get(section, {}), f"{section}.", keys).items():
+                with _stage("config", f"{section}.{key}: "):
+                    kw[keys[key]] = type(getattr(ExperimentConfig, keys[key]))(value)
+        weights = _config_part(doc.get("weights", {}), "weights.",
+                               [f.name for f in dataclasses.fields(RegWeights)])
+        with _stage("config", "weights: "):
+            kw["weights"] = dataclasses.replace(ExperimentConfig.weights,
+                                                **{k: float(v) for k, v in weights.items()})
+        return ExperimentConfig(**kw)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -179,8 +194,26 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
+def _config_part(part, path: str, keys, required=()) -> dict:
+    """`part` checked to be a JSON object with keys among `keys`, holding all
+    of `required`; `path` prefixes the key names in the error messages."""
+    if not isinstance(part, dict):
+        raise HarnessError("config", f"{path.rstrip('.') or 'config'} must be a JSON object")
+    for key in part:
+        if key not in keys:
+            raise HarnessError("config", f"unknown config key {path}{key}")
+    for key in required:
+        if key not in part:
+            raise HarnessError("config", f"missing config key {path}{key}")
+    return part
+
+
 def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise HarnessError("config", f"cannot read config {path}: {exc}") from exc
+    return ExperimentConfig.from_dict(doc)
 
 
 def builtin_configs() -> dict:
@@ -472,7 +505,6 @@ class Scene:
     """Geometry and data shared by the stages of one experiment."""
 
     curve_true: BoundaryCurve
-    layout_true: ElectrodeLayout
     mesh_sim: Mesh
     curve_recon: BoundaryCurve
     layout_recon: ElectrodeLayout
@@ -480,109 +512,95 @@ class Scene:
     lattice: PixelLattice
     protocol: fem.MeasurementProtocol
     data: fem.DataVector
-    true_values_sim: np.ndarray
 
 
-def build_scene(config: ExperimentConfig, inverse_crime: bool = False,
-                seed: Optional[int] = None) -> Scene:
+def build_scene(config: ExperimentConfig, inverse_crime: bool = False) -> Scene:
     """Simulate data on the true domain and prepare the reconstruction stage.
 
-    Electrode arc lengths are carried over from the true domain to the
-    model domain (the boundary modeling map is length preserving on the
+    The reconstruction runs on the true curve and electrodes in the
+    `isotropic-correct` mode and under an inverse crime (which reuses the
+    simulation mesh and needs matching domains), and otherwise on the model
+    domain.  There, electrode arc lengths are carried over from the true
+    domain (the boundary modeling map is length preserving on the
     electrodes), so the model coverage differs slightly from the nominal
     fraction.
     """
-    try:
+    with _stage("geometry"):
         curve_true = build_boundary(config.true_domain, config.boundary_samples)
         layout_true = place_electrodes(curve_true, config.n_electrodes, config.coverage,
                                        contact_impedance=config.contact_impedance)
         mesh_sim = triangulate(curve_true, layout_true, config.sim_elements)
-    except Exception as exc:
-        raise HarnessError("geometry", str(exc)) from exc
 
-    try:
+    with _stage("simulate"):
         protocol = fem.adjacent_protocol(config.n_electrodes)
         truth = config.phantom.evaluate(mesh_sim.centroids())
-        data = fem.simulate_measurements(
-            mesh_sim, TensorField.isotropic(truth), layout_true, protocol,
-            config.noise_fraction, config.seed if seed is None else seed)
-    except Exception as exc:
-        raise HarnessError("simulate", str(exc)) from exc
+        data = fem.simulate_measurements(mesh_sim, TensorField.isotropic(truth), layout_true,
+                                         protocol, config.noise_fraction, config.seed)
 
-    try:
-        if config.mode == "isotropic-correct":
+    with _stage("geometry"):
+        if inverse_crime and config.true_domain != config.model_domain:
+            raise ValueError("inverse-crime runs need matching true and model domains")
+        if inverse_crime or config.mode == "isotropic-correct":
             curve_recon, layout_recon = curve_true, layout_true
-            if inverse_crime:
-                mesh_recon = mesh_sim
-            else:
-                mesh_recon = triangulate(curve_true, layout_true, config.recon_elements)
         else:
             curve_recon = build_boundary(config.model_domain, config.boundary_samples)
             elec_len = config.coverage * curve_true.total_length / config.n_electrodes
             model_cov = elec_len * config.n_electrodes / curve_recon.total_length
             layout_recon = place_electrodes(curve_recon, config.n_electrodes, model_cov,
                                             contact_impedance=config.contact_impedance)
-            if inverse_crime:
-                if config.true_domain != config.model_domain:
-                    raise ValueError("inverse-crime runs need matching true and model domains")
-                mesh_recon = mesh_sim
-                layout_recon = layout_true
-                curve_recon = curve_true
-            else:
-                mesh_recon = triangulate(curve_recon, layout_recon, config.recon_elements)
+        mesh_recon = (mesh_sim if inverse_crime
+                      else triangulate(curve_recon, layout_recon, config.recon_elements))
         lattice = build_pixel_lattice(mesh_recon, config.pixels)
-    except HarnessError:
-        raise
-    except Exception as exc:
-        raise HarnessError("geometry", str(exc)) from exc
 
-    return Scene(curve_true=curve_true, layout_true=layout_true, mesh_sim=mesh_sim,
-                 curve_recon=curve_recon, layout_recon=layout_recon, mesh_recon=mesh_recon,
-                 lattice=lattice, protocol=protocol, data=data, true_values_sim=truth)
+    return Scene(curve_true=curve_true, mesh_sim=mesh_sim, curve_recon=curve_recon,
+                 layout_recon=layout_recon, mesh_recon=mesh_recon, lattice=lattice,
+                 protocol=protocol, data=data)
 
 
 def reconstruct_scene(config: ExperimentConfig, scene: Scene) -> ReconState:
+    reconstruct = (gauss_newton_reconstruct if config.mode == "uniformly-anisotropic"
+                   else isotropic_reconstruct)
+    with _stage("reconstruct"):
+        return reconstruct(scene.data, scene.protocol, scene.mesh_recon, scene.lattice,
+                           scene.layout_recon, config.weights, config.schedule(),
+                           config.settings())
+
+
+def _saved_report(out_dir, run_id: str, config_hash: str, mode: str, stage: str,
+                  body) -> RunReport:
+    """Run `body(out) -> (metrics, files, failure)` and save its report as
+    report_<run_id>.json under `out_dir`; an empty `failure` message means
+    success.  Any exception becomes a failed report tagged with the stage of
+    a HarnessError, or else with `stage`."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        if config.mode == "uniformly-anisotropic":
-            return gauss_newton_reconstruct(
-                scene.data, scene.protocol, scene.mesh_recon, scene.lattice,
-                scene.layout_recon, config.weights, config.schedule(), config.settings())
-        return isotropic_reconstruct(
-            scene.data, scene.protocol, scene.mesh_recon, scene.lattice,
-            scene.layout_recon, config.weights, config.schedule(), config.settings())
+        metrics, files, message = body(out)
+        success, stage = not message, None
     except Exception as exc:
-        raise HarnessError("reconstruct", str(exc)) from exc
+        metrics, files, message, success = {}, [], str(exc), False
+        stage = exc.stage if isinstance(exc, HarnessError) else stage
+    return RunReport(run_id=run_id, config_hash=config_hash, mode=mode, success=success,
+                     metrics=metrics, manifest=[str(p) for p in files], stage=stage,
+                     message=message).save(out)
 
 
-def run_experiment(config: ExperimentConfig, out_dir, inverse_crime: bool = False,
-                   seed: Optional[int] = None) -> RunReport:
+def run_experiment(config: ExperimentConfig, out_dir, inverse_crime: bool = False) -> RunReport:
     """Full pipeline: simulate, reconstruct, measure, export.
 
     Returns a failure report tagged with the stage name instead of raising.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    run_id = f"{config.name}-{config.mode}-{config.hash()[:8]}"
-    manifest = []
-    try:
+    def body(out):
         t0 = time.time()
-        scene = build_scene(config, inverse_crime=inverse_crime, seed=seed)
+        scene = build_scene(config, inverse_crime=inverse_crime)
         state = reconstruct_scene(config, scene)
-
-        try:
-            metrics, files = _measure_and_export(config, scene, state, out)
-        except Exception as exc:
-            raise HarnessError("metrics", str(exc)) from exc
-        manifest.extend(files)
+        metrics, files = _measure_and_export(config, scene, state, out)
         metrics["wall_time_s"] = time.time() - t0
         metrics["inverse_crime"] = inverse_crime
-        report = RunReport(run_id=run_id, config_hash=config.hash(), mode=config.mode,
-                           success=True, metrics=metrics, manifest=[str(p) for p in manifest])
-    except HarnessError as exc:
-        report = RunReport(run_id=run_id, config_hash=config.hash(), mode=config.mode,
-                           success=False, metrics={}, manifest=[],
-                           stage=exc.stage, message=str(exc))
-    return report.save(out)
+        return metrics, files, ""
+
+    return _saved_report(out_dir, f"{config.name}-{config.mode}-{config.hash()[:8]}",
+                         config.hash(), config.mode, "metrics", body)
 
 
 def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconState, out: Path):
@@ -618,8 +636,10 @@ def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconStat
                                             out / f"{run_tag}_{main_name}")
     files += [main_csv, main_pgm]
 
-    init = inverse.forward_map(_unit_params(scene.lattice), scene.protocol,
-                               scene.mesh_recon, scene.lattice, scene.layout_recon)
+    M = scene.lattice.n_active
+    unit = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.0)
+    init = inverse.forward_map(unit, scene.protocol, scene.mesh_recon, scene.lattice,
+                               scene.layout_recon)
     initial_misfit = float(np.sum((scene.data.values - init) ** 2))
 
     blobs = lattice_blobs(pixel_values, scene.lattice)
@@ -648,12 +668,6 @@ def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconStat
     return metrics, files
 
 
-def _unit_params(lattice: PixelLattice):
-    from anisoeit.tensors import UniformAnisoParams
-    M = lattice.n_active
-    return UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.0)
-
-
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
@@ -667,19 +681,16 @@ def verify_invariance(out_dir, c: float = 0.3, element_levels=(550, 2200, 8800),
     refinement ladder; the relative difference must fall below `threshold`
     at the middle level and shrink by `min_factor` per refinement.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    curve = build_boundary(DomainSpec("disk", {}), 2048)
-    layout = place_electrodes(curve, 16, 0.5)
-    protocol = fem.adjacent_protocol(16)
-    phantom = Phantom(background=1.0, inclusions=(
-        Inclusion(center=(0.35, 0.15), radius=0.3, amplitude=1.0),
-        Inclusion(center=(-0.3, -0.25), radius=0.3, amplitude=-0.5)))
-    diffeo = Diffeo.radial_boundary_preserving(c)
-
-    diffs = []
-    elements = []
-    try:
+    def body(out):
+        curve = build_boundary(DomainSpec("disk", {}), 2048)
+        layout = place_electrodes(curve, 16, 0.5)
+        protocol = fem.adjacent_protocol(16)
+        phantom = Phantom(background=1.0, inclusions=(
+            Inclusion(center=(0.35, 0.15), radius=0.3, amplitude=1.0),
+            Inclusion(center=(-0.3, -0.25), radius=0.3, amplitude=-0.5)))
+        diffeo = Diffeo.radial_boundary_preserving(c)
+        diffs = []
+        elements = []
         for target in element_levels:
             mesh = triangulate(curve, layout, target)
             f_direct = TensorField.isotropic(phantom.evaluate(mesh.centroids()))
@@ -690,19 +701,12 @@ def verify_invariance(out_dir, c: float = 0.3, element_levels=(550, 2200, 8800),
             elements.append(mesh.n_elements)
         factors = [diffs[i] / diffs[i + 1] for i in range(len(diffs) - 1)]
         ok = diffs[1] < threshold and all(f >= min_factor for f in factors)
-        report = RunReport(
-            run_id=f"invariance-c{c}", config_hash="", mode="verify-invariance",
-            success=bool(ok), metrics={
-                "c": c, "elements": elements, "relative_differences": diffs,
-                "refinement_factors": factors, "threshold": threshold,
-                "min_factor": min_factor},
-            manifest=[],
-            message="" if ok else "non-monotone refinement trend or threshold exceeded")
-    except Exception as exc:
-        report = RunReport(run_id=f"invariance-c{c}", config_hash="",
-                           mode="verify-invariance", success=False, metrics={},
-                           manifest=[], stage="invariance", message=str(exc))
-    return report.save(out)
+        metrics = {"c": c, "elements": elements, "relative_differences": diffs,
+                   "refinement_factors": factors, "threshold": threshold,
+                   "min_factor": min_factor}
+        return metrics, [], "" if ok else "non-monotone refinement trend or threshold exceeded"
+
+    return _saved_report(out_dir, f"invariance-c{c}", "", "verify-invariance", "invariance", body)
 
 
 def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir,
@@ -712,62 +716,46 @@ def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir,
     Reconstructs the config phantom and the phantom plus one inclusion
     (shared noise seed), in both the anisotropic and the mismodeled
     isotropic modes, and reports the energy fraction of each difference
-    field inside a disk about its peak.
+    field inside a disk about its peak.  Both modes reconstruct from the
+    same scene of each phantom.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    run_id = f"locality-{config.name}-{config.hash()[:8]}"
-    try:
-        base_aniso = dataclasses.replace(config, mode="uniformly-anisotropic")
+    def body(out):
+        aniso = dataclasses.replace(config, mode="uniformly-anisotropic")
+        iso = isotropic_mismodeled_variant(config)
         pert_phantom = Phantom(background=config.phantom.background,
                                inclusions=config.phantom.inclusions + (perturbation,))
-        pert_aniso = dataclasses.replace(base_aniso, phantom=pert_phantom)
-        base_iso = isotropic_mismodeled_variant(config)
-        pert_iso = dataclasses.replace(base_iso, phantom=pert_phantom)
+        scenes, states = {}, {}
+        for tag, phantom in (("base", config.phantom), ("pert", pert_phantom)):
+            scenes[tag] = build_scene(dataclasses.replace(aniso, phantom=phantom))
+            for mode, cfg in (("aniso", aniso), ("iso", iso)):
+                state = reconstruct_scene(cfg, scenes[tag])
+                if not state.converged:
+                    raise HarnessError("reconstruct", f"{mode}_{tag} did not converge")
+                states[f"{mode}_{tag}"] = state
 
-        states = {}
-        scenes = {}
-        for tag, cfg in (("aniso_base", base_aniso), ("aniso_pert", pert_aniso),
-                         ("iso_base", base_iso), ("iso_pert", pert_iso)):
-            scene = build_scene(cfg)
-            state = reconstruct_scene(cfg, scene)
-            if not state.converged:
-                raise HarnessError("reconstruct", f"{tag} did not converge")
-            states[tag] = state
-            scenes[tag] = scene
-
-        lattice = scenes["aniso_base"].lattice
-        mesh = scenes["aniso_base"].mesh_recon
+        lattice, mesh = scenes["base"].lattice, scenes["base"].mesh_recon
         f1 = gamma_hat(states["aniso_base"].params, lattice)
         f2 = gamma_hat(states["aniso_pert"].params, lattice)
-        delta_aniso = det_sqrt(f2) - det_sqrt(f1)
-        frac_a, peak_a = locality_fraction(delta_aniso, mesh, radius)
-
-        e2p = lattice.element_to_pixel
-        delta_iso = (states["iso_pert"].gamma - states["iso_base"].gamma)[e2p]
+        frac_a, peak_a = locality_fraction(det_sqrt(f2) - det_sqrt(f1), mesh, radius)
+        delta_iso = (states["iso_pert"].gamma - states["iso_base"].gamma)[lattice.element_to_pixel]
         frac_i, peak_i = locality_fraction(delta_iso, mesh, radius)
 
-        base_norm = np.linalg.norm(states["aniso_base"].params.eta)
-        rel_delta = float(np.linalg.norm(states["aniso_pert"].params.eta
-                                         - states["aniso_base"].params.eta) / base_norm)
+        base_eta = states["aniso_base"].params.eta
+        rel_delta = float(np.linalg.norm(states["aniso_pert"].params.eta - base_eta)
+                          / np.linalg.norm(base_eta))
         ok = frac_a >= 0.6 and frac_i < frac_a
-        report = RunReport(
-            run_id=run_id, config_hash=config.hash(), mode="verify-locality",
-            success=bool(ok), metrics={
-                "radius": radius,
-                "anisotropic_fraction": frac_a, "anisotropic_peak": peak_a,
-                "isotropic_fraction": frac_i, "isotropic_peak": peak_i,
-                "relative_eta_change": rel_delta,
-                "perturbation": {"center": list(perturbation.center),
-                                 "radius": perturbation.radius,
-                                 "amplitude": perturbation.amplitude}},
-            manifest=[],
-            message="" if ok else "locality criterion not met")
-    except HarnessError as exc:
-        report = RunReport(run_id=run_id, config_hash=config.hash(),
-                           mode="verify-locality", success=False, metrics={},
-                           manifest=[], stage=exc.stage, message=str(exc))
-    return report.save(out)
+        metrics = {
+            "radius": radius,
+            "anisotropic_fraction": frac_a, "anisotropic_peak": peak_a,
+            "isotropic_fraction": frac_i, "isotropic_peak": peak_i,
+            "relative_eta_change": rel_delta,
+            "perturbation": {"center": list(perturbation.center),
+                             "radius": perturbation.radius,
+                             "amplitude": perturbation.amplitude}}
+        return metrics, [], "" if ok else "locality criterion not met"
+
+    return _saved_report(out_dir, f"locality-{config.name}-{config.hash()[:8]}", config.hash(),
+                         "verify-locality", "locality", body)
 
 
 def aggregate_reports(directory) -> dict:

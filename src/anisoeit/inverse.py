@@ -508,26 +508,48 @@ class _StepSystem:
         return cached[1:]
 
     def solve(self, g: np.ndarray, shifts) -> np.ndarray:
-        """The step delta solving (H + block shifts) delta = -g."""
-        M, order = len(self.order), self.order
+        """The step delta solving (H + block shifts) delta = -g, with one
+        step of iterative refinement: when R is tiny next to J^T J, C is
+        far worse conditioned than H and the Woodbury solve alone loses
+        digits."""
         factors = [self._factor(k, shifts[k]) for k in range(len(self.bands))]
         C = 0.5 * np.eye(self._Jt[0].shape[1]) + sum(G for _, _, G in factors)
         C = scipy.linalg.cho_factor(C, lower=True)
-        w = [_band_solve(U, g[k * M + order], "T") for k, (U, _, _) in enumerate(factors)]
+        delta = self._inverse(factors, C, shifts, -g)
+        return delta + self._inverse(factors, C, shifts, -g - self._product(shifts, delta))
+
+    def _inverse(self, factors, C, shifts, v: np.ndarray) -> np.ndarray:
+        """x solving (H + block shifts) x = v through the Woodbury factors."""
+        M, order = len(self.order), self.order
+        w = [_band_solve(U, v[k * M + order], "T") for k, (U, _, _) in enumerate(factors)]
         Ztw = sum(Z.T @ wk for (_, Z, _), wk in zip(factors, w))
-        delta = np.empty_like(g)
+        x = np.empty_like(v)
         if self._j is not None:
             Cj = scipy.linalg.cho_solve(C, self._j)
             schur = self.border + shifts[-1] + self._j @ Cj
             if not schur > 0:
                 raise ReconError(f"GN step system is not positive definite "
                                  f"(lam Schur complement {schur:.3e})")
-            delta[-1] = (Cj @ Ztw - g[-1]) / schur
-            Ztw = Ztw - delta[-1] * self._j
+            x[-1] = (v[-1] - Cj @ Ztw) / schur
+            Ztw = Ztw + x[-1] * self._j
         p = scipy.linalg.cho_solve(C, Ztw)
         for k, ((U, Z, _), wk) in enumerate(zip(factors, w)):
-            delta[k * M + order] = -_band_solve(U, wk - Z @ p, "N")
-        return delta
+            x[k * M + order] = _band_solve(U, wk - Z @ p, "N")
+        return x
+
+    def _product(self, shifts, d: np.ndarray) -> np.ndarray:
+        """(H + block shifts) d from the bands, the border and J, without H."""
+        M, order = len(self.order), self.order
+        blocks = [d[k * M + order] for k in range(len(self.bands))]
+        Jd = sum(Jt.T @ dk for Jt, dk in zip(self._Jt, blocks))
+        out = np.empty_like(d)
+        if self._j is not None:
+            Jd = Jd + self._j * d[-1]
+            out[-1] = (self.border + shifts[-1]) * d[-1] + 2.0 * (self._j @ Jd)
+        for k, (band, Jt, dk) in enumerate(zip(self.bands, self._Jt, blocks)):
+            out[k * M + order] = (scipy.linalg.blas.dsbmv(len(band) - 1, 1.0, band, dk)
+                                  + shifts[k] * dk + 2.0 * (Jt @ Jd))
+        return out
 
 
 def _band_solve(U: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:

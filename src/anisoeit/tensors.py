@@ -73,13 +73,6 @@ class TensorField:
         g = np.column_stack([v, np.zeros_like(v), v])
         return TensorField(g=g)
 
-    def matrices(self) -> np.ndarray:
-        m = np.empty((self.n_elements, 2, 2))
-        m[:, 0, 0] = self.g[:, 0]
-        m[:, 0, 1] = m[:, 1, 0] = self.g[:, 1]
-        m[:, 1, 1] = self.g[:, 2]
-        return m
-
 
 @dataclass(frozen=True)
 class UniformAnisoParams:

@@ -66,6 +66,81 @@ def test_builtin_configs_reference_values():
     assert c2.true_domain.params["a"] == 1.1 and c2.true_domain.params["b"] == 0.9
 
 
+# config hashes at the introduction of the config table; every run id and
+# report stamp derives from them
+PINNED_HASHES = {
+    "case1_ellipse": ("a7848df63d72ce790b1fa1ce9d7dcb57cedb77a4ee583e87e30adce610b222a9",
+                      "ce153abc98d2a262ace3bfb1e24d47023d1ead37b4ce3040a384d3efd3ca3d10",
+                      "59a114394c7b9fd707f73677b7466f066d4670573e03eaa9484c0c31090a8976"),
+    "case2_truncated_ellipse": (
+        "f77711b3023d99e0b80c541b99ec666fb694bbdc2c57df4e59963e446b29bc46",
+        "b63d9c645acdb085e1d29a8e7f5cb599220e125e9cb21de872e85d23458a4924",
+        "b41663f2de3bffaab5dbf94b9b3b81c62a2da7b9b2c6cb95fa37e32bf3ecc29c"),
+    "case3_fourier": ("781f9d5256d6943dc8089a9a778a452eb6d873aa9226b35e508eafda654269b2",
+                      "e5fc0d7bc9ac20da157755939b1fef75c479274fba2379d5308d821461bc17c1",
+                      "4a14c3a8ee31daadb9a95f7ae00cb29dc931b73cce6283ca94ba3623e045aac2"),
+}
+
+
+def test_shipped_configs_are_the_builtins():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name, cfg in builtin_configs().items():
+        path = configs / f"{name}.json"
+        assert path.read_text() == json.dumps(cfg.to_dict(), indent=1) + "\n"
+        assert harness.load_config(path) == cfg
+        hashes = tuple(c.hash() for c in (cfg, harness.isotropic_mismodeled_variant(cfg),
+                                          harness.isotropic_correct_variant(cfg)))
+        assert hashes == PINNED_HASHES[name]
+
+
+def test_partial_config_takes_dataclass_defaults(tiny_config):
+    doc = tiny_config.to_dict()
+    del doc["gn"]["max_inner"], doc["noise"], doc["mode"]
+    doc["weights"] = {"alpha1": 3e-4}
+    back = ExperimentConfig.from_dict(doc)
+    assert back.weights == dataclasses.replace(ExperimentConfig.weights, alpha1=3e-4)
+    assert (back.max_inner, back.seed, back.noise_fraction, back.mode) == (
+        10, 7, 0.01, "uniformly-anisotropic")
+    assert back.max_iterations == tiny_config.max_iterations
+
+
+def _edited(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return json.dumps(doc)
+
+
+BAD_CONFIGS = {
+    "unknown section": (lambda d: d.update(solver={}), "solver"),
+    "unknown key": (lambda d: d["gn"].update(max_iteration=3), "gn.max_iteration"),
+    "unknown inclusion key": (lambda d: d["phantom"]["inclusions"][0].update(width=1),
+                              "phantom.inclusions.width"),
+    "missing name": (lambda d: d.pop("name"), "name"),
+    "missing domain kind": (lambda d: d["true_domain"].pop("kind"), "true_domain.kind"),
+    "bad domain kind": (lambda d: d["model_domain"].update(kind="square"), "model_domain"),
+    "negative weight": (lambda d: d["weights"].update(alpha1=-1.0), "weights"),
+    "bad integer": (lambda d: d["mesh"].update(pixels="many"), "mesh.pixels"),
+    "bad inclusion radius": (lambda d: d["phantom"]["inclusions"][0].update(radius=0.0),
+                             "radius"),
+    "not an object": (lambda d: d.update(noise=[0.01]), "noise"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS) + ["unreadable JSON"])
+def test_cli_rejects_bad_config(tiny_config, tmp_path, capsys, case):
+    path = tmp_path / "cfg.json"
+    if case == "unreadable JSON":
+        path.write_text(json.dumps(tiny_config.to_dict())[:-5])
+        named = "cfg.json"
+    else:
+        edit, named = BAD_CONFIGS[case]
+        path.write_text(_edited(tiny_config.to_dict(), edit))
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "[stage:config]" in err and named in err
+
+
 def test_invalid_mode_rejected():
     with pytest.raises(harness.HarnessError):
         ExperimentConfig(name="x", true_domain=DomainSpec("disk", {}),
@@ -261,6 +336,32 @@ def test_inverse_crime_flag_requires_matching_domains(tmp_path):
     assert not report.success and report.stage == "geometry"
 
 
+def test_locality_builds_one_scene_per_phantom(tiny_config, tmp_path, monkeypatch):
+    built = []
+    build = harness.build_scene
+    monkeypatch.setattr(harness, "build_scene", lambda cfg: built.append(cfg) or build(cfg))
+    report = harness.verify_locality(tiny_config, Inclusion((-0.3, -0.2), 0.25, 1.0),
+                                     tmp_path / "loc")
+    assert len(built) == 2
+    assert report.stage is None and "anisotropic_fraction" in report.metrics
+
+
+def test_failing_locality_is_stage_tagged(tiny_config, tmp_path, monkeypatch):
+    pert = Inclusion((-0.3, -0.2), 0.25, 1.0)
+    report = harness.verify_locality(dataclasses.replace(tiny_config, pixels=100_000), pert,
+                                     tmp_path / "geometry")
+    assert not report.success and report.stage == "geometry"
+
+    def broken(config, scene):
+        raise ValueError("solver exploded")
+
+    monkeypatch.setattr(harness, "reconstruct_scene", broken)
+    report = harness.verify_locality(tiny_config, pert, tmp_path / "plain")
+    assert not report.success and report.stage == "locality"
+    assert report.message == "solver exploded"
+    assert (tmp_path / "plain" / f"report_{report.run_id}.json").exists()
+
+
 def test_aggregate_reports(tiny_config, tmp_path):
     run_experiment(tiny_config, tmp_path / "agg")
     summary = harness.aggregate_reports(tmp_path / "agg")
@@ -278,6 +379,31 @@ def test_cli_mesh_and_simulate(tiny_config, tmp_path):
     rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")])
     assert rc == 0
     assert (tmp_path / "s" / "tiny_disk_data.csv").exists()
+
+
+def test_cli_mesh_writes_the_reconstruction_mesh(tiny_config, tmp_path):
+    cfg = dataclasses.replace(tiny_config, true_domain=DomainSpec("ellipse", {"a": 1.25, "b": 0.8}),
+                              max_iterations=1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["mesh", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 0
+    assert run_experiment(cfg, tmp_path / "r").success
+    tag = f"{cfg.name}-{cfg.mode}"
+    for mine, theirs in (("true", "sim"), ("model", "recon")):
+        assert ((tmp_path / "m" / f"{cfg.name}_mesh_{mine}.json").read_bytes()
+                == (tmp_path / "r" / f"{tag}_mesh_{theirs}.json").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [["mesh", "--seed", "3"],
+                                  ["simulate", "--mode", "isotropic-correct"],
+                                  ["simulate", "--inverse-crime"],
+                                  ["verify", "--suite", "locality", "--mode", "isotropic-correct"],
+                                  ["verify", "--suite", "locality", "--inverse-crime"]])
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--case", "case1_ellipse"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_reconstruct_and_report(tiny_config, tmp_path):

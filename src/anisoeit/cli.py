@@ -83,6 +83,11 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite == "invariance":
+        # the invariance suite builds its own disk scene and reads no config
+        unread = [f"--{f}" for f in ("config", "case", "seed") if getattr(args, f) is not None]
+        if unread:
+            raise harness.HarnessError(
+                "config", f"--suite invariance does not read {', '.join(unread)}")
         report = harness.verify_invariance(args.out, c=args.c)
     else:
         config = _load_config(args)

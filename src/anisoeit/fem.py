@@ -99,9 +99,6 @@ class CEMOperator:
 class CEMSystem:
     """Assembled gauge-constrained CEM system over (u, U, multiplier)."""
 
-    mesh: Mesh
-    layout: ElectrodeLayout
-    fld: TensorField
     matrix: sp.csc_matrix
     operator: CEMOperator
     n_nodes: int
@@ -113,9 +110,6 @@ class CEMSystem:
         if self._lu is None:
             self._lu = splu(self.matrix)
         return self._lu
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs)
 
 
 def assemble(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout) -> CEMSystem:
@@ -131,29 +125,26 @@ def assemble(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout) -> CEMSystem
     if np.any(layout.contact_impedances <= 0):
         raise ModelError("contact impedances must be positive")
     mat = op.matrix(fld.g, 1.0 / layout.contact_impedances)
-    return CEMSystem(mesh=mesh, layout=layout, fld=fld, matrix=mat,
-                     operator=op, n_nodes=op.n_nodes, J=op.J)
+    return CEMSystem(matrix=mat, operator=op, n_nodes=op.n_nodes, J=op.J)
 
 
 def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
     """Nodal and electrode potentials for one zero-sum current pattern."""
-    pattern = np.asarray(pattern, dtype=float)
-    if pattern.shape != (system.J,):
-        raise ModelError(f"pattern must have length {system.J}")
-    scale = np.abs(pattern).max()
-    if abs(pattern.sum()) > 1e-12 * max(scale, 1.0):
-        raise ModelError("current pattern must sum to zero (Kirchhoff)")
-    n = system.n_nodes
-    rhs = np.zeros(n + system.J + 1)
-    rhs[n:n + system.J] = pattern
-    sol = system.solve(rhs)
-    return sol[:n], sol[n:n + system.J]
+    u, U = solve_many(system, np.asarray(pattern, dtype=float)[None])
+    return u[0], U[0]
 
 
 def solve_many(system: CEMSystem, patterns: np.ndarray):
-    """Electrode and nodal potentials for stacked patterns, one factorization."""
-    patterns = np.atleast_2d(patterns)
+    """Nodal and electrode potentials for stacked current patterns (K, J),
+    one factorization.  Each pattern must sum to zero (Kirchhoff)."""
+    patterns = np.atleast_2d(np.asarray(patterns, dtype=float))
     n, J = system.n_nodes, system.J
+    if patterns.ndim != 2 or patterns.shape[1] != J:
+        raise ModelError(f"patterns must have shape (K, {J}), got {patterns.shape}")
+    scale = np.maximum(np.abs(patterns).max(axis=1), 1.0)
+    unbalanced = np.flatnonzero(np.abs(patterns.sum(axis=1)) > 1e-12 * scale)
+    if len(unbalanced):
+        raise ModelError(f"current pattern {unbalanced[0]} must sum to zero (Kirchhoff)")
     rhs = np.zeros((n + J + 1, len(patterns)))
     rhs[n:n + J, :] = patterns.T
     sol = system.lu.solve(rhs)

@@ -76,10 +76,6 @@ class BoundaryCurve:
     s: np.ndarray           # (n,), s[0] = 0, strictly increasing
     total_length: float
 
-    @property
-    def n_samples(self) -> int:
-        return self.points.shape[0]
-
     def point_at(self, s):
         """Piecewise-linear point on the curve at arclength s (mod S)."""
         s = np.atleast_1d(np.asarray(s, dtype=float)) % self.total_length
@@ -256,31 +252,25 @@ def _check_simple(points: np.ndarray) -> None:
     n = len(points)
     p, q = points, np.roll(points, -1, axis=0)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
-    origin, h = lo.min(axis=0), float(np.median((hi - lo).max(axis=1)))
-    cell_lo = np.floor((lo - origin) / h).astype(int)
-    span = np.floor((hi - origin) / h).astype(int) - cell_lo + 1
-    seg, k = _runs(span[:, 0] * span[:, 1])
-    cell = ((cell_lo[seg, 0] + k % span[seg, 0]) * (cell_lo[:, 1] + span[:, 1]).max()
-            + cell_lo[seg, 1] + k // span[seg, 0])
-    order = np.argsort(cell, kind="stable")
-    cell, seg = cell[order], seg[order]
-    # pair each entry with the later entries of its cell
-    later = np.searchsorted(cell, cell, side="right") - np.arange(len(cell)) - 1
-    own, k = _runs(later)
-    i, j = np.minimum(seg[own], seg[own + 1 + k]), np.maximum(seg[own], seg[own + 1 + k])
-    keep = (j - i > 1) & ~((i == 0) & (j == n - 1))
-    i, j = i[keep], j[keep]
+    cell, seg, _, _ = _bin_boxes(lo, hi, float(np.median((hi - lo).max(axis=1))))
 
     def cross(o, a, b):
         return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
 
-    d1 = cross(p[i], q[i], p[j])
-    d2 = cross(p[i], q[i], q[j])
-    d3 = cross(p[j], q[j], p[i])
-    d4 = cross(p[j], q[j], q[i])
-    crossing = ((d1 * d2) < 0) & ((d3 * d4) < 0)
-    if np.any(crossing):
-        a, b = min(zip(i[crossing], j[crossing]))
+    crossings = []
+    # each binned segment meets every segment binned in its cell
+    for entry, j in _candidate_pairs(cell, seg, cell):
+        i = seg[entry]
+        keep = (j - i > 1) & ~((i == 0) & (j == n - 1))
+        i, j = i[keep], j[keep]
+        d1 = cross(p[i], q[i], p[j])
+        d2 = cross(p[i], q[i], q[j])
+        d3 = cross(p[j], q[j], p[i])
+        d4 = cross(p[j], q[j], q[i])
+        crossing = ((d1 * d2) < 0) & ((d3 * d4) < 0)
+        crossings += zip(i[crossing], j[crossing])
+    if crossings:
+        a, b = min(crossings)
         raise GeometryError(f"boundary curve self-intersects (segments {a} and {b})")
 
 
@@ -499,7 +489,7 @@ def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -
 
     # deterministic triangle ordering: roll smallest index first, sort rows
     roll = np.argmin(simplices, axis=1)
-    simplices = np.array([np.roll(row, -r) for row, r in zip(simplices, roll)])
+    simplices = np.take_along_axis(simplices, (roll[:, None] + np.arange(3)) % 3, axis=1)
     order = np.lexsort((simplices[:, 2], simplices[:, 1], simplices[:, 0]))
     simplices = simplices[order]
 
@@ -534,9 +524,6 @@ def _extract_boundary_loop(simplices, n_boundary, s_nodes, layout) -> tuple:
                  for k, e in enumerate(tags))
 
 
-_PAIR_CHUNK = 1 << 15   # (point, element) candidate pairs tested at once
-
-
 def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Containing-element index for each query point, -1 if outside.
 
@@ -565,33 +552,51 @@ def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     lo, hi = tri.min(axis=1), tri.max(axis=1)
     extent = (hi - lo).max(axis=1)
     pad = (2.0 * tol + 1e-6) * extent[:, None]
-    origin, h = lo.min(axis=0) - pad.max(), float(np.median(extent))
-    cell_lo = np.floor((lo - pad - origin) / h).astype(int)
-    span = np.floor((hi + pad - origin) / h).astype(int) - cell_lo + 1
-    n_cells = (cell_lo + span).max(axis=0)
-    elem, k = _runs(span[:, 0] * span[:, 1])
-    cell = ((cell_lo[elem, 0] + k % span[elem, 0]) * n_cells[1]
-            + cell_lo[elem, 1] + k // span[elem, 0])
-    order = np.argsort(cell)
-    cell, elem = cell[order], elem[order]
+    h = float(np.median(extent))
+    cell, elem, origin, shape = _bin_boxes(lo - pad, hi + pad, h)
 
     u = np.floor((pts - origin) / h)
-    on_grid = np.all((u >= 0) & (u < n_cells), axis=1)
-    qcell = np.where(on_grid, u[:, 0] * n_cells[1] + u[:, 1], -1).astype(int)
-    first = np.searchsorted(cell, qcell)
-    count = np.searchsorted(cell, qcell, side="right") - first
+    on_grid = np.all((u >= 0) & (u < shape), axis=1)
+    qcell = np.where(on_grid, u[:, 0] * shape[1] + u[:, 1], -1).astype(int)
     out = np.full(len(pts), -1, dtype=int)
-    # test the (point, element) pairs in chunks of about _PAIR_CHUNK
-    bounds = np.searchsorted(np.cumsum(count), np.arange(_PAIR_CHUNK, count.sum(), _PAIR_CHUNK))
-    for q in np.split(np.arange(len(pts)), bounds):
-        own, k = _runs(count[q])
-        p, e = q[own], elem[first[q][own] + k]
+    for p, e in _candidate_pairs(cell, elem, qcell):
         dx, dy = pts[p, 0] - c[e, 0], pts[p, 1] - c[e, 1]
         l1 = (k1[e, 0] * dx + k1[e, 1] * dy) / d[e]
         l2 = (k2[e, 0] * dx + k2[e, 1] * dy) / d[e]
         hit = (l1 >= -tol) & (l2 >= -tol) & (1.0 - l1 - l2 >= -tol)
         np.maximum.at(out, p[hit], e[hit])
     return out
+
+
+def _bin_boxes(lo: np.ndarray, hi: np.ndarray, h: float) -> tuple:
+    """Boxes [lo, hi] binned on a uniform grid of cell size h whose origin
+    is their lowest corner: (cell, box, origin, shape) with one entry per
+    cell a box overlaps, stably sorted by cell, where cell = ix * shape[1]
+    + iy for (ix, iy) = floor((x - origin) / h)."""
+    origin = lo.min(axis=0)
+    cell_lo = np.floor((lo - origin) / h).astype(int)
+    span = np.floor((hi - origin) / h).astype(int) - cell_lo + 1
+    shape = (cell_lo + span).max(axis=0)
+    box, k = _runs(span[:, 0] * span[:, 1])
+    cell = ((cell_lo[box, 0] + k % span[box, 0]) * shape[1]
+            + cell_lo[box, 1] + k // span[box, 0])
+    order = np.argsort(cell, kind="stable")
+    return cell[order], box[order], origin, shape
+
+
+_PAIR_CHUNK = 1 << 15   # candidate pairs tested at once
+
+
+def _candidate_pairs(cell: np.ndarray, box: np.ndarray, qcell: np.ndarray):
+    """Yield (query, box) candidate pairs, about _PAIR_CHUNK at a time, for
+    the sorted (cell, box) entries of `_bin_boxes`: query q meets every box
+    binned in cell qcell[q] (none for a negative qcell)."""
+    first = np.searchsorted(cell, qcell)
+    count = np.searchsorted(cell, qcell, side="right") - first
+    bounds = np.searchsorted(np.cumsum(count), np.arange(_PAIR_CHUNK, count.sum(), _PAIR_CHUNK))
+    for q in np.split(np.arange(len(count)), bounds):
+        own, k = _runs(count[q])
+        yield q[own], box[first[q][own] + k]
 
 
 def _runs(counts: np.ndarray) -> tuple:

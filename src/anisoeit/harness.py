@@ -23,15 +23,15 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from anisoeit import fem, inverse
+from anisoeit import fem
 from anisoeit.geometry import (BoundaryCurve, DomainSpec, ElectrodeLayout, Mesh,
                                PixelLattice, build_boundary, build_pixel_lattice,
                                locate_points, place_electrodes, triangulate)
 from anisoeit.inverse import (BarrierSchedule, GNSettings, ReconState, RegWeights,
                               gauss_newton_reconstruct, isotropic_reconstruct,
                               recon_state_to_csv, run_log_to_json)
-from anisoeit.tensors import (Diffeo, TensorField, UniformAnisoParams, det_sqrt, gamma_hat,
-                              push_forward_function, scalar_field_to_csv)
+from anisoeit.tensors import (Diffeo, TensorField, det_sqrt, gamma_hat, push_forward_function,
+                              scalar_field_to_csv)
 
 
 class HarnessError(RuntimeError):
@@ -636,12 +636,6 @@ def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconStat
                                             out / f"{run_tag}_{main_name}")
     files += [main_csv, main_pgm]
 
-    M = scene.lattice.n_active
-    unit = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.0)
-    init = inverse.forward_map(unit, scene.protocol, scene.mesh_recon, scene.lattice,
-                               scene.layout_recon)
-    initial_misfit = float(np.sum((scene.data.values - init) ** 2))
-
     blobs = lattice_blobs(pixel_values, scene.lattice)
     mapping = normalization_map(scene.curve_true, scene.curve_recon)
     errors = centroid_errors(blobs, config.phantom, mapping)
@@ -649,7 +643,7 @@ def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconStat
         "converged": state.converged,
         "iterations": len(state.history),
         "final_misfit": state.final_misfit,
-        "initial_misfit": initial_misfit,
+        "initial_misfit": state.initial_misfit,
         "final_objective": state.final_objective,
         "lambda_final": (state.params.lam if state.mode == "uniformly-anisotropic" else 1.0),
         "lambda_trace": list(state.lambda_trace),

@@ -119,16 +119,18 @@ class NeighborGraph:
 class GNSettings:
     max_iterations: int = 60      # global Gauss-Newton cap
     max_inner: int = 10           # iterations per barrier stage
-    armijo: float = 1e-4
-    shrink: float = 0.5
     max_backtracks: int = 30
     obj_tol: float = 1e-6
     step_tol: float = 1e-8
-    damping: float = 1e-12        # Levenberg shift as a fraction of trace
-    eta_step_cap: float = 1.0     # per-block trust caps on the GN step
-    theta_step_cap: float = np.pi / 4
-    loglam_step_cap: float = 0.7
+    eta_step_cap: float = 1.0     # trust cap on the eta block of the GN step
     damping_escalations: int = 2  # x1e4 damping retries after a failed search
+
+
+_ARMIJO = 1e-4                # sufficient-decrease fraction of the line search
+_SHRINK = 0.5                 # backtracking factor
+_DAMPING = 1e-12              # Levenberg shift as a fraction of trace
+_THETA_STEP_CAP = np.pi / 4   # trust caps on the theta and log-lam blocks
+_LOGLAM_STEP_CAP = 0.7
 
 
 @dataclass
@@ -143,6 +145,7 @@ class ReconState:
     converged: bool
     final_objective: float
     final_misfit: float
+    initial_misfit: float  # misfit at the starting point
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +388,11 @@ class _Problem:
         return bool(np.all(x[:self.M] > 0))
 
     def value(self, x, xi: float):
-        """(objective, misfit) at a feasible x."""
+        """(objective, misfit, penalty, barrier) at a feasible x; the
+        objective is the sum of the other three."""
         r = self.data.values - forward_map(self.unpack(x), *self.model)
-        misfit = float(r @ r)
-        return misfit + self.penalty(x)[0] + barrier(x[:self.M], xi), misfit
+        misfit, pen, bar = float(r @ r), self.penalty(x)[0], barrier(x[:self.M], xi)
+        return misfit + pen + bar, misfit, pen, bar
 
     def predict_and_jacobian(self, x):
         params = self.unpack(x)
@@ -421,17 +425,18 @@ class _Problem:
         return float(np.exp(x[2 * self.M]))
 
     def block_caps(self, settings: GNSettings):
-        caps = (settings.eta_step_cap, settings.theta_step_cap, settings.loglam_step_cap)
+        caps = (settings.eta_step_cap, _THETA_STEP_CAP, _LOGLAM_STEP_CAP)
         return list(zip(self.blocks, caps))
 
-    def to_state(self, x, history, trace, converged, obj, misfit) -> ReconState:
+    def to_state(self, x, history, trace, converged, obj, misfit, initial_misfit) -> ReconState:
         if self.mode == ANISOTROPIC:
             params, gamma = canonicalize(self.unpack(x)), None
         else:
             params, gamma = None, x[:self.M].copy()
         return ReconState(mode=self.mode, params=params, gamma=gamma, history=history,
                           lambda_trace=trace, converged=converged,
-                          final_objective=obj, final_misfit=misfit)
+                          final_objective=obj, final_misfit=misfit,
+                          initial_misfit=initial_misfit)
 
 
 def objective(state, data: fem.DataVector, protocol: fem.MeasurementProtocol,
@@ -598,24 +603,21 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
 
     for stage, xi in enumerate(schedule.xi):
         xi = float(xi)
-        obj, misfit = problem.value(x, xi)
+        obj, misfit = problem.value(x, xi)[:2]
+        if stage == 0:
+            initial_misfit = misfit
         for _ in range(settings.max_inner):
             if total >= settings.max_iterations:
                 break
             U, Jm = problem.predict_and_jacobian(x)
             r = y - U
-            misfit = float(r @ r)
-            pen_val, pen_grad = problem.penalty(x)
-            bar_val = barrier(x[:M], xi)
-            obj = misfit + pen_val + bar_val
-
             system = problem.step_system(x, xi, Jm)
-            g = -2.0 * (Jm.T @ r) + pen_grad
+            g = -2.0 * (Jm.T @ r) + problem.penalty(x)[1]
             g[:M] += barrier_grad(x[:M], xi)
 
             accepted = False
             backtracks = escalations = 0
-            base = settings.damping * system.trace
+            base = _DAMPING * system.trace
             shifts = np.full(len(problem.blocks), base)
             for _esc in range(settings.damping_escalations + 1):
                 delta, cap_escalations = _trust_capped_step(
@@ -628,12 +630,12 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                     xt = x.copy()
                     xt[:n] += t * delta
                     if problem.feasible(xt):
-                        obj_t, misfit_t = problem.value(xt, xi)
-                        if obj_t <= obj + settings.armijo * t * slope:
+                        obj_t, misfit_t, pen_t, bar_t = problem.value(xt, xi)
+                        if obj_t <= obj + _ARMIJO * t * slope:
                             accepted = True
                             break
                     backtracks += 1
-                    t *= settings.shrink
+                    t *= _SHRINK
                 if accepted:
                     break
                 escalations += 1
@@ -648,7 +650,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             history.append({
                 "iteration": total, "stage": stage, "xi": xi,
                 "objective": obj_t, "misfit": misfit_t,
-                "penalty": pen_val, "barrier": bar_val,
+                "penalty": pen_t, "barrier": bar_t,
                 "lambda": problem.lam_of(x), "step": t,
                 "backtracks": backtracks, "escalations": escalations,
             })
@@ -660,7 +662,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
         if not converged or total >= settings.max_iterations:
             break
 
-    return problem.to_state(x, history, trace, converged, obj, misfit)
+    return problem.to_state(x, history, trace, converged, obj, misfit, initial_misfit)
 
 
 def gauss_newton_reconstruct(data: fem.DataVector, protocol: fem.MeasurementProtocol,

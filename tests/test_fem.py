@@ -7,7 +7,7 @@ from anisoeit import fem
 from anisoeit.fem import (CEMOperator, ModelError, add_noise, adjacent_protocol,
                           assemble, data_vector_from_csv, data_vector_to_csv,
                           electrode_matrix, power, predict, simulate_measurements,
-                          solve_current_drive)
+                          solve_current_drive, solve_many)
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, Mesh, build_boundary,
                                place_electrodes, triangulate)
 from anisoeit.tensors import TensorError, TensorField
@@ -115,13 +115,26 @@ def test_incompatible_pattern_rejected(disk_system):
         solve_current_drive(disk_system, np.ones(16))
 
 
+def test_solve_many_checks_its_patterns(disk_system):
+    """Every caller of the stacked solve gets the checks of the one-pattern
+    solve: a row that does not sum to zero and a wrong width are rejected."""
+    patterns = adjacent_protocol(16).patterns.copy()
+    patterns[5, 2] += 1e-3
+    with pytest.raises(ModelError, match="pattern 5 must sum to zero"):
+        solve_many(disk_system, patterns)
+    with pytest.raises(ModelError, match=r"shape \(K, 16\)"):
+        solve_many(disk_system, adjacent_protocol(15).patterns)
+    with pytest.raises(ModelError, match=r"got \(1, 2, 16\)"):
+        solve_current_drive(disk_system, np.zeros((2, 16)))
+
+
 def test_solution_residual_small(disk_system):
     pattern = np.zeros(16)
     pattern[0], pattern[3] = 1.0, -1.0
     n = disk_system.n_nodes
     rhs = np.zeros(n + 17)
     rhs[n:n + 16] = pattern
-    sol = disk_system.solve(rhs)
+    sol = disk_system.lu.solve(rhs)
     res = np.linalg.norm(disk_system.matrix @ sol - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
 

@@ -286,6 +286,21 @@ def test_straight_chord_meshes_without_slivers():
     assert abs(mesh.areas().sum() - enclosed) <= 1e-12 * enclosed
 
 
+@pytest.mark.parametrize("spec", [
+    DomainSpec("disk", {}), DomainSpec("ellipse", {"a": 1.25, "b": 0.8}),
+    DomainSpec("truncated_ellipse", {"a": 1.4, "b": 0.7, "cut_frac": 0.3, "round_frac": 0.05}),
+    DomainSpec("fourier", {"cos": [0.0, 0.12, 0.05], "sin": [-0.04]})])
+def test_triangle_rows_are_canonical(spec):
+    """Each triangle row is rotated to start at its smallest node index,
+    keeping its CCW orientation, and the rows are lexsorted."""
+    curve = build_boundary(spec, 1024)
+    mesh = triangulate(curve, place_electrodes(curve, 16, 0.5), 1500)
+    tri = mesh.triangles
+    assert np.array_equal(tri[:, 0], tri.min(axis=1))
+    assert np.all(mesh.areas() > 0)
+    assert np.array_equal(np.lexsort(tri.T[::-1]), np.arange(len(tri)))
+
+
 def test_triangulate_rejects_tiny_target(disk_curve, disk_layout):
     with pytest.raises(GeometryError):
         triangulate(disk_curve, disk_layout, 50)

@@ -398,8 +398,19 @@ def test_cli_mesh_writes_the_reconstruction_mesh(tiny_config, tmp_path):
                                   ["simulate", "--mode", "isotropic-correct"],
                                   ["simulate", "--inverse-crime"],
                                   ["verify", "--suite", "locality", "--mode", "isotropic-correct"],
-                                  ["verify", "--suite", "locality", "--inverse-crime"]])
-def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+                                  ["verify", "--suite", "locality", "--inverse-crime"],
+                                  ["verify", "--suite", "invariance", "--config", "cfg.json"],
+                                  ["verify", "--suite", "invariance", "--case", "case1_ellipse"],
+                                  ["verify", "--suite", "invariance", "--seed", "3"]])
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys, tmp_path):
+    if argv[:3] == ["verify", "--suite", "invariance"]:
+        # registered for the locality suite, so rejected by the command itself
+        # before it writes anything
+        assert cli.main(argv + ["--case", "case1_ellipse", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[stage:config]" in err and argv[3] in err
+        assert not any(tmp_path.iterdir())
+        return
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--case", "case1_ellipse"])
     assert exc.value.code == 2

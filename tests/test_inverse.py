@@ -391,6 +391,31 @@ def test_objective_monotone_and_feasible_iterates(disk_curve, disk_layout, proto
         assert np.all(np.diff(objs) <= 1e-12), stage
 
 
+@pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])
+def test_run_log_entries_are_taken_at_the_accepted_iterate(small_problem, reconstruct):
+    """Objective, misfit, penalty and barrier of every history entry belong to
+    the accepted iterate, so they add up exactly; the state also records the
+    misfit at the starting point (unit isotropic conductivity)."""
+    mesh, lattice, layout, prot = small_problem
+    M = lattice.n_active
+    cent = lattice.centers
+    gtruth = 1.0 + 0.8 * np.exp(-((cent[:, 0] - 0.3) ** 2 + cent[:, 1] ** 2) / 0.15)
+    data = fem.simulate_measurements(
+        mesh, TensorField.isotropic(gtruth[lattice.element_to_pixel]), layout, prot, 0.01, 11)
+    w = RegWeights(alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6)
+    state = reconstruct(data, prot, mesh, lattice, layout, w,
+                        BarrierSchedule.geometric(1e-5, 1e-8, 3), GNSettings(max_iterations=6))
+    assert len(state.history) == 6
+    for row in state.history:
+        assert row["objective"] == row["misfit"] + row["penalty"] + row["barrier"]
+        assert row["penalty"] > 0 and row["barrier"] > 0
+    assert (state.final_objective, state.final_misfit) == (state.history[-1]["objective"],
+                                                           state.history[-1]["misfit"])
+    unit = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.0)
+    r = data.values - forward_map(unit, prot, mesh, lattice, layout)
+    assert state.initial_misfit == float(r @ r)
+
+
 def test_micro_problem_global_minimum(disk_curve, disk_layout, protocol16):
     """9-pixel micro problem, zero weights and noise: the objective is zero at
     the generating parameters, positive on a coarse parameter grid away from

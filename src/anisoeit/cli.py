@@ -25,10 +25,17 @@ _FLAGS = {
                             help="reconstruct on the simulation mesh (solver validation only)"),
     "--out": dict(type=str, default="out", help="output directory"),
     "--suite": dict(choices=("invariance", "locality"), required=True),
-    "--c": dict(type=float, default=0.3, help="radial map strength"),
-    "--perturbation-center": dict(type=float, nargs=2, default=(0.5, 0.22)),
-    "--perturbation-radius": dict(type=float, default=0.25),
-    "--perturbation-amplitude": dict(type=float, default=1.0),
+    "--c": dict(type=float, help="radial map strength (default 0.3)"),
+    "--perturbation-center": dict(type=float, nargs=2, help="default 0.5 0.22"),
+    "--perturbation-radius": dict(type=float, help="default 0.25"),
+    "--perturbation-amplitude": dict(type=float, help="default 1.0"),
+}
+# verify suite -> the argparse names of the suite-specific flags it reads and
+# their values when absent; the invariance suite builds its own disk scene
+_SUITE_FLAGS = {
+    "invariance": {"c": 0.3},
+    "locality": {"config": None, "case": None, "seed": None, "perturbation_center": (0.5, 0.22),
+                 "perturbation_radius": 0.25, "perturbation_amplitude": 1.0},
 }
 
 
@@ -82,12 +89,14 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    reads = _SUITE_FLAGS[args.suite]
+    unread = ["--" + dest.replace("_", "-") for flags in _SUITE_FLAGS.values() for dest in flags
+              if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        raise harness.HarnessError(
+            "config", f"--suite {args.suite} does not read {', '.join(unread)}")
+    vars(args).update({dest: v for dest, v in reads.items() if getattr(args, dest) is None})
     if args.suite == "invariance":
-        # the invariance suite builds its own disk scene and reads no config
-        unread = [f"--{f}" for f in ("config", "case", "seed") if getattr(args, f) is not None]
-        if unread:
-            raise harness.HarnessError(
-                "config", f"--suite invariance does not read {', '.join(unread)}")
         report = harness.verify_invariance(args.out, c=args.c)
     else:
         config = _load_config(args)

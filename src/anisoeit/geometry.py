@@ -279,7 +279,7 @@ def _sharp_truncated_ellipse(a: float, b: float, cut_frac: float, n_dense: int) 
 
     Returns (points, corner_param_indices) before corner rounding.
     """
-    t0 = np.arccos(cut_frac)            # arc kept for |t| <= t0 ... actually t in [-t0, t0]
+    t0 = np.arccos(cut_frac)            # the arc t in [-t0, t0] is kept
     t = np.linspace(-t0, t0, n_dense)
     arc = np.column_stack([a * np.cos(t), b * np.sin(t)])
     y_top = b * np.sin(t0)

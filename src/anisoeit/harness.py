@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,8 +28,8 @@ from anisoeit import fem
 from anisoeit.geometry import (BoundaryCurve, DomainSpec, ElectrodeLayout, Mesh,
                                PixelLattice, build_boundary, build_pixel_lattice,
                                locate_points, place_electrodes, triangulate)
-from anisoeit.inverse import (BarrierSchedule, GNSettings, ReconState, RegWeights,
-                              gauss_newton_reconstruct, isotropic_reconstruct,
+from anisoeit.inverse import (ANISOTROPIC, BarrierSchedule, GNSettings, ReconState,
+                              RegWeights, gauss_newton_reconstruct, isotropic_reconstruct,
                               recon_state_to_csv, run_log_to_json)
 from anisoeit.tensors import (Diffeo, TensorField, det_sqrt, gamma_hat, push_forward_function,
                               scalar_field_to_csv)
@@ -173,18 +174,18 @@ class ExperimentConfig:
             incs = [_config_part(i, "phantom.inclusions.", _INCLUSION_KEYS, _INCLUSION_KEYS)
                     for i in ph.get("inclusions", [])]
             kw["phantom"] = Phantom(
-                background=float(ph.get("background", Phantom.background)),
-                inclusions=tuple(Inclusion(center=tuple(i["center"]), radius=float(i["radius"]),
-                                           amplitude=float(i["amplitude"])) for i in incs))
+                background=_number(ph.get("background", Phantom.background), float),
+                inclusions=tuple(Inclusion(tuple(i["center"]), _number(i["radius"], float),
+                                           _number(i["amplitude"], float)) for i in incs))
         for section, keys in _SECTIONS.items():
             for key, value in _config_part(doc.get(section, {}), f"{section}.", keys).items():
                 with _stage("config", f"{section}.{key}: "):
-                    kw[keys[key]] = type(getattr(ExperimentConfig, keys[key]))(value)
+                    kw[keys[key]] = _number(value, type(getattr(ExperimentConfig, keys[key])))
         weights = _config_part(doc.get("weights", {}), "weights.",
                                [f.name for f in dataclasses.fields(RegWeights)])
         with _stage("config", "weights: "):
-            kw["weights"] = dataclasses.replace(ExperimentConfig.weights,
-                                                **{k: float(v) for k, v in weights.items()})
+            kw["weights"] = dataclasses.replace(
+                ExperimentConfig.weights, **{k: _number(v, float) for k, v in weights.items()})
         return ExperimentConfig(**kw)
 
     def canonical_json(self) -> str:
@@ -206,6 +207,16 @@ def _config_part(part, path: str, keys, required=()) -> dict:
         if key not in part:
             raise HarnessError("config", f"missing config key {path}{key}")
     return part
+
+
+def _number(value, kind: type):
+    """A JSON number as the int or float `kind` of its config field, never
+    cast: not a boolean, finite, and whole for an int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (kind is int and value != int(value))):
+        raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -251,43 +262,40 @@ def builtin_configs() -> dict:
     return {c.name: c for c in (case1, case2, case3)}
 
 
-# per-case baseline settings for the isotropic reconstructions
-_ISO_MISMODELED = {
-    "case1_ellipse": dict(alpha1=2e-4, xi_start=2e-5, xi_end=5e-6, stages=4),
-    "case2_truncated_ellipse": dict(alpha1=1e-4, xi_start=1e-5, xi_end=1e-8, stages=4),
-    "case3_fourier": dict(alpha1=2e-4, xi_start=2e-5, xi_end=5e-6, stages=4),
+# Isotropic baselines per mode: the fields all cases take and the per-case ones,
+# by ExperimentConfig field name except "alpha1", the eta smoothness weight.
+_ISO_BASELINES = {
+    "isotropic-mismodeled": ({}, {
+        "case1_ellipse": dict(alpha1=2e-4, xi_start=2e-5, xi_end=5e-6, xi_stages=4),
+        "case2_truncated_ellipse": dict(alpha1=1e-4, xi_start=1e-5, xi_end=1e-8, xi_stages=4),
+        "case3_fourier": dict(alpha1=2e-4, xi_start=2e-5, xi_end=5e-6, xi_stages=4),
+    }),
+    # with the interior-point search inactive
+    "isotropic-correct": (dict(xi_start=0.0, xi_end=0.0, xi_stages=1), {
+        "case1_ellipse": dict(recon_elements=2326, pixels=451, alpha1=1e-4),
+        "case2_truncated_ellipse": dict(recon_elements=2337, pixels=455, alpha1=1e-4),
+        "case3_fourier": dict(recon_elements=2200, pixels=446, alpha1=1e-5),
+    }),
 }
-_ISO_CORRECT = {
-    "case1_ellipse": dict(recon_elements=2326, pixels=451, alpha1=1e-4),
-    "case2_truncated_ellipse": dict(recon_elements=2337, pixels=455, alpha1=1e-4),
-    "case3_fourier": dict(recon_elements=2200, pixels=446, alpha1=1e-5),
-}
+
+
+def _isotropic_variant(config: ExperimentConfig, mode: str) -> ExperimentConfig:
+    common, per_case = _ISO_BASELINES[mode]
+    fields = {**common, **per_case.get(config.name, {})}
+    weights = RegWeights(alpha0=config.weights.alpha0,
+                         alpha1=fields.pop("alpha1", config.weights.alpha1))
+    return dataclasses.replace(config, mode=mode, weights=weights, **fields)
 
 
 def isotropic_mismodeled_variant(config: ExperimentConfig) -> ExperimentConfig:
     """Isotropic reconstruction on the (wrong) model domain with the
     per-case baseline weights and barrier schedules."""
-    ov = _ISO_MISMODELED.get(config.name, {})
-    weights = RegWeights(alpha0=config.weights.alpha0,
-                         alpha1=ov.get("alpha1", config.weights.alpha1))
-    return dataclasses.replace(
-        config, mode="isotropic-mismodeled", weights=weights,
-        xi_start=ov.get("xi_start", config.xi_start),
-        xi_end=ov.get("xi_end", config.xi_end),
-        xi_stages=ov.get("stages", config.xi_stages))
+    return _isotropic_variant(config, "isotropic-mismodeled")
 
 
 def isotropic_correct_variant(config: ExperimentConfig) -> ExperimentConfig:
-    """Isotropic reconstruction on the true domain (reference quality);
-    the interior point search stays inactive."""
-    ov = _ISO_CORRECT.get(config.name, {})
-    weights = RegWeights(alpha0=config.weights.alpha0,
-                         alpha1=ov.get("alpha1", config.weights.alpha1))
-    return dataclasses.replace(
-        config, mode="isotropic-correct", weights=weights,
-        recon_elements=ov.get("recon_elements", config.recon_elements),
-        pixels=ov.get("pixels", config.pixels),
-        xi_start=0.0, xi_end=0.0, xi_stages=1)
+    """Isotropic reconstruction on the true domain (reference quality)."""
+    return _isotropic_variant(config, "isotropic-correct")
 
 
 # ---------------------------------------------------------------------------
@@ -604,39 +612,26 @@ def run_experiment(config: ExperimentConfig, out_dir, inverse_crime: bool = Fals
 
 
 def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconState, out: Path):
-    files = []
     run_tag = f"{config.name}-{config.mode}"
+    params = state.params
+    eta = det_sqrt(gamma_hat(params, scene.lattice))  # per element; gamma in the isotropic mode
+    images = ({"theta": params.theta[scene.lattice.element_to_pixel], "eta": eta}
+              if state.mode == ANISOTROPIC else {"gamma": eta})
+    texts = {"mesh_sim.json": scene.mesh_sim.to_json(),
+             "mesh_recon.json": scene.mesh_recon.to_json(),
+             "data.csv": fem.data_vector_to_csv(scene.data),
+             "recon.csv": recon_state_to_csv(state),
+             "run_log.json": run_log_to_json(state)}
+    files = []
+    for name, content in (*texts.items(), *images.items()):
+        path = out / f"{run_tag}_{name}"
+        if name in images:
+            files += export_field_image(content, scene.mesh_recon, path)
+        else:
+            path.write_text(content)
+            files.append(path)
 
-    mesh_sim_path = out / f"{run_tag}_mesh_sim.json"
-    mesh_sim_path.write_text(scene.mesh_sim.to_json())
-    mesh_rec_path = out / f"{run_tag}_mesh_recon.json"
-    mesh_rec_path.write_text(scene.mesh_recon.to_json())
-    data_path = out / f"{run_tag}_data.csv"
-    data_path.write_text(fem.data_vector_to_csv(scene.data))
-    recon_path = out / f"{run_tag}_recon.csv"
-    recon_path.write_text(recon_state_to_csv(state))
-    log_path = out / f"{run_tag}_run_log.json"
-    log_path.write_text(run_log_to_json(state))
-    files += [mesh_sim_path, mesh_rec_path, data_path, recon_path, log_path]
-
-    if state.mode == "uniformly-anisotropic":
-        pixel_values = state.params.eta
-        field = gamma_hat(state.params, scene.lattice)
-        per_element = det_sqrt(field)
-        theta_csv, theta_pgm = export_field_image(
-            state.params.theta[scene.lattice.element_to_pixel], scene.mesh_recon,
-            out / f"{run_tag}_theta")
-        files += [theta_csv, theta_pgm]
-        main_name = "eta"
-    else:
-        pixel_values = state.gamma
-        per_element = state.gamma[scene.lattice.element_to_pixel]
-        main_name = "gamma"
-    main_csv, main_pgm = export_field_image(per_element, scene.mesh_recon,
-                                            out / f"{run_tag}_{main_name}")
-    files += [main_csv, main_pgm]
-
-    blobs = lattice_blobs(pixel_values, scene.lattice)
+    blobs = lattice_blobs(params.eta, scene.lattice)
     mapping = normalization_map(scene.curve_true, scene.curve_recon)
     errors = centroid_errors(blobs, config.phantom, mapping)
     metrics = {
@@ -645,11 +640,11 @@ def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconStat
         "final_misfit": state.final_misfit,
         "initial_misfit": state.initial_misfit,
         "final_objective": state.final_objective,
-        "lambda_final": (state.params.lam if state.mode == "uniformly-anisotropic" else 1.0),
+        "lambda_final": params.lam,
         "lambda_trace": list(state.lambda_trace),
         "lambda_plateau": lambda_plateau(state.lambda_trace),
         "artifact_energy": boundary_artifact_energy(
-            pixel_values, scene.lattice, scene.mesh_recon, scene.curve_recon),
+            params.eta, scene.lattice, scene.mesh_recon, scene.curve_recon),
         "blob_count": len(blobs),
         "blobs": [{"kind": k, "centroid": [float(c[0]), float(c[1])], "size": s}
                   for k, c, s in blobs],
@@ -728,11 +723,12 @@ def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir,
                 states[f"{mode}_{tag}"] = state
 
         lattice, mesh = scenes["base"].lattice, scenes["base"].mesh_recon
-        f1 = gamma_hat(states["aniso_base"].params, lattice)
-        f2 = gamma_hat(states["aniso_pert"].params, lattice)
-        frac_a, peak_a = locality_fraction(det_sqrt(f2) - det_sqrt(f1), mesh, radius)
-        delta_iso = (states["iso_pert"].gamma - states["iso_base"].gamma)[lattice.element_to_pixel]
-        frac_i, peak_i = locality_fraction(delta_iso, mesh, radius)
+
+        def eta(key):  # per element, in either mode
+            return det_sqrt(gamma_hat(states[key].params, lattice))
+
+        frac_a, peak_a = locality_fraction(eta("aniso_pert") - eta("aniso_base"), mesh, radius)
+        frac_i, peak_i = locality_fraction(eta("iso_pert") - eta("iso_base"), mesh, radius)
 
         base_eta = states["aniso_base"].params.eta
         rel_delta = float(np.linalg.norm(states["aniso_pert"].params.eta - base_eta)

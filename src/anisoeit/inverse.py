@@ -13,11 +13,11 @@ only the M entries of eta move.  Both modes predict through `forward_map`
 and `jacobian` and evaluate the objective through one path.
 
 The GN step is solved in data space (`_StepSystem`): the penalty Hessians
-stay sparse and are stored once per problem as LAPACK bands under a reverse
-Cuthill-McKee order of the pixel lattice; with the barrier curvature and a
-per-block shift they factor by banded Cholesky, and the Woodbury identity
-leaves one N x N Cholesky factorization over the measurements.  The lam
-column enters as a scalar border.  No dense (2M+1) x (2M+1) matrix is formed.
+stay sparse and are stored once per problem as LAPACK bands in lattice
+order (pixels are numbered ix-major, so the bandwidth is at most `grid_n`);
+with the barrier curvature and a per-block shift they factor by banded
+Cholesky, and the Woodbury identity leaves one N x N Cholesky factorization
+over the measurements.  The lam column enters as a scalar border.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.csgraph
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice
 from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat
@@ -133,19 +132,28 @@ _THETA_STEP_CAP = np.pi / 4   # trust caps on the theta and log-lam blocks
 _LOGLAM_STEP_CAP = 0.7
 
 
+ANISOTROPIC, ISOTROPIC = "uniformly-anisotropic", "isotropic"
+
+
 @dataclass
 class ReconState:
-    """Final iterate plus the full optimization record."""
+    """Final iterate plus the full optimization record; `params` is the
+    canonical (eta, theta, lam) in both modes, with theta = 0 and lam = 1 in
+    the isotropic mode, where eta is the conductivity gamma."""
 
     mode: str
-    params: Optional[UniformAnisoParams]  # anisotropic mode
-    gamma: Optional[np.ndarray]           # isotropic mode
+    params: UniformAnisoParams
     history: list
     lambda_trace: list
     converged: bool
     final_objective: float
     final_misfit: float
     initial_misfit: float  # misfit at the starting point
+
+    @property
+    def gamma(self) -> Optional[np.ndarray]:
+        """`params.eta` in the isotropic mode, else None."""
+        return self.params.eta if self.mode == ISOTROPIC else None
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +339,6 @@ def jacobian_isotropic(gamma: np.ndarray, protocol: fem.MeasurementProtocol,
 # the reconstruction problem and its objective
 # ---------------------------------------------------------------------------
 
-ANISOTROPIC, ISOTROPIC = "uniformly-anisotropic", "isotropic"
-
-
 class _Problem:
     """Unknowns x = (eta_1..eta_M, theta_1..theta_M, log lam) of one mode.
 
@@ -361,11 +366,9 @@ class _Problem:
         blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
         self.blocks = blocks if mode == ANISOTROPIC else blocks[:1]
         self.n_free = self.blocks[-1].stop
-        self.order = scipy.sparse.csgraph.reverse_cuthill_mckee(
-            self.graph.laplacian(), symmetric_mode=True)
         pen_hess = [penalty_eta_hess(self.graph, weights.alpha0, weights.alpha1),
                     penalty_theta_hess(self.graph, weights.beta0, weights.beta1)]
-        self._pen_bands = [_banded(h, self.order) for h in pen_hess[:len(self.blocks)]]
+        self._pen_bands = [_banded(h) for h in pen_hess[:len(self.blocks)]]
         self._lam_curvature = 2.0 * weights.beta2 / weights.nu ** 2
 
     def initial(self, free=None) -> np.ndarray:
@@ -417,9 +420,9 @@ class _Problem:
         on the eta diagonal, the free Jacobian columns `Jm`, and in the
         anisotropic mode the lam curvature as a scalar border."""
         eta_band = self._pen_bands[0].copy()
-        eta_band[-1] += barrier_hess_diag(x[:self.M], xi)[self.order]
+        eta_band[-1] += barrier_hess_diag(x[:self.M], xi)
         border = self._lam_curvature if self.mode == ANISOTROPIC else None
-        return _StepSystem([eta_band] + self._pen_bands[1:], self.order, Jm, border)
+        return _StepSystem([eta_band] + self._pen_bands[1:], Jm, border)
 
     def lam_of(self, x) -> float:
         return float(np.exp(x[2 * self.M]))
@@ -429,14 +432,8 @@ class _Problem:
         return list(zip(self.blocks, caps))
 
     def to_state(self, x, history, trace, converged, obj, misfit, initial_misfit) -> ReconState:
-        if self.mode == ANISOTROPIC:
-            params, gamma = canonicalize(self.unpack(x)), None
-        else:
-            params, gamma = None, x[:self.M].copy()
-        return ReconState(mode=self.mode, params=params, gamma=gamma, history=history,
-                          lambda_trace=trace, converged=converged,
-                          final_objective=obj, final_misfit=misfit,
-                          initial_misfit=initial_misfit)
+        return ReconState(self.mode, canonicalize(self.unpack(x)), history, trace, converged,
+                          obj, misfit, initial_misfit)
 
 
 def objective(state, data: fem.DataVector, protocol: fem.MeasurementProtocol,
@@ -462,10 +459,10 @@ def objective(state, data: fem.DataVector, protocol: fem.MeasurementProtocol,
 # Gauss-Newton driver
 # ---------------------------------------------------------------------------
 
-def _banded(matrix: scipy.sparse.spmatrix, order: np.ndarray) -> np.ndarray:
-    """LAPACK upper band storage of the symmetric `matrix` permuted to `order`:
-    entry (i, j), i <= j, sits at [bw + i - j, j], so row -1 is the diagonal."""
-    upper = scipy.sparse.triu(matrix.tocsr()[order][:, order], format="coo")
+def _banded(matrix: scipy.sparse.spmatrix) -> np.ndarray:
+    """LAPACK upper band storage of the symmetric `matrix`: entry (i, j),
+    i <= j, sits at [bw + i - j, j], so row -1 is the diagonal."""
+    upper = scipy.sparse.triu(matrix, format="coo")
     bw = int(np.max(upper.col - upper.row, initial=0))
     band = np.zeros((bw + 1, matrix.shape[0]))
     band[bw + upper.row - upper.col, upper.col] = upper.data
@@ -477,7 +474,7 @@ class _StepSystem:
     data space without forming H.
 
     R is block diagonal: one M x M band per eta/theta block (LAPACK upper
-    band storage under the lattice order `order`) plus a per-block shift,
+    band storage) plus a per-block shift,
     and, in the anisotropic mode, the lam curvature `border` plus its shift.
     Each band block factors as R_k = U_k^T U_k and whitens its Jacobian
     columns, Z_k = U_k^-T J_k^T, so the band part B = R_z + 2 J_z^T J_z of H
@@ -488,10 +485,11 @@ class _StepSystem:
     border + shift + j^T C^-1 j, which is positive whenever C is.
     """
 
-    def __init__(self, bands, order, J, border=None):
-        self.bands, self.order, self.border = bands, order, border
-        M = len(order)
-        self._Jt = [J[:, k * M + order].T for k in range(len(bands))]  # J_k^T in band order
+    def __init__(self, bands, J, border=None):
+        self.bands, self.border = bands, border
+        M = bands[0].shape[1]
+        self._blocks = [slice(k * M, (k + 1) * M) for k in range(len(bands))]
+        self._Jt = [np.asfortranarray(J[:, b].T) for b in self._blocks]
         self._j = J[:, -1] if border is not None else None
         n = J.shape[1]
         self.shape = (n, n)
@@ -525,8 +523,7 @@ class _StepSystem:
 
     def _inverse(self, factors, C, shifts, v: np.ndarray) -> np.ndarray:
         """x solving (H + block shifts) x = v through the Woodbury factors."""
-        M, order = len(self.order), self.order
-        w = [_band_solve(U, v[k * M + order], "T") for k, (U, _, _) in enumerate(factors)]
+        w = [_band_solve(U, v[b], "T") for b, (U, _, _) in zip(self._blocks, factors)]
         Ztw = sum(Z.T @ wk for (_, Z, _), wk in zip(factors, w))
         x = np.empty_like(v)
         if self._j is not None:
@@ -538,22 +535,21 @@ class _StepSystem:
             x[-1] = (v[-1] - Cj @ Ztw) / schur
             Ztw = Ztw + x[-1] * self._j
         p = scipy.linalg.cho_solve(C, Ztw)
-        for k, ((U, Z, _), wk) in enumerate(zip(factors, w)):
-            x[k * M + order] = _band_solve(U, wk - Z @ p, "N")
+        for b, (U, Z, _), wk in zip(self._blocks, factors, w):
+            x[b] = _band_solve(U, wk - Z @ p, "N")
         return x
 
     def _product(self, shifts, d: np.ndarray) -> np.ndarray:
         """(H + block shifts) d from the bands, the border and J, without H."""
-        M, order = len(self.order), self.order
-        blocks = [d[k * M + order] for k in range(len(self.bands))]
+        blocks = [d[b] for b in self._blocks]
         Jd = sum(Jt.T @ dk for Jt, dk in zip(self._Jt, blocks))
         out = np.empty_like(d)
         if self._j is not None:
             Jd = Jd + self._j * d[-1]
             out[-1] = (self.border + shifts[-1]) * d[-1] + 2.0 * (self._j @ Jd)
-        for k, (band, Jt, dk) in enumerate(zip(self.bands, self._Jt, blocks)):
-            out[k * M + order] = (scipy.linalg.blas.dsbmv(len(band) - 1, 1.0, band, dk)
-                                  + shifts[k] * dk + 2.0 * (Jt @ Jd))
+        for k, (b, band, Jt, dk) in enumerate(zip(self._blocks, self.bands, self._Jt, blocks)):
+            out[b] = (scipy.linalg.blas.dsbmv(len(band) - 1, 1.0, band, dk)
+                      + shifts[k] * dk + 2.0 * (Jt @ Jd))
         return out
 
 
@@ -683,8 +679,9 @@ def isotropic_reconstruct(data: fem.DataVector, protocol: fem.MeasurementProtoco
     """Baseline reconstruction of an isotropic pixel conductivity vector.
 
     This is the anisotropic problem with theta = 0 and lam = 1 frozen, so
-    only eta (= gamma) moves and each GN step is an M x M solve; the result
-    is reported as ``state.gamma``.  ``x0``, if given, is the starting gamma.
+    only eta (= gamma) moves and each GN step is an M x M solve; the result's
+    ``params`` keep theta = 0 and lam = 1, and ``state.gamma`` is their eta.
+    ``x0``, if given, is the starting gamma.
     """
     problem = _Problem(ISOTROPIC, data, protocol, mesh, lattice, layout, weights)
     return _run_gauss_newton(problem, schedule, settings or GNSettings(), x0)
@@ -695,17 +692,16 @@ def isotropic_reconstruct(data: fem.DataVector, protocol: fem.MeasurementProtoco
 # ---------------------------------------------------------------------------
 
 def recon_state_to_csv(state: ReconState) -> str:
-    buf = io.StringIO()
-    if state.mode == "uniformly-anisotropic":
-        buf.write(f"# mode={state.mode} lambda={state.params.lam:.17g}\n")
-        buf.write("pixel,eta,theta\n")
-        for i, (e, t) in enumerate(zip(state.params.eta, state.params.theta)):
-            buf.write(f"{i},{e:.17g},{t:.17g}\n")
+    """Per-pixel eta and theta under a lambda header; gamma alone if isotropic."""
+    p = state.params
+    if state.mode == ANISOTROPIC:
+        header, columns = f" lambda={p.lam:.17g}", {"eta": p.eta, "theta": p.theta}
     else:
-        buf.write(f"# mode={state.mode}\n")
-        buf.write("pixel,gamma\n")
-        for i, gv in enumerate(state.gamma):
-            buf.write(f"{i},{gv:.17g}\n")
+        header, columns = "", {"gamma": p.eta}
+    buf = io.StringIO()
+    buf.write(f"# mode={state.mode}{header}\npixel,{','.join(columns)}\n")
+    for i, row in enumerate(zip(*columns.values())):
+        buf.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     return buf.getvalue()
 
 

@@ -250,10 +250,8 @@ class Diffeo:
             if c == 0:
                 return x.copy()
             disc = (1.0 + c) ** 2 - 4.0 * c * rho
-            r = np.where(np.abs(c) > 0,
-                         ((1.0 + c) - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * c),
-                         rho)
-            scale = np.where(rho > 1e-300, r / np.where(rho > 1e-300, rho, 1.0), 1.0 + 0 * rho)
+            r = ((1.0 + c) - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * c)
+            scale = np.where(rho > 1e-300, r / np.where(rho > 1e-300, rho, 1.0), 1.0)
             return x * scale[:, None]
 
         return Diffeo(forward=fwd, jacobian=jac, inverse=inv,

@@ -123,6 +123,13 @@ BAD_CONFIGS = {
     "bad inclusion radius": (lambda d: d["phantom"]["inclusions"][0].update(radius=0.0),
                              "radius"),
     "not an object": (lambda d: d.update(noise=[0.01]), "noise"),
+    "fractional integer": (lambda d: d["mesh"].update(pixels=437.9), "mesh.pixels"),
+    "fractional seed": (lambda d: d["noise"].update(seed=7.5), "noise.seed"),
+    "boolean integer": (lambda d: d["protocol"].update(n_electrodes=True),
+                        "protocol.n_electrodes"),
+    "non-finite float": (lambda d: d["protocol"].update(contact_impedance=float("nan")),
+                         "protocol.contact_impedance"),
+    "boolean weight": (lambda d: d["weights"].update(alpha1=True), "weights"),
 }
 
 
@@ -401,10 +408,14 @@ def test_cli_mesh_writes_the_reconstruction_mesh(tiny_config, tmp_path):
                                   ["verify", "--suite", "locality", "--inverse-crime"],
                                   ["verify", "--suite", "invariance", "--config", "cfg.json"],
                                   ["verify", "--suite", "invariance", "--case", "case1_ellipse"],
-                                  ["verify", "--suite", "invariance", "--seed", "3"]])
+                                  ["verify", "--suite", "invariance", "--seed", "3"],
+                                  ["verify", "--suite", "locality", "--c", "0.2"],
+                                  ["verify", "--suite", "invariance",
+                                   "--perturbation-radius", "0.1"]])
 def test_cli_rejects_flags_the_command_does_not_read(argv, capsys, tmp_path):
-    if argv[:3] == ["verify", "--suite", "invariance"]:
-        # registered for the locality suite, so rejected by the command itself
+    verify_flags = next(flags for name, *_, flags in cli._COMMANDS if name == "verify")
+    if argv[0] == "verify" and argv[3] in verify_flags:
+        # registered for the other suite, so rejected by the command itself
         # before it writes anything
         assert cli.main(argv + ["--case", "case1_ellipse", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
 from anisoeit import fem, inverse
@@ -470,6 +469,10 @@ def test_isotropic_reconstruct_constant_data(disk_curve, disk_layout, protocol16
                                   w, BarrierSchedule.inactive(1))
     assert state.converged
     assert np.abs(state.gamma - 1.4).max() <= 0.014
+    # one result shape: gamma is eta of params frozen at theta = 0, lam = 1
+    assert state.gamma is state.params.eta
+    assert state.params.lam == 1.0 and not np.any(state.params.theta)
+    assert recon_state_to_csv(state).splitlines()[:2] == ["# mode=isotropic", "pixel,gamma"]
 
 
 def test_line_search_failure_flags_nonconverged(small_problem):
@@ -491,12 +494,12 @@ def test_step_solve_rejects_indefinite_system():
     falling back to a least-squares step: once through an indefinite band
     block, once through a negative lam border."""
     J = np.zeros((4, 3))
-    indefinite_band = inverse._StepSystem([np.array([[2.0, 1.0, -3.0]])], np.arange(3), J)
+    indefinite_band = inverse._StepSystem([np.array([[2.0, 1.0, -3.0]])], J)
     g = np.array([0.1, -0.2, 0.3])
     with pytest.raises(ReconError, match="not positive definite"):
         inverse._trust_capped_step(indefinite_band, g, [(slice(0, 3), 1.0)], np.zeros(1))
-    negative_border = inverse._StepSystem([np.array([[2.0]]), np.array([[1.0]])], np.arange(1),
-                                          J, border=-3.0)
+    negative_border = inverse._StepSystem([np.array([[2.0]]), np.array([[1.0]])], J,
+                                          border=-3.0)
     caps = [(slice(0, 1), 1.0), (slice(1, 2), 1.0), (slice(2, 3), 1.0)]
     with pytest.raises(ReconError, match="not positive definite"):
         inverse._trust_capped_step(negative_border, g, caps, np.zeros(3))
@@ -510,7 +513,8 @@ def test_step_solve_rejects_indefinite_system():
 def test_step_system_matches_dense_solve(seed, M, N, anisotropic, beta2):
     """The data-space step equals a dense solve of the explicit shifted
     H = penalty Hessians + barrier diagonal + lam curvature + 2 J^T J, on
-    random lattices and Jacobians with N below and above the unknown count."""
+    random lattices (numbered at random, so of any bandwidth) and Jacobians
+    with N below and above the unknown count."""
     rng = np.random.default_rng(seed)
     side = int(np.ceil(np.sqrt(M)))
     cells = rng.permutation(side * side)[:M]
@@ -519,16 +523,15 @@ def test_step_system_matches_dense_solve(seed, M, N, anisotropic, beta2):
     a, b = np.nonzero((step == [1, 0]).all(axis=2) | (step == [0, 1]).all(axis=2))
     graph = NeighborGraph(M=M, pairs=np.column_stack([a, b]))
     w = RegWeights(*rng.uniform(0, 1e-2, 4), beta2=beta2, nu=rng.uniform(0.5, 2.0))
-    order = scipy.sparse.csgraph.reverse_cuthill_mckee(graph.laplacian(), symmetric_mode=True)
     hess = [inverse.penalty_eta_hess(graph, w.alpha0, w.alpha1),
             inverse.penalty_theta_hess(graph, w.beta0, w.beta1)][:2 if anisotropic else 1]
-    bands = [inverse._banded(h, order) for h in hess]
+    bands = [inverse._banded(h) for h in hess]
     bar = rng.uniform(0, 1, M) * rng.choice([0.0, 1.0])
-    bands[0][-1] += bar[order]
+    bands[0][-1] += bar
     border = 2.0 * w.beta2 / w.nu ** 2 if anisotropic else None
     n = 2 * M + 1 if anisotropic else M
     J = rng.normal(size=(N, n)) * rng.uniform(0.1, 10.0)
-    system = inverse._StepSystem(bands, order, J, border)
+    system = inverse._StepSystem(bands, J, border)
     g = rng.normal(size=n)
 
     R = scipy.linalg.block_diag(*[h.toarray() for h in hess], *([[border]] if anisotropic else []))
@@ -574,6 +577,7 @@ def test_recon_state_csv(small_problem):
     st = gauss_newton_reconstruct(data, prot, mesh, lattice, layout,
                                   RegWeights(1e-12, 1e-12), sched,
                                   GNSettings(max_iterations=8))
+    assert st.gamma is None
     text = recon_state_to_csv(st)
     lines = text.splitlines()
     assert lines[0].startswith("# mode=uniformly-anisotropic lambda=")

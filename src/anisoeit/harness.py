@@ -175,7 +175,7 @@ class ExperimentConfig:
                     for i in ph.get("inclusions", [])]
             kw["phantom"] = Phantom(
                 background=_number(ph.get("background", Phantom.background), float),
-                inclusions=tuple(Inclusion(tuple(i["center"]), _number(i["radius"], float),
+                inclusions=tuple(Inclusion(_center(i["center"]), _number(i["radius"], float),
                                            _number(i["amplitude"], float)) for i in incs))
         for section, keys in _SECTIONS.items():
             for key, value in _config_part(doc.get(section, {}), f"{section}.", keys).items():
@@ -217,6 +217,18 @@ def _number(value, kind: type):
         raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}, "
                          f"got {value!r}")
     return kind(value)
+
+
+def _center(value) -> tuple:
+    """An inclusion center: two coordinates, each checked by `_number` but
+    kept uncast, so the canonical JSON (and the config hash) keeps the
+    given types."""
+    with _stage("config", "phantom.inclusions.center: "):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError(f"expected two coordinates, got {value!r}")
+        for coordinate in value:
+            _number(coordinate, float)
+    return tuple(value)
 
 
 def load_config(path) -> ExperimentConfig:

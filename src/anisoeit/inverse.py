@@ -9,15 +9,23 @@ are reported with the canonical lam >= 1.
 There is one reconstruction problem, over the unknowns (eta, theta, log lam).
 The isotropic baseline is that problem with theta = 0 and lam = 1 frozen:
 the tensor is then eta * I, so eta is the isotropic conductivity gamma and
-only the M entries of eta move.  Both modes predict through `forward_map`
-and `jacobian` and evaluate the objective through one path.
+only the M entries of eta move.  Both modes evaluate the objective through
+one path.
+
+The GN loop does not call `forward_map` or `jacobian`.  The problem solves
+the drive fields once per distinct iterate (`_solve_drives`) and keeps the
+last solved set, so the accepted line-search trial serves the next
+Jacobian and the next stage start; the Jacobian is then formed from those
+fields (`_unique_jacobian`) for the reciprocal-unique measurements only
+(`_Fold`).
 
 The GN step is solved in data space (`_StepSystem`): the penalty Hessians
 stay sparse and are stored once per problem as LAPACK bands in lattice
 order (pixels are numbered ix-major, so the bandwidth is at most `grid_n`);
 with the barrier curvature and a per-block shift they factor by banded
 Cholesky, and the Woodbury identity leaves one N x N Cholesky factorization
-over the measurements.  The lam column enters as a scalar border.
+over the N reciprocal-unique measurements.  The lam column enters as a
+scalar border.
 """
 
 from __future__ import annotations
@@ -249,27 +257,63 @@ def _adjoint_drives(protocol: fem.MeasurementProtocol) -> np.ndarray:
     return match.argmax(axis=1)
 
 
-def _element_products(system: fem.CEMSystem, protocol: fem.MeasurementProtocol,
-                      pixel_sum: scipy.sparse.spmatrix):
-    """Forward data and summed per-element adjoint products of every measurement.
+class _Fold:
+    """The measurements of a protocol grouped by their unordered (drive,
+    adjoint) pair of drive patterns.
 
-    Returns (U_pred, S) with S = pixel_sum @ P of shape (rows, 3, N). For the
-    drive field u and the adjoint field w of measurement n, P[e, :, n] holds
+    A measurement's Jacobian row is built from products of its drive and
+    adjoint fields, which commute, so rows with the same unordered pair are
+    bitwise equal (CEM reciprocity; Somersalo, Cheney and Isaacson 1992).
+    Under the adjacent protocol every row has one such twin.  `drive` and
+    `adjoint` give the pair of each unique row, `twin` (N,) the unique row of
+    each measurement and `root_weight` the square root of each unique row's
+    multiplicity w, so J^T r = J_u^T (twin sums of r) and
+    J^T J = (sqrt(w) J_u)^T (sqrt(w) J_u).
+    """
+
+    def __init__(self, protocol: fem.MeasurementProtocol):
+        drive = np.repeat(np.arange(protocol.K), protocol.L)
+        adjoint = _adjoint_drives(protocol)
+        key = np.minimum(drive, adjoint) * protocol.K + np.maximum(drive, adjoint)
+        _, first, self.twin, counts = np.unique(key, return_index=True, return_inverse=True,
+                                                return_counts=True)
+        self.drive, self.adjoint = drive[first], adjoint[first]
+        self.root_weight = np.sqrt(counts)
+
+    def residual_sums(self, r: np.ndarray) -> np.ndarray:
+        """The per-measurement vector r summed over each unique row's twins."""
+        return np.bincount(self.twin, r, minlength=len(self.drive))
+
+
+def _solve_drives(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
+                  mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout):
+    """Nodal potentials (K, n) of every drive pattern and the stacked
+    predicted measurements, from one factorization."""
+    system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
+    u_nodal, U = fem.solve_many(system, protocol.patterns)
+    return u_nodal, np.einsum("klj,kj->kl", protocol.projectors, U).ravel()
+
+
+def _element_products(operator: fem.CEMOperator, u_nodal: np.ndarray, drive: np.ndarray,
+                      adjoint: np.ndarray, pixel_sum: scipy.sparse.spmatrix) -> np.ndarray:
+    """Summed per-element adjoint products of the measurements with the given
+    drive and adjoint pattern indices, from the drive fields `u_nodal`.
+
+    Returns S = pixel_sum @ P of shape (rows, 3, n). For the drive field u
+    and the adjoint field w of measurement n, P[e, :, n] holds
     (d1u d1w, d1u d2w + d2u d1w, d2u d2w) on element e, so the (negative)
     derivative of measurement n along a tensor perturbation (dg11, dg12,
-    dg22) on element e is area_e * P[e, :, n] . dg.  Each (T, N) component
-    of P is summed as soon as it is formed.
+    dg22) on element e is area_e * P[e, :, n] . dg.  The gathers are taken
+    along axis 1, so each (T, n) component of P is C-contiguous and reaches
+    the sparse sum without a copy.
     """
-    drive = np.repeat(np.arange(protocol.K), protocol.L)
-    adjoint = _adjoint_drives(protocol)
-    u_nodal, U = fem.solve_many(system, protocol.patterns)
-    U_pred = np.einsum("klj,kj->kl", protocol.projectors, U).ravel()
-    gx, gy = system.operator.gradients(u_nodal.T)
-    S = np.empty((pixel_sum.shape[0], 3, protocol.N))
-    S[:, 0] = pixel_sum @ (gx[:, drive] * gx[:, adjoint])
-    S[:, 1] = pixel_sum @ (gx[:, drive] * gy[:, adjoint] + gy[:, drive] * gx[:, adjoint])
-    S[:, 2] = pixel_sum @ (gy[:, drive] * gy[:, adjoint])
-    return U_pred, S
+    gx, gy = operator.gradients(u_nodal.T)
+    xd, xa, yd, ya = (g.take(i, axis=1) for g in (gx, gy) for i in (drive, adjoint))
+    S = np.empty((pixel_sum.shape[0], 3, len(drive)))
+    S[:, 0] = pixel_sum @ (xd * xa)
+    S[:, 1] = pixel_sum @ (xd * ya + yd * xa)
+    S[:, 2] = pixel_sum @ (yd * ya)
+    return S
 
 
 def _pixel_sum(lattice: PixelLattice, areas: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -297,7 +341,21 @@ def _aniso_derivative_tensors(params: UniformAnisoParams):
 def forward_map(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
                 mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout) -> np.ndarray:
     """Stacked predicted measurements U(eta, theta, lam)."""
-    return fem.predict(mesh, gamma_hat(params, lattice), layout, protocol)
+    return _solve_drives(params, protocol, mesh, lattice, layout)[1]
+
+
+def _unique_jacobian(params: UniformAnisoParams, u_nodal: np.ndarray, fold: _Fold,
+                     mesh: Mesh, lattice: PixelLattice) -> np.ndarray:
+    """The reciprocal-unique rows of `jacobian`, (len(fold.drive), 2M + 1),
+    from the drive fields `u_nodal` at params."""
+    operator = mesh.cem_operator
+    S = _element_products(operator, u_nodal, fold.drive, fold.adjoint,
+                          _pixel_sum(lattice, operator.areas))
+    D_eta, D_theta, D_lam = _aniso_derivative_tensors(params)
+    J_eta = -np.einsum("icn,ic->ni", S, D_eta)
+    J_theta = -np.einsum("icn,ic->ni", S, D_theta)
+    J_lam = -np.einsum("icn,ic->n", S, D_lam)
+    return np.hstack([J_eta, J_theta, J_lam[:, None]])
 
 
 def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
@@ -305,15 +363,12 @@ def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     """Adjoint-state Jacobian of the forward map wrt (eta, theta, lam).
 
     Returns (U_pred, J) with J of shape (N, 2M + 1); columns are ordered
-    eta_1..eta_M, theta_1..theta_M, lam.
+    eta_1..eta_M, theta_1..theta_M, lam.  Reciprocal twin rows are formed
+    once and are bitwise equal.
     """
-    system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
-    U_pred, S = _element_products(system, protocol, _pixel_sum(lattice, system.operator.areas))
-    D_eta, D_theta, D_lam = _aniso_derivative_tensors(params)
-    J_eta = -np.einsum("icn,ic->ni", S, D_eta)
-    J_theta = -np.einsum("icn,ic->ni", S, D_theta)
-    J_lam = -np.einsum("icn,ic->n", S, D_lam)
-    return U_pred, np.hstack([J_eta, J_theta, J_lam[:, None]])
+    u_nodal, U_pred = _solve_drives(params, protocol, mesh, lattice, layout)
+    fold = _Fold(protocol)
+    return U_pred, _unique_jacobian(params, u_nodal, fold, mesh, lattice)[fold.twin]
 
 
 def _isotropic_params(gamma: np.ndarray) -> UniformAnisoParams:
@@ -346,6 +401,9 @@ class _Problem:
     uniformly anisotropic mode, eta alone in the isotropic mode, where
     theta = 0 and log lam = 0 stay frozen.  Gradients, Hessians and trust
     blocks cover the free entries only.
+
+    The drive fields of the last solved iterate are kept, so each distinct
+    iterate costs one factorization; `solves` counts them.
     """
 
     def __init__(self, mode, data: fem.DataVector, protocol: fem.MeasurementProtocol,
@@ -370,6 +428,8 @@ class _Problem:
                     penalty_theta_hess(self.graph, weights.beta0, weights.beta1)]
         self._pen_bands = [_banded(h) for h in pen_hess[:len(self.blocks)]]
         self._lam_curvature = 2.0 * weights.beta2 / weights.nu ** 2
+        self.fold = _Fold(protocol)
+        self.solves, self._last = 0, (None,)
 
     def initial(self, free=None) -> np.ndarray:
         """Unit isotropic conductivity, with the free entries set to `free`."""
@@ -393,15 +453,29 @@ class _Problem:
     def value(self, x, xi: float):
         """(objective, misfit, penalty, barrier) at a feasible x; the
         objective is the sum of the other three."""
-        r = self.data.values - forward_map(self.unpack(x), *self.model)
+        r = self.data.values - self._fields(x)[1]
         misfit, pen, bar = float(r @ r), self.penalty(x)[0], barrier(x[:self.M], xi)
         return misfit + pen + bar, misfit, pen, bar
 
-    def predict_and_jacobian(self, x):
+    def _fields(self, x):
+        """(u_nodal, U_pred) at x, solved only if x is not the last solved iterate."""
+        if not np.array_equal(self._last[0], x):
+            self._last = (x.copy(), *_solve_drives(self.unpack(x), *self.model))
+            self.solves += 1
+        return self._last[1:]
+
+    def linearize(self, x, xi: float):
+        """(g, Js) at x: the objective gradient over the free unknowns, and
+        the reciprocal-unique Jacobian rows scaled by sqrt(multiplicity), so
+        that 2 Js^T Js is the Gauss-Newton term 2 J^T J."""
         params = self.unpack(x)
-        U, J = jacobian(params, *self.model)
+        u_nodal, U_pred = self._fields(x)
+        J = _unique_jacobian(params, u_nodal, self.fold, *self.model[1:3])
         J[:, -1] *= params.lam  # chain rule to the internal log-lam variable
-        return U, J[:, :self.n_free]
+        J = J[:, :self.n_free]
+        g = -2.0 * (J.T @ self.fold.residual_sums(self.data.values - U_pred)) + self.penalty(x)[1]
+        g[:self.M] += barrier_grad(x[:self.M], xi)
+        return g, self.fold.root_weight[:, None] * J
 
     def penalty(self, x):
         M, w = self.M, self.weights
@@ -417,8 +491,8 @@ class _Problem:
 
     def step_system(self, x, xi: float, Jm) -> _StepSystem:
         """The GN step system at x: penalty bands plus the barrier curvature
-        on the eta diagonal, the free Jacobian columns `Jm`, and in the
-        anisotropic mode the lam curvature as a scalar border."""
+        on the eta diagonal, the weighted Jacobian rows `Jm` of `linearize`,
+        and in the anisotropic mode the lam curvature as a scalar border."""
         eta_band = self._pen_bands[0].copy()
         eta_band[-1] += barrier_hess_diag(x[:self.M], xi)
         border = self._lam_curvature if self.mode == ANISOTROPIC else None
@@ -587,14 +661,16 @@ def _trust_capped_step(system: _StepSystem, g, block_caps, shifts):
 def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                       settings: GNSettings, x0=None) -> ReconState:
     """Barrier-staged damped GN over the free unknowns; `x0` holds their
-    starting values (default: unit isotropic conductivity)."""
+    starting values (default: unit isotropic conductivity).  Each history
+    entry's `solves` counts the factorizations since the previous entry
+    (the first includes the starting point's)."""
     x = problem.initial(x0)
     if not problem.feasible(x):
         raise ReconError("initial iterate is infeasible")
-    M, n, y = problem.M, problem.n_free, problem.data.values
+    n = problem.n_free
     history = []
     trace = [problem.lam_of(x)]
-    total = 0
+    total = solves = 0
     converged = True
 
     for stage, xi in enumerate(schedule.xi):
@@ -605,11 +681,8 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
         for _ in range(settings.max_inner):
             if total >= settings.max_iterations:
                 break
-            U, Jm = problem.predict_and_jacobian(x)
-            r = y - U
+            g, Jm = problem.linearize(x, xi)
             system = problem.step_system(x, xi, Jm)
-            g = -2.0 * (Jm.T @ r) + problem.penalty(x)[1]
-            g[:M] += barrier_grad(x[:M], xi)
 
             accepted = False
             backtracks = escalations = 0
@@ -649,7 +722,9 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                 "penalty": pen_t, "barrier": bar_t,
                 "lambda": problem.lam_of(x), "step": t,
                 "backtracks": backtracks, "escalations": escalations,
+                "solves": problem.solves - solves,
             })
+            solves = problem.solves
             trace.append(problem.lam_of(x))
             rel_drop = (obj - obj_t) / max(abs(obj), 1e-300)
             obj, misfit = obj_t, misfit_t

@@ -130,6 +130,12 @@ BAD_CONFIGS = {
     "non-finite float": (lambda d: d["protocol"].update(contact_impedance=float("nan")),
                          "protocol.contact_impedance"),
     "boolean weight": (lambda d: d["weights"].update(alpha1=True), "weights"),
+    "non-numeric center": (lambda d: d["phantom"]["inclusions"][0].update(
+        center=["a", float("nan")]), "phantom.inclusions.center"),
+    "infinite center": (lambda d: d["phantom"]["inclusions"][0].update(
+        center=[float("inf"), 0]), "phantom.inclusions.center"),
+    "one-coordinate center": (lambda d: d["phantom"]["inclusions"][0].update(center=[0.1]),
+                              "phantom.inclusions.center"),
 }
 
 

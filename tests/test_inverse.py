@@ -243,7 +243,10 @@ def test_jacobian_column_locality(small_problem):
     M = lattice.n_active
     params = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.4)
     system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
-    _, P = inverse._element_products(system, prot, scipy.sparse.identity(mesh.n_elements))
+    u_nodal, _ = fem.solve_many(system, prot.patterns)
+    P = inverse._element_products(system.operator, u_nodal, np.repeat(np.arange(prot.K), prot.L),
+                                  inverse._adjoint_drives(prot),
+                                  scipy.sparse.identity(mesh.n_elements))
     areas = system.operator.areas
     i = M // 2
     mine = lattice.element_to_pixel == i
@@ -305,11 +308,7 @@ def test_augmented_gradient_matches_fd(small_problem):
     for _ in range(5):
         x = np.concatenate([rng.uniform(0.7, 1.5, M), rng.uniform(-0.5, 0.5, M),
                             [rng.uniform(-0.3, 0.4)]])
-        U, Jm = problem.predict_and_jacobian(x)
-        r = data.values - U
-        _, pen_grad = problem.penalty(x)
-        g = -2.0 * (Jm.T @ r) + pen_grad
-        g[:M] += barrier_grad(x[:M], xi)
+        g, _ = problem.linearize(x, xi)
 
         def value(xx):
             return problem.value(xx, xi)[0]
@@ -415,6 +414,39 @@ def test_run_log_entries_are_taken_at_the_accepted_iterate(small_problem, recons
     assert state.initial_misfit == float(r @ r)
 
 
+@pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])
+def test_one_factorization_per_feasible_point(small_problem, reconstruct, monkeypatch):
+    """The starting point and each feasible line-search trial are factored
+    once: the accepted trial's drive fields serve the next Jacobian and the
+    next stage start.  The run log's `solves` add up to the same count."""
+    mesh, lattice, layout, prot = small_problem
+    cent = lattice.centers
+    gtruth = 1.0 + 0.8 * np.exp(-((cent[:, 0] - 0.3) ** 2 + cent[:, 1] ** 2) / 0.15)
+    data = fem.simulate_measurements(
+        mesh, TensorField.isotropic(gtruth[lattice.element_to_pixel]), layout, prot, 0.01, 11)
+    w = RegWeights(alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6)
+    factorizations, feasible = [], []
+    splu, is_feasible = fem.splu, inverse._Problem.feasible
+
+    def counting_splu(matrix):
+        factorizations.append(matrix.shape)
+        return splu(matrix)
+
+    def counting_feasible(problem, x):
+        feasible.append(is_feasible(problem, x))
+        return feasible[-1]
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(inverse._Problem, "feasible", counting_feasible)
+    state = reconstruct(data, prot, mesh, lattice, layout, w,
+                        BarrierSchedule.geometric(1e-5, 1e-8, 3),
+                        GNSettings(max_iterations=6, max_inner=2))
+    assert len({row["stage"] for row in state.history}) == 3
+    feasible_trials = sum(feasible[1:])  # the first check is of the starting point
+    assert len(factorizations) == 1 + feasible_trials
+    assert sum(row["solves"] for row in state.history) == len(factorizations)
+
+
 def test_micro_problem_global_minimum(disk_curve, disk_layout, protocol16):
     """9-pixel micro problem, zero weights and noise: the objective is zero at
     the generating parameters, positive on a coarse parameter grid away from
@@ -510,41 +542,27 @@ def test_step_solve_rejects_indefinite_system():
        anisotropic=st.booleans(), beta2=st.sampled_from([0.0, 0.4]))
 # tiny theta penalty next to J^T J: C is badly conditioned although H is not
 @example(seed=299, M=1, N=32, anisotropic=True, beta2=0.0)
-def test_step_system_matches_dense_solve(seed, M, N, anisotropic, beta2):
+def test_step_system_matches_dense_solve(random_step_penalty, seed, M, N, anisotropic, beta2):
     """The data-space step equals a dense solve of the explicit shifted
     H = penalty Hessians + barrier diagonal + lam curvature + 2 J^T J, on
     random lattices (numbered at random, so of any bandwidth) and Jacobians
     with N below and above the unknown count."""
     rng = np.random.default_rng(seed)
-    side = int(np.ceil(np.sqrt(M)))
-    cells = rng.permutation(side * side)[:M]
-    ij = np.column_stack(np.divmod(cells, side))
-    step = ij[None, :, :] - ij[:, None, :]
-    a, b = np.nonzero((step == [1, 0]).all(axis=2) | (step == [0, 1]).all(axis=2))
-    graph = NeighborGraph(M=M, pairs=np.column_stack([a, b]))
-    w = RegWeights(*rng.uniform(0, 1e-2, 4), beta2=beta2, nu=rng.uniform(0.5, 2.0))
-    hess = [inverse.penalty_eta_hess(graph, w.alpha0, w.alpha1),
-            inverse.penalty_theta_hess(graph, w.beta0, w.beta1)][:2 if anisotropic else 1]
-    bands = [inverse._banded(h) for h in hess]
-    bar = rng.uniform(0, 1, M) * rng.choice([0.0, 1.0])
-    bands[0][-1] += bar
-    border = 2.0 * w.beta2 / w.nu ** 2 if anisotropic else None
-    n = 2 * M + 1 if anisotropic else M
+    bands, border, R = random_step_penalty(rng, M, anisotropic, beta2)
+    n = len(R)
     J = rng.normal(size=(N, n)) * rng.uniform(0.1, 10.0)
     system = inverse._StepSystem(bands, J, border)
     g = rng.normal(size=n)
 
-    R = scipy.linalg.block_diag(*[h.toarray() for h in hess], *([[border]] if anisotropic else []))
-    R[np.arange(M), np.arange(M)] += bar
     H = R + 2.0 * J.T @ J
     assert system.shape == (n, n)
     assert system.trace == pytest.approx(np.trace(H), rel=1e-12)
     # a second solve escalates one block's shift, as the trust caps do
-    shifts = 10.0 ** rng.uniform(-8, 0, len(hess) + anisotropic)
+    shifts = 10.0 ** rng.uniform(-8, 0, len(bands) + anisotropic)
     escalated = shifts.copy()
     escalated[rng.integers(len(shifts))] *= 1e3
     for block_shifts in (shifts, escalated):
-        shifted = H + np.diag(np.repeat(block_shifts, [M] * len(hess) + [1] * anisotropic))
+        shifted = H + np.diag(np.repeat(block_shifts, [M] * len(bands) + [1] * anisotropic))
         expected = scipy.linalg.solve(shifted, -g, assume_a="pos")
         delta = system.solve(g, block_shifts)
         assert np.linalg.norm(delta - expected) <= 1e-9 * np.linalg.norm(expected)

@@ -1,16 +1,19 @@
-"""Property tests on random small scenes: Fourier domains, 4 to 12 electrodes
+"""Property tests on random small scenes: Fourier domains, 4 to 32 electrodes
 with their own contact impedances, and random anisotropic conductivities."""
 
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anisoeit import fem
+from anisoeit import fem, inverse
 from anisoeit.geometry import (DomainSpec, build_boundary, build_pixel_lattice,
                                place_electrodes, triangulate)
-from anisoeit.inverse import forward_map, jacobian
+from anisoeit.inverse import (BarrierSchedule, GNSettings, RegWeights, barrier_grad,
+                              forward_map, gauss_newton_reconstruct, jacobian, objective,
+                              penalty_eta_grad, penalty_theta_grad)
 from anisoeit.tensors import (TensorField, UniformAnisoParams, det_sqrt, gamma_hat,
                               gamma_hat_entries)
 
@@ -22,7 +25,7 @@ def scenes(draw):
     """(mesh, lattice, layout, protocol) on a random Fourier domain with J
     electrodes of random contact impedance, about 300 elements and 20 pixels."""
     spec = DomainSpec("fourier", {"cos": draw(coefficients), "sin": draw(coefficients)})
-    J = draw(st.integers(4, 12))
+    J = draw(st.integers(4, 32))
     curve = build_boundary(spec, 256)
     layout = place_electrodes(curve, J, draw(st.floats(0.3, 0.7)))
     z = draw(st.lists(st.floats(0.2, 5.0), min_size=J, max_size=J))
@@ -104,3 +107,76 @@ def test_isotropic_field_is_det_sqrt_bitwise(small_lattice, data):
     eta = data.draw(arrays(float, M, elements=st.floats(1e-6, 1e6)))
     field = gamma_hat(UniformAnisoParams(eta=eta, theta=np.zeros(M), lam=1.0), small_lattice)
     assert np.array_equal(det_sqrt(field), eta[small_lattice.element_to_pixel])
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes(), seed=seeds, lam=lams)
+def test_reciprocal_jacobian_rows_are_bitwise_equal(scene, seed, lam):
+    """Measurement (drive k, pair m) and measurement (drive m, pair k) of the
+    adjacent protocol have bitwise-equal Jacobian rows."""
+    mesh, lattice, layout, protocol = scene
+    _, J = jacobian(random_params(seed, lattice.n_active, lam), protocol, mesh, lattice, layout)
+    row = {(k, int(m)): k * protocol.L + i for (k, i), m in np.ndenumerate(protocol.retained_pairs)}
+    for (k, m), n in row.items():
+        assert np.array_equal(J[n], J[row[m, k]]), (k, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, M=st.integers(1, 25), electrodes=st.integers(4, 32),
+       anisotropic=st.booleans(), beta2=st.sampled_from([0.0, 0.4]))
+def test_folded_step_matches_dense_solve_over_all_rows(random_step_penalty, seed, M,
+                                                       electrodes, anisotropic, beta2):
+    """The step from the reciprocal-unique rows scaled by sqrt(multiplicity)
+    equals a dense solve of R + 2 J^T J with every row of J, twins included."""
+    rng = np.random.default_rng(seed)
+    bands, border, R = random_step_penalty(rng, M, anisotropic, beta2)
+    fold = inverse._Fold(fem.adjacent_protocol(electrodes))
+    J_unique = rng.normal(size=(len(fold.drive), len(R))) * rng.uniform(0.1, 10.0)
+    J = J_unique[fold.twin]
+    system = inverse._StepSystem(bands, fold.root_weight[:, None] * J_unique, border)
+    g = rng.normal(size=len(R))
+    shifts = 10.0 ** rng.uniform(-8, 0, len(bands) + anisotropic)
+    H = R + 2.0 * J.T @ J + np.diag(np.repeat(shifts, [M] * len(bands) + [1] * anisotropic))
+    expected = scipy.linalg.solve(H, -g, assume_a="pos")
+    delta = system.solve(g, shifts)
+    assert np.linalg.norm(delta - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scene=scenes(), seed=seeds, lam=lams, beta2=st.sampled_from([0.0, 0.4]))
+def test_accepted_gauss_newton_step_is_an_armijo_descent_step(scene, seed, lam, beta2):
+    """One GN iteration from a random anisotropic start on noisy data: the
+    accepted step s is a descent direction of the objective gradient g
+    formed over all N rows of `jacobian`, and the objective at the accepted
+    iterate satisfies Armijo, f(x + s) <= f(x) + c g.s."""
+    mesh, lattice, layout, protocol = scene
+    M = lattice.n_active
+    rng = np.random.default_rng(seed)
+    data = fem.simulate_measurements(mesh, gamma_hat(random_params(seed, M, lam), lattice),
+                                     layout, protocol, 0.01, seed)
+    w = RegWeights(*10.0 ** rng.uniform(-8, -4, 4), beta2=beta2, nu=rng.uniform(0.5, 2.0))
+    xi = 1e-6
+    # lam = e and theta in [1, 2.1]: the trust caps keep lam > 1 and theta in
+    # [0, pi), so the canonical result is the accepted iterate itself
+    start = UniformAnisoParams(eta=np.exp(rng.uniform(-0.5, 0.5, M)),
+                               theta=rng.uniform(1.0, 2.1, M), lam=float(np.e))
+    log_lam = 1.0
+    x0 = np.concatenate([start.eta, start.theta, [log_lam]])
+    state = gauss_newton_reconstruct(data, protocol, mesh, lattice, layout, w,
+                                     BarrierSchedule(np.array([xi])),
+                                     GNSettings(max_iterations=1), x0=x0)
+    assert len(state.history) == 1
+    end = state.params
+    s = np.concatenate([end.eta - start.eta, end.theta - start.theta, [np.log(end.lam) - log_lam]])
+
+    U, J = jacobian(start, protocol, mesh, lattice, layout)
+    J[:, -1] *= start.lam  # to the log-lam unknown
+    graph = inverse.NeighborGraph.from_lattice(lattice)
+    g = -2.0 * (J.T @ (data.values - U)) + np.concatenate([
+        penalty_eta_grad(start.eta, graph, w.alpha0, w.alpha1) + barrier_grad(start.eta, xi),
+        penalty_theta_grad(start.theta, graph, w.beta0, w.beta1),
+        [w.beta2 * (1.0 + 2.0 * log_lam / w.nu ** 2)]])
+    f0 = objective(start, data, protocol, mesh, lattice, layout, w, xi)
+    assert g @ s < 0
+    # the last term allows for round-off in g and in log(exp(log lam))
+    assert state.history[0]["objective"] <= f0 + inverse._ARMIJO * (g @ s) + 1e-12 * abs(f0)

@@ -12,6 +12,8 @@ per-electrode 1/z_j; a `CEMOperator`, built once per mesh and kept as
 `Mesh.cem_operator`, holds all the geometry-only work, so assembling for a
 conductivity is one sparse mat-vec.  One sparse LU factorization per
 conductivity serves every current pattern.
+The measurement protocol is the adjacent pair drive, held as J alone; its
+measured pair rows are drive patterns, which the inverse solver relies on.
 """
 
 from __future__ import annotations
@@ -178,53 +180,51 @@ def electrode_matrix(system: CEMSystem):
 
 @dataclass(frozen=True)
 class MeasurementProtocol:
-    """Current patterns and the projectors picking measured voltage pairs."""
+    """The adjacent pair drive on J >= 4 electrodes.  Pattern k injects +1
+    at electrode k and -1 at k+1 (cyclic); its L = J - 3 measurements are
+    U_m - U_{m+1} over the pairs m touching neither driven electrode, in
+    increasing order (`retained_pairs`).  The row of pair m is pattern m, so
+    the drive solutions are also the adjoint fields (see `inverse._Fold`)."""
 
-    patterns: np.ndarray      # (K, J), each summing to zero
-    projectors: np.ndarray    # (K, L, J): signed pair-difference rows
-    retained_pairs: np.ndarray  # (K, L): adjacent-pair index of each row
+    J: int
 
-    @property
-    def J(self) -> int:
-        return self.patterns.shape[1]
+    def __post_init__(self):
+        if not (isinstance(self.J, (int, np.integer)) and self.J >= 4):
+            raise ModelError(f"adjacent protocol needs an integer J >= 4, got {self.J!r}")
 
     @property
     def K(self) -> int:
-        return self.patterns.shape[0]
+        return self.J
 
     @property
     def L(self) -> int:
-        return self.projectors.shape[1]
+        return self.J - 3
 
     @property
     def N(self) -> int:
         return self.K * self.L
 
+    @property
+    def patterns(self) -> np.ndarray:
+        """(K, J) current patterns, each summing to zero."""
+        eye = np.eye(self.J)
+        return eye - np.roll(eye, 1, axis=1)
+
+    @property
+    def retained_pairs(self) -> np.ndarray:
+        """(K, L) pair index m of each measurement, sorted per pattern."""
+        return np.sort((np.arange(self.J)[:, None] + np.arange(2, self.J - 1)) % self.J, axis=1)
+
+    def measure(self, U: np.ndarray) -> np.ndarray:
+        """Stacked measurements (N,) from the electrode potentials (K, J) of
+        the K patterns: U[k, m] - U[k, m + 1] over the retained pairs m."""
+        k, m = np.arange(self.K)[:, None], self.retained_pairs
+        return (U[k, m] - U[k, (m + 1) % self.J]).ravel()
+
 
 def adjacent_protocol(J: int) -> MeasurementProtocol:
-    """Adjacent pair drive: K = J patterns, L = J - 3 retained pair voltages.
-
-    Pattern n injects +1 at electrode n and -1 at n+1 (cyclic).  Voltages
-    are differences over adjacent pairs (m, m+1); the three pairs touching
-    a driven electrode are dropped, ordered by increasing pair index.
-    """
-    if J < 4:
-        raise ModelError("adjacent protocol needs at least 4 electrodes")
-    K, L = J, J - 3
-    patterns = np.zeros((K, J))
-    projectors = np.zeros((K, L, J))
-    retained = np.zeros((K, L), dtype=int)
-    for nidx in range(J):
-        patterns[nidx, nidx] = 1.0
-        patterns[nidx, (nidx + 1) % J] = -1.0
-        excluded = {(nidx - 1) % J, nidx, (nidx + 1) % J}
-        keep = [m for m in range(J) if m not in excluded]
-        for row, m in enumerate(keep):
-            projectors[nidx, row, m] = 1.0
-            projectors[nidx, row, (m + 1) % J] = -1.0
-            retained[nidx, row] = m
-    return MeasurementProtocol(patterns=patterns, projectors=projectors,
-                               retained_pairs=retained)
+    """The adjacent pair drive on J electrodes (see `MeasurementProtocol`)."""
+    return MeasurementProtocol(J)
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def predict(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout,
     """Clean stacked measurement vector for a conductivity field."""
     system = assemble(mesh, fld, layout)
     _, U = solve_many(system, protocol.patterns)
-    return np.einsum("klj,kj->kl", protocol.projectors, U).ravel()
+    return protocol.measure(U)
 
 
 def add_noise(clean: np.ndarray, noise_fraction: float, seed: Optional[int]) -> np.ndarray:
@@ -258,8 +258,8 @@ def add_noise(clean: np.ndarray, noise_fraction: float, seed: Optional[int]) -> 
     noise std = noise_fraction * max_m |clean V_m|; noise_fraction 0 skips
     the draw entirely so repeated calls are bitwise identical.
     """
-    if noise_fraction < 0:
-        raise ModelError("noise_fraction must be nonnegative")
+    if not (np.isfinite(noise_fraction) and noise_fraction >= 0):
+        raise ModelError(f"noise_fraction must be finite and nonnegative, got {noise_fraction}")
     if noise_fraction == 0:
         return clean
     sigma = noise_fraction * np.abs(clean).max()

@@ -25,7 +25,16 @@ class GeometryError(ValueError):
 # domain specifications
 # ---------------------------------------------------------------------------
 
-_KINDS = ("disk", "ellipse", "truncated_ellipse", "fourier")
+# the params each kind reads
+_KIND_PARAMS = {"disk": ("radius",), "ellipse": ("a", "b"),
+                "truncated_ellipse": ("a", "b", "cut_frac", "round_frac"),
+                "fourier": ("cos", "sin")}
+
+
+def _finite(value) -> bool:
+    """Whether `value` is a finite real number (not a boolean)."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and bool(np.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -50,17 +59,31 @@ class DomainSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        """Accept only the params the kind reads, each a finite number (or,
+        for ``cos`` and ``sin``, a list of them), without casting."""
+        if self.kind not in _KIND_PARAMS:
             raise GeometryError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "ellipse" or self.kind == "truncated_ellipse":
-            a = self.params.get("a", 0.0)
-            b = self.params.get("b", 0.0)
-            if a <= 0 or b <= 0:
-                raise GeometryError("ellipse semi-axes must be positive")
-        if self.kind == "truncated_ellipse":
-            cut = self.params.get("cut_frac", -0.65)
-            if not -1.0 < cut < 1.0:
-                raise GeometryError("cut_frac must lie in (-1, 1)")
+        if not isinstance(self.params, dict):
+            raise GeometryError(f"{self.kind} params must be a dict, got {self.params!r}")
+        for key, value in self.params.items():
+            if key not in _KIND_PARAMS[self.kind]:
+                raise GeometryError(f"unknown {self.kind} param {key!r}; expected one of "
+                                    f"{', '.join(_KIND_PARAMS[self.kind])}")
+            if key in ("cos", "sin"):
+                what = "a list of finite numbers"
+                ok = isinstance(value, (list, tuple, np.ndarray)) and all(map(_finite, value))
+            else:
+                what, ok = "a finite number", _finite(value)
+            if not ok:
+                raise GeometryError(f"{self.kind} param {key!r} must be {what}, got {value!r}")
+        p = self.params
+        if not p.get("radius", 1.0) > 0:
+            raise GeometryError("disk radius must be positive")
+        if self.kind in ("ellipse", "truncated_ellipse"):
+            if not (p.get("a", 0.0) > 0 and p.get("b", 0.0) > 0):
+                raise GeometryError("ellipse semi-axes a and b must be given and positive")
+        if not -1.0 < p.get("cut_frac", -0.65) < 1.0:
+            raise GeometryError("cut_frac must lie in (-1, 1)")
 
 
 @dataclass(frozen=True)
@@ -354,7 +377,7 @@ def build_boundary(spec: DomainSpec, n_samples: int) -> BoundaryCurve:
             raise GeometryError(
                 f"fourier radius is nonpositive (min {rf.min():.4g} at phi={tf[rf.argmin()]:.4g})")
         pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    elif kind == "truncated_ellipse":
+    else:  # truncated_ellipse
         a, b = float(p["a"]), float(p["b"])
         cut = float(p.get("cut_frac", -0.65))
         round_frac = float(p.get("round_frac", 0.02))
@@ -368,8 +391,6 @@ def build_boundary(spec: DomainSpec, n_samples: int) -> BoundaryCurve:
         s, S = _cumulative_arclength(dense)
         dense_curve = BoundaryCurve(points=dense, s=s, total_length=S)
         pts = dense_curve.point_at(np.linspace(0, S, n_samples, endpoint=False))
-    else:  # pragma: no cover
-        raise GeometryError(f"unknown kind {kind!r}")
 
     _check_simple(pts)
     s, S = _cumulative_arclength(pts)
@@ -393,8 +414,8 @@ def place_electrodes(curve: BoundaryCurve, J: int, coverage: float,
     starts = (np.arange(J) * S / J + start_offset - length / 2) % S
     arcs = np.column_stack([starts, np.full(J, length)])
     z = np.full(J, float(contact_impedance))
-    if np.any(z <= 0):
-        raise GeometryError("contact impedances must be positive")
+    if not np.all(np.isfinite(z) & (z > 0)):
+        raise GeometryError("contact impedances must be finite and positive")
     return ElectrodeLayout(J=J, arcs=arcs, contact_impedances=z, total_length=S)
 
 

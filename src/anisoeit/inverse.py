@@ -17,7 +17,8 @@ the drive fields once per distinct iterate (`_solve_drives`) and keeps the
 last solved set, so the accepted line-search trial serves the next
 Jacobian and the next stage start; the Jacobian is then formed from those
 fields (`_unique_jacobian`) for the reciprocal-unique measurements only
-(`_Fold`).
+(`_Fold`); under the adjacent protocol the drive fields are the adjoint
+fields too.
 
 The GN step is solved in data space (`_StepSystem`): the penalty Hessians
 stay sparse and are stored once per problem as LAPACK bands in lattice
@@ -40,7 +41,7 @@ import scipy.linalg
 import scipy.sparse
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice
-from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat
+from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat, gamma_hat_entries
 from anisoeit import fem
 
 
@@ -66,10 +67,10 @@ class RegWeights:
 
     def __post_init__(self):
         vals = (self.alpha0, self.alpha1, self.beta0, self.beta1, self.beta2)
-        if any(v < 0 for v in vals):
-            raise ReconError("penalty weights must be nonnegative")
-        if self.beta2 > 0 and not self.nu > 0:
-            raise ReconError("nu must be positive when beta2 > 0")
+        if not all(0 <= v < np.inf for v in vals):
+            raise ReconError("penalty weights must be finite and nonnegative")
+        if not 0 < self.nu < np.inf:
+            raise ReconError("nu must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class BarrierSchedule:
             raise ReconError("schedule must be a nonempty 1-d sequence")
         if np.all(xi == 0):
             return
-        if np.any(xi <= 0) or np.any(np.diff(xi) >= 0):
-            raise ReconError("schedule must be strictly decreasing and positive")
+        if not (np.all(np.isfinite(xi) & (xi > 0)) and np.all(np.diff(xi) < 0)):
+            raise ReconError("schedule must be finite, strictly decreasing and positive")
 
     @staticmethod
     def geometric(start: float, end: float, stages: int = 8) -> "BarrierSchedule":
@@ -126,17 +127,17 @@ class NeighborGraph:
 class GNSettings:
     max_iterations: int = 60      # global Gauss-Newton cap
     max_inner: int = 10           # iterations per barrier stage
-    max_backtracks: int = 30
     obj_tol: float = 1e-6
     step_tol: float = 1e-8
-    eta_step_cap: float = 1.0     # trust cap on the eta block of the GN step
-    damping_escalations: int = 2  # x1e4 damping retries after a failed search
 
 
 _ARMIJO = 1e-4                # sufficient-decrease fraction of the line search
 _SHRINK = 0.5                 # backtracking factor
+_MAX_BACKTRACKS = 30          # step halvings per line search
 _DAMPING = 1e-12              # Levenberg shift as a fraction of trace
-_THETA_STEP_CAP = np.pi / 4   # trust caps on the theta and log-lam blocks
+_DAMPING_RETRIES = 2          # x1e4 damping retries after a failed line search
+_ETA_STEP_CAP = 1.0           # trust caps on the eta, theta and log-lam blocks
+_THETA_STEP_CAP = np.pi / 4
 _LOGLAM_STEP_CAP = 0.7
 
 
@@ -184,12 +185,6 @@ def penalty_eta_grad(eta: np.ndarray, graph: NeighborGraph, alpha0: float, alpha
     return g
 
 
-def penalty_eta_hess(graph: NeighborGraph, alpha0: float,
-                     alpha1: float) -> scipy.sparse.csr_matrix:
-    identity = scipy.sparse.identity(graph.M, format="csr")
-    return 2.0 * alpha0 * identity + 4.0 * alpha1 * graph.laplacian()
-
-
 def penalty_theta(theta: np.ndarray, graph: NeighborGraph, beta0: float, beta1: float) -> float:
     a, b = graph.pairs[:, 0], graph.pairs[:, 1]
     diff = np.sum(2.0 - 2.0 * np.cos(theta[a] - theta[b])) if len(graph.pairs) else 0.0
@@ -206,11 +201,12 @@ def penalty_theta_grad(theta: np.ndarray, graph: NeighborGraph, beta0: float, be
     return g
 
 
-def penalty_theta_hess(graph: NeighborGraph, beta0: float,
-                       beta1: float) -> scipy.sparse.csr_matrix:
-    # small-angle PSD surrogate of the circular difference term
+def penalty_hess(graph: NeighborGraph, w0: float, w1: float) -> scipy.sparse.csr_matrix:
+    """Hessian of `penalty_eta` with weights (w0, w1) = (alpha0, alpha1); with
+    (beta0, beta1), the small-angle PSD surrogate of the Hessian of
+    `penalty_theta`."""
     identity = scipy.sparse.identity(graph.M, format="csr")
-    return 2.0 * beta0 * identity + 4.0 * beta1 * graph.laplacian()
+    return 2.0 * w0 * identity + 4.0 * w1 * graph.laplacian()
 
 
 def penalty_lambda(lam: float, beta2: float, nu: float = 1.0) -> float:
@@ -239,41 +235,24 @@ def barrier_hess_diag(eta: np.ndarray, xi: float) -> np.ndarray:
 # forward map and adjoint Jacobian
 # ---------------------------------------------------------------------------
 
-def _adjoint_drives(protocol: fem.MeasurementProtocol) -> np.ndarray:
-    """Index of the drive pattern equal to each measurement's pair-difference row.
-
-    The adjoint field of a measurement is the potential driven by its
-    pair-difference row as a current pattern, so when every row is one of
-    the drive patterns the drive solutions are the adjoint fields too.
-    """
-    rows = protocol.projectors.reshape(protocol.N, protocol.J)
-    match = np.all(rows[:, None, :] == protocol.patterns[None, :, :], axis=2)
-    missing = np.flatnonzero(~match.any(axis=1))
-    if len(missing):
-        k, row = divmod(int(missing[0]), protocol.L)
-        raise fem.ModelError(
-            f"measurement {row} of pattern {k} (pair {protocol.retained_pairs[k, row]}) "
-            "is not one of the drive patterns, so its adjoint field is not a drive solution")
-    return match.argmax(axis=1)
-
-
 class _Fold:
     """The measurements of a protocol grouped by their unordered (drive,
     adjoint) pair of drive patterns.
 
-    A measurement's Jacobian row is built from products of its drive and
-    adjoint fields, which commute, so rows with the same unordered pair are
-    bitwise equal (CEM reciprocity; Somersalo, Cheney and Isaacson 1992).
-    Under the adjacent protocol every row has one such twin.  `drive` and
-    `adjoint` give the pair of each unique row, `twin` (N,) the unique row of
-    each measurement and `root_weight` the square root of each unique row's
-    multiplicity w, so J^T r = J_u^T (twin sums of r) and
-    J^T J = (sqrt(w) J_u)^T (sqrt(w) J_u).
+    A measurement's adjoint field is driven by its pair-difference row, and
+    the row of pair m is pattern m, so measurement (k, l) has adjoint
+    `retained_pairs[k, l]`.  Its Jacobian row is built from products of the
+    drive and adjoint fields, which commute, so rows with the same unordered
+    pair are bitwise equal (CEM reciprocity; Somersalo, Cheney and Isaacson
+    1992); every row has one such twin.  `drive` and `adjoint` give the pair of each unique
+    row, `twin` (N,) the unique row of each measurement and `root_weight`
+    the square root of each unique row's multiplicity w, so
+    J^T r = J_u^T (twin sums of r) and J^T J = (sqrt(w) J_u)^T (sqrt(w) J_u).
     """
 
     def __init__(self, protocol: fem.MeasurementProtocol):
         drive = np.repeat(np.arange(protocol.K), protocol.L)
-        adjoint = _adjoint_drives(protocol)
+        adjoint = protocol.retained_pairs.ravel()
         key = np.minimum(drive, adjoint) * protocol.K + np.maximum(drive, adjoint)
         _, first, self.twin, counts = np.unique(key, return_index=True, return_inverse=True,
                                                 return_counts=True)
@@ -291,7 +270,7 @@ def _solve_drives(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     predicted measurements, from one factorization."""
     system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
     u_nodal, U = fem.solve_many(system, protocol.patterns)
-    return u_nodal, np.einsum("klj,kj->kl", protocol.projectors, U).ravel()
+    return u_nodal, protocol.measure(U)
 
 
 def _element_products(operator: fem.CEMOperator, u_nodal: np.ndarray, drive: np.ndarray,
@@ -330,7 +309,7 @@ def _aniso_derivative_tensors(params: UniformAnisoParams):
     p, q = np.sqrt(lam), 1.0 / np.sqrt(lam)
     c, s = np.cos(theta), np.sin(theta)
     c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
-    D_eta = np.stack([p * c ** 2 + q * s ** 2, (q - p) * c * s, p * s ** 2 + q * c ** 2], axis=1)
+    D_eta = np.stack(gamma_hat_entries(1.0, theta, lam), axis=1)
     D_theta = np.stack([eta * (q - p) * s2, eta * (q - p) * c2, -eta * (q - p) * s2], axis=1)
     dp, dq = 0.5 / np.sqrt(lam), -0.5 * lam ** -1.5
     D_lam = np.stack([eta * (dp * c ** 2 + dq * s ** 2), eta * (dq - dp) * c * s,
@@ -424,8 +403,8 @@ class _Problem:
         blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
         self.blocks = blocks if mode == ANISOTROPIC else blocks[:1]
         self.n_free = self.blocks[-1].stop
-        pen_hess = [penalty_eta_hess(self.graph, weights.alpha0, weights.alpha1),
-                    penalty_theta_hess(self.graph, weights.beta0, weights.beta1)]
+        pen_hess = [penalty_hess(self.graph, weights.alpha0, weights.alpha1),
+                    penalty_hess(self.graph, weights.beta0, weights.beta1)]
         self._pen_bands = [_banded(h) for h in pen_hess[:len(self.blocks)]]
         self._lam_curvature = 2.0 * weights.beta2 / weights.nu ** 2
         self.fold = _Fold(protocol)
@@ -501,9 +480,8 @@ class _Problem:
     def lam_of(self, x) -> float:
         return float(np.exp(x[2 * self.M]))
 
-    def block_caps(self, settings: GNSettings):
-        caps = (settings.eta_step_cap, _THETA_STEP_CAP, _LOGLAM_STEP_CAP)
-        return list(zip(self.blocks, caps))
+    def block_caps(self):
+        return list(zip(self.blocks, (_ETA_STEP_CAP, _THETA_STEP_CAP, _LOGLAM_STEP_CAP)))
 
     def to_state(self, x, history, trace, converged, obj, misfit, initial_misfit) -> ReconState:
         return ReconState(self.mode, canonicalize(self.unpack(x)), history, trace, converged,
@@ -688,14 +666,14 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             backtracks = escalations = 0
             base = _DAMPING * system.trace
             shifts = np.full(len(problem.blocks), base)
-            for _esc in range(settings.damping_escalations + 1):
+            for _esc in range(_DAMPING_RETRIES + 1):
                 delta, cap_escalations = _trust_capped_step(
-                    system, g, problem.block_caps(settings), shifts)
+                    system, g, problem.block_caps(), shifts)
                 escalations += cap_escalations
                 slope = float(g @ delta)
 
                 t = 1.0
-                for _bt in range(settings.max_backtracks + 1):
+                for _bt in range(_MAX_BACKTRACKS + 1):
                     xt = x.copy()
                     xt[:n] += t * delta
                     if problem.feasible(xt):

@@ -243,14 +243,23 @@ def test_adjacent_protocol_4():
     assert prot.retained_pairs[0].tolist() == [2]
 
 
+def _pair_rows(prot):
+    """(K, L, J): the signed pair-difference row of every measurement, read
+    off `measure` applied to unit potentials at each electrode."""
+    unit = np.eye(prot.J)
+    columns = [prot.measure(np.tile(unit[j], (prot.K, 1))) for j in range(prot.J)]
+    return np.stack(columns, axis=1).reshape(prot.K, prot.L, prot.J)
+
+
 def test_adjacent_protocol_exhaustive_audit():
     for J in (4, 8, 16):
         prot = adjacent_protocol(J)
         assert prot.patterns.shape == (J, J)
         assert np.allclose(prot.patterns.sum(axis=1), 0.0)
+        projectors = _pair_rows(prot)
         for n in range(J):
             driven = {n, (n + 1) % J}
-            rows = prot.projectors[n]
+            rows = projectors[n]
             assert rows.shape == (J - 3, J)
             assert list(prot.retained_pairs[n]) == sorted(prot.retained_pairs[n])
             for row, m in zip(rows, prot.retained_pairs[n]):
@@ -259,9 +268,30 @@ def test_adjacent_protocol_exhaustive_audit():
                 assert not ({m, (m + 1) % J} & driven)
 
 
+def test_pair_rows_are_drive_patterns():
+    """The pair-difference row of pair m is pattern m, so the drive
+    solutions are the adjoint fields the Jacobian needs."""
+    for J in range(4, 33):
+        prot = adjacent_protocol(J)
+        assert np.array_equal(_pair_rows(prot), prot.patterns[prot.retained_pairs])
+
+
+def test_measure_is_bitwise_the_pair_row_products():
+    """`measure` gives exactly the sum over electrodes of pair row times
+    potential, on potentials spanning 1e-8 to 1e8."""
+    rng = np.random.default_rng(0)
+    for J in (4, 5, 16, 33, 64):
+        prot = adjacent_protocol(J)
+        U = rng.normal(size=(J, J)) * 10.0 ** rng.uniform(-8, 8, (J, J))
+        reference = np.einsum("klj,kj->kl", _pair_rows(prot), U).ravel()
+        assert prot.measure(U).tobytes() == reference.tobytes()
+
+
 def test_adjacent_protocol_needs_4():
     with pytest.raises(ModelError):
         adjacent_protocol(3)
+    with pytest.raises(ModelError):
+        adjacent_protocol(16.0)
 
 
 # --- simulated measurements ---------------------------------------------------
@@ -307,6 +337,12 @@ def test_simulate_is_predict_plus_noise(small_disk_mesh, disk_layout, protocol16
     data = simulate_measurements(small_disk_mesh, field, disk_layout, protocol16, 0.01, 5)
     clean = predict(small_disk_mesh, field, disk_layout, protocol16)
     assert np.array_equal(data.values, add_noise(clean, 0.01, 5))
+
+
+@pytest.mark.parametrize("fraction", [-0.01, np.nan, np.inf])
+def test_add_noise_rejects_invalid_fraction(fraction):
+    with pytest.raises(ModelError, match="noise_fraction"):
+        add_noise(np.ones(5), fraction, 1)
 
 
 def test_rotational_symmetry_cyclic_shifts(disk_curve):

@@ -48,6 +48,33 @@ def test_min_samples_rejected():
         build_boundary(DomainSpec("disk", {}), 32)
 
 
+@pytest.mark.parametrize("kind, params, named", [
+    ("disk", {"radus": 2.0}, "radus"),
+    ("disk", {"radius": -2}, "radius"),
+    ("disk", {"radius": 0}, "radius"),
+    ("disk", {"radius": True}, "radius"),
+    ("ellipse", {"a": float("nan"), "b": 0.8}, "'a'"),
+    ("ellipse", {"a": 1.25}, "semi-axes"),
+    ("ellipse", {"a": 1.25, "b": 0.8, "cut_frac": 0.3}, "cut_frac"),
+    ("truncated_ellipse", {"a": 1.1, "b": 0.9, "round_frac": float("inf")}, "round_frac"),
+    ("fourier", {"cos": [0.1, float("nan")]}, "cos"),
+    ("fourier", {"sin": 0.1}, "sin"),
+    ("fourier", {"radius": 1.0}, "radius"),
+    ("disk", [1.0], "dict"),
+])
+def test_domain_spec_rejects_bad_params(kind, params, named):
+    """Only the params a kind reads, each a finite number (or a list of
+    them), with a positive radius and semi-axes."""
+    with pytest.raises(GeometryError, match=named):
+        DomainSpec(kind, params)
+
+
+def test_domain_spec_keeps_params_uncast():
+    params = {"a": 1, "b": 0.9, "cut_frac": -0.5, "round_frac": 0}
+    assert DomainSpec("truncated_ellipse", params).params == params
+    assert type(DomainSpec("disk", {"radius": 2}).params["radius"]) is int
+
+
 def test_nonpositive_fourier_radius_rejected():
     with pytest.raises(GeometryError, match="nonpositive"):
         build_boundary(DomainSpec("fourier", {"cos": [1.5]}), 256)
@@ -162,6 +189,13 @@ def test_bad_coverage_rejected():
         place_electrodes(curve, 16, 1.0)
     with pytest.raises(GeometryError):
         place_electrodes(curve, 1, 0.5)
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_contact_impedance_rejected(z):
+    curve = build_boundary(DomainSpec("disk", {}), 512)
+    with pytest.raises(GeometryError, match="contact impedance"):
+        place_electrodes(curve, 16, 0.5, contact_impedance=z)
 
 
 def test_rotating_offset_permutes_arcs_cyclically():

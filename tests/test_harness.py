@@ -136,6 +136,14 @@ BAD_CONFIGS = {
         center=[float("inf"), 0]), "phantom.inclusions.center"),
     "one-coordinate center": (lambda d: d["phantom"]["inclusions"][0].update(center=[0.1]),
                               "phantom.inclusions.center"),
+    "misspelled domain param": (lambda d: d["true_domain"].update(params={"radus": 2.0}),
+                                "true_domain: unknown disk param 'radus'"),
+    "negative radius": (lambda d: d["true_domain"].update(params={"radius": -2}),
+                        "true_domain: disk radius"),
+    "non-finite semi-axis": (lambda d: d["true_domain"].update(
+        kind="ellipse", params={"a": float("nan"), "b": 0.8}), "true_domain: ellipse param 'a'"),
+    "non-numeric fourier coefficient": (lambda d: d["model_domain"].update(
+        kind="fourier", params={"cos": ["0.1"]}), "model_domain: fourier param 'cos'"),
 }
 
 

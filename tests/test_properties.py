@@ -46,19 +46,41 @@ lams = st.builds(lambda a, sign: float(np.exp(sign * a)), st.floats(0.2, 1.5),
                  st.sampled_from([-1, 1]))
 
 
+def random_field(seed: int, T: int) -> TensorField:
+    """A random SPD field with per-element anisotropy on T elements."""
+    rng = np.random.default_rng(seed)
+    g = gamma_hat_entries(np.exp(rng.uniform(-1, 1, T)), rng.uniform(0, np.pi, T),
+                          np.exp(rng.uniform(-1, 1, T)))
+    return TensorField(g=np.column_stack(g))
+
+
 @settings(max_examples=25, deadline=None)
 @given(scene=scenes(), seed=seeds)
 def test_electrode_matrix_is_reciprocal(scene, seed):
     """G is symmetric (CEM reciprocity) and kills constants (gauge) for a
     random SPD field with per-element anisotropy."""
     mesh, _, layout, _ = scene
-    rng = np.random.default_rng(seed)
-    T = mesh.n_elements
-    g = gamma_hat_entries(np.exp(rng.uniform(-1, 1, T)), rng.uniform(0, np.pi, T),
-                          np.exp(rng.uniform(-1, 1, T)))
-    G, _ = fem.electrode_matrix(fem.assemble(mesh, TensorField(g=np.column_stack(g)), layout))
+    G, _ = fem.electrode_matrix(fem.assemble(mesh, random_field(seed, mesh.n_elements), layout))
     assert np.abs(G - G.T).max() <= 1e-10 * np.abs(G).max()
     assert np.abs(G @ np.ones(layout.J)).max() <= 1e-10 * np.abs(G).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes(), seed=seeds)
+def test_solve_many_is_linear_in_the_currents(scene, seed):
+    """The potentials of a P + b Q are a U_P + b U_Q, nodal and electrode,
+    for random zero-sum patterns P and Q and a random SPD field."""
+    mesh, _, layout, _ = scene
+    system = fem.assemble(mesh, random_field(seed, mesh.n_elements), layout)
+    rng = np.random.default_rng(seed)
+    P, Q = rng.normal(size=(2, 3, layout.J))
+    P, Q = P - P.mean(axis=1, keepdims=True), Q - Q.mean(axis=1, keepdims=True)
+    a, b = rng.uniform(-10, 10, 2)
+    (u_P, u_Q, u_mix), (U_P, U_Q, U_mix) = zip(*(fem.solve_many(system, X)
+                                                 for X in (P, Q, a * P + b * Q)))
+    for mix, from_P, from_Q in ((u_mix, u_P, u_Q), (U_mix, U_P, U_Q)):
+        scale = np.linalg.norm(a * from_P) + np.linalg.norm(b * from_Q)
+        assert np.linalg.norm(mix - (a * from_P + b * from_Q)) <= 1e-10 * scale
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,8 +10,12 @@ a Lagrange multiplier so all electrodes are treated identically.  The
 bordered matrix is linear in the per-element (g11, g12, g22) and the
 per-electrode 1/z_j; a `CEMOperator`, built once per mesh and kept as
 `Mesh.cem_operator`, holds all the geometry-only work, so assembling for a
-conductivity is one sparse mat-vec.  One sparse LU factorization per
-conductivity serves every current pattern.
+conductivity is one sparse mat-vec.  That work includes the factor order:
+the nodes in geometric nested-dissection order (George 1973), then the
+electrode potentials with the multiplier before the last one.  Under it
+every pivot is diagonal, so one sparse LU factorization per conductivity
+runs in SuperLU's symmetric mode with no column ordering of its own, and
+serves every current pattern.
 The measurement protocol is the adjacent pair drive, held as J alone; its
 measured pair rows are drive patterns, which the inverse solver relies on.
 """
@@ -30,8 +34,63 @@ from anisoeit.geometry import ElectrodeLayout, Mesh
 from anisoeit.tensors import TensorField
 
 
+# part size at which nested dissection stops cutting; on an 8k-element,
+# 32-electrode mesh leaves of 8 to 32 nodes factor and solve equally fast
+# and 64 is about 10% slower
+DISSECTION_LEAF = 32
+
+
 class ModelError(ValueError):
     """Invalid forward-model input (incompatible pattern, bad tensor, ...)."""
+
+
+def _dissection(nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geometric nested-dissection order of the mesh nodes; (a, b) are the
+    mesh edges as directed pairs, each edge in both directions.
+
+    A part larger than `DISSECTION_LEAF` is cut at the median of the longer
+    side of its bounding box, and its separator is the set of lower-half
+    nodes with a neighbour in the upper half.  The order is lower half, upper
+    half, separator, recursively.  All parts of one level are cut together;
+    each node's path of choices (0 lower, 1 upper, 2 separator), padded
+    with zeros once it leaves the cutting, is its base-3 sort key, and while
+    a node is live its path names its part.  Distinct live parts are never
+    adjacent, so a cut needs no part check.
+    """
+    n = len(nodes)
+    rank = np.empty((2, n), dtype=np.int64)  # each node's rank along x and along y
+    for axis in range(2):
+        rank[axis, np.argsort(nodes[:, axis], kind="stable")] = np.arange(n)
+    path = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)  # nodes of the parts still to cut, grouped by part
+    while True:
+        size = np.diff(np.flatnonzero(np.diff(path[live], prepend=-1)), append=len(live))
+        cut = size > DISSECTION_LEAF
+        live, size = live[np.repeat(cut, size)], size[cut]
+        if not len(live):
+            break
+        first = np.cumsum(size) - size
+        part = np.repeat(np.arange(len(size)), size)
+        xy = nodes[live]
+        extent = np.maximum.reduceat(xy, first) - np.minimum.reduceat(xy, first)
+        axis = (extent[:, 1] > extent[:, 0]).astype(np.intp)[part]
+        live = live[np.argsort(part * n + rank[axis, live])]
+        upper = np.arange(len(live)) - first[part] >= (size // 2)[part]
+        side = np.zeros(n, dtype=np.int8)
+        side[live] = 1 + upper
+        separator = np.zeros(n, dtype=bool)
+        separator[a[(side[a] == 1) & (side[b] == 2)]] = True
+        sep = separator[live]
+        path *= 3
+        path[live] += np.where(sep, 2, upper)
+        live = live[~sep]
+    return np.argsort(path, kind="stable")
+
+
+def _csc_pattern(keys: np.ndarray, size: int):
+    """(indices, indptr) of the sorted unique entry keys col * size + row."""
+    indptr = np.cumsum(np.bincount(keys // size + 1, minlength=size + 1))
+    return (keys % size).astype(np.int32), indptr.astype(np.int32)
 
 
 class CEMOperator:
@@ -41,6 +100,15 @@ class CEMOperator:
     (g11, g12, g22) are inputs 3e..3e+2, 1/z_j is input 3T + j and the
     constant last input carries the gauge border.  On an element,
     grad(phi_i) = (b_i, c_i) / (2 area).
+
+    `order` is the factor order: the nodes by `_dissection`, then
+    U_0 .. U_{J-2}, the multiplier and U_{J-1}.  The (u, U) block is
+    singular along (1, 1), so a multiplier after every electrode would meet
+    a round-off zero pivot; with this tail every pivot before the multiplier
+    is a Cholesky pivot of an SPD block and the multiplier pivot is
+    -1^T S^-1 1 < 0, S the Schur complement on U_0 .. U_{J-2}.  The CSC
+    pattern under the order is (`ordered_indices`, `ordered_indptr`), and
+    `gather` takes natural CSC data to it.
     """
 
     def __init__(self, mesh: Mesh):
@@ -78,16 +146,32 @@ class CEMOperator:
         coef = np.concatenate([stiff.ravel(), edge.ravel(), np.ones(2 * J)])
 
         keys, position = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
-        self.indices = (keys % size).astype(np.int32)
-        self.indptr = np.cumsum(np.bincount(keys // size + 1, minlength=size + 1)).astype(np.int32)
+        self.indices, self.indptr = _csc_pattern(keys, size)
         self.data_map = sp.csr_matrix((coef, (position, inputs)),
                                       shape=(len(keys), 3 * T + J + 1))
+
+        rows, cols = keys % size, keys // size
+        edge = (rows < n) & (cols < n) & (rows != cols)
+        tail = n + np.arange(J + 1)
+        tail[-2:] = tail[-2:][::-1]  # U_0 .. U_{J-2}, multiplier, U_{J-1}
+        self.order = np.concatenate([_dissection(mesh.nodes, rows[edge], cols[edge]), tail])
+        rank = np.empty(size, dtype=np.int64)
+        rank[self.order] = np.arange(size)
+        ordered = rank[cols] * size + rank[rows]
+        self.gather = np.argsort(ordered)
+        self.ordered_indices, self.ordered_indptr = _csc_pattern(ordered[self.gather], size)
 
     def matrix(self, g: np.ndarray, inv_z: np.ndarray) -> sp.csc_matrix:
         """The bordered CEM matrix for per-element tensors g (T, 3) and
         per-electrode 1/z (J,)."""
         data = self.data_map @ np.concatenate([g.ravel(), inv_z, [1.0]])
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+
+    def ordered(self, matrix: sp.csc_matrix) -> sp.csc_matrix:
+        """`matrix`, on this operator's pattern, permuted symmetrically to
+        `order`: one gather of its CSC data."""
+        return sp.csc_matrix((matrix.data[self.gather], self.ordered_indices,
+                              self.ordered_indptr), shape=(self.size, self.size))
 
     def gradients(self, u: np.ndarray):
         """Per-element gradients (gx, gy) of nodal fields u (n, K), each (T, K)."""
@@ -97,20 +181,42 @@ class CEMOperator:
                 np.einsum("tik,ti->tk", ue, self.c) / scale)
 
 
+@dataclass(frozen=True)
+class OrderedLU:
+    """A SuperLU `factor` of the bordered matrix permuted to `order`; `solve`
+    takes and returns natural (u, U, multiplier) order."""
+
+    factor: object
+    order: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self.factor.solve(rhs[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
 @dataclass
 class CEMSystem:
-    """Assembled gauge-constrained CEM system over (u, U, multiplier)."""
+    """Assembled gauge-constrained CEM system over (u, U, multiplier).
+
+    `lu` factors `matrix` once under the operator's order with diagonal
+    pivots: SuperLU in symmetric mode, with no column ordering of its own
+    and a zero pivot threshold, so it leaves a diagonal only when it is an
+    exact zero (the order makes every diagonal pivot sound)."""
 
     matrix: sp.csc_matrix
     operator: CEMOperator
     n_nodes: int
     J: int
-    _lu: object = field(default=None, repr=False)
+    _lu: Optional[OrderedLU] = field(default=None, repr=False)
 
     @property
-    def lu(self):
+    def lu(self) -> OrderedLU:
         if self._lu is None:
-            self._lu = splu(self.matrix)
+            factor = splu(self.operator.ordered(self.matrix), permc_spec="NATURAL",
+                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            self._lu = OrderedLU(factor, self.operator.order)
         return self._lu
 
 
@@ -151,12 +257,6 @@ def solve_many(system: CEMSystem, patterns: np.ndarray):
     rhs[n:n + J, :] = patterns.T
     sol = system.lu.solve(rhs)
     return sol[:n, :].T, sol[n:n + J, :].T
-
-
-def power(system: CEMSystem, pattern: np.ndarray) -> float:
-    """Dissipated power sum_j U_j I_j for one current pattern."""
-    _, U = solve_current_drive(system, pattern)
-    return float(U @ np.asarray(pattern, dtype=float))
 
 
 def electrode_matrix(system: CEMSystem):

@@ -547,7 +547,9 @@ class _StepSystem:
         self.shape = (n, n)
         self.trace = (2.0 * float(np.sum(J * J)) + sum(float(b[-1].sum()) for b in bands)
                       + (border or 0.0))
-        self._factors = [None] * len(bands)  # per band block: (shift, U, Z, Z^T Z)
+        # per band block: (shift, U, Z, Z^T Z); the Gram holds only its lower
+        # triangle, the one the lower Cholesky factor of C reads
+        self._factors = [None] * len(bands)
 
     def _factor(self, k: int, shift: float):
         cached = self._factors[k]
@@ -559,7 +561,8 @@ class _StepSystem:
                 raise ReconError(f"GN step system is not positive definite "
                                  f"(block {k}, leading minor {info})")
             Z = _band_solve(U, self._Jt[k], "T")
-            self._factors[k] = cached = (shift, U, Z, Z.T @ Z)
+            gram = scipy.linalg.blas.dsyrk(1.0, Z, trans=1, lower=1)
+            self._factors[k] = cached = (shift, U, Z, gram)
         return cached[1:]
 
     def solve(self, g: np.ndarray, shifts) -> np.ndarray:

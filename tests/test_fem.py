@@ -2,14 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from anisoeit import fem
 from anisoeit.fem import (CEMOperator, ModelError, add_noise, adjacent_protocol,
                           assemble, data_vector_from_csv, data_vector_to_csv,
-                          electrode_matrix, power, predict, simulate_measurements,
+                          electrode_matrix, predict, simulate_measurements,
                           solve_current_drive, solve_many)
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, Mesh, build_boundary,
                                place_electrodes, triangulate)
+from anisoeit.harness import builtin_configs
 from anisoeit.tensors import TensorError, TensorField
 
 
@@ -21,19 +23,44 @@ def disk_system(disk_mesh, disk_layout):
 
 # --- assembly -------------------------------------------------------------
 
-def test_reference_triangle_stiffness():
-    # unit right triangle, unit conductivity: classical P1 element matrix
+def reference_triangle():
+    """The unit right triangle as a mesh with no electrodes."""
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    mesh = Mesh(nodes=nodes, triangles=tris,
+    return Mesh(nodes=nodes, triangles=tris,
                 boundary_edges=(BoundaryEdge((0, 1), (0.0, 1.0), None),
                                 BoundaryEdge((1, 2), (1.0, 1.0 + np.sqrt(2)), None),
                                 BoundaryEdge((2, 0), (1.0 + np.sqrt(2), 2 + np.sqrt(2)), None)))
-    op = CEMOperator(mesh)
+
+
+def test_reference_triangle_stiffness():
+    # unit right triangle, unit conductivity: classical P1 element matrix
+    op = CEMOperator(reference_triangle())
     assert op.J == 0
     K = op.matrix(TensorField.isotropic(1.0, 1).g, np.zeros(0)).toarray()[:3, :3]
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(K, expected, atol=1e-14)
+
+
+def test_factor_order_without_electrodes():
+    """With J = 0 the order is the (single-leaf) nodes, then the multiplier."""
+    op = CEMOperator(reference_triangle())
+    assert np.array_equal(op.order, np.arange(4))
+    A = op.matrix(TensorField.isotropic(1.0, 1).g, np.zeros(0))
+    assert np.array_equal(op.ordered(A).toarray(), A.toarray())
+
+
+def test_ordered_factor_fills_less_than_colamd():
+    """On the 8k-element, 32-electrode case3 mesh the nested-dissection
+    factor has at most 0.8 times the L + U entries of SuperLU's own COLAMD
+    order on the same matrix."""
+    curve = build_boundary(builtin_configs()["case3_fourier"].true_domain, 2048)
+    layout = place_electrodes(curve, 32, 0.5)
+    mesh = triangulate(curve, layout, 8500)
+    assert mesh.n_elements > 8000
+    system = assemble(mesh, TensorField.isotropic(1.0, mesh.n_elements), layout)
+    ordered, colamd = system.lu.factor, splu(system.matrix)
+    assert ordered.L.nnz + ordered.U.nnz <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_stiffness_linear_in_tensor(small_disk_mesh):
@@ -369,6 +396,12 @@ def test_rotational_symmetry_cyclic_shifts(disk_curve):
 
 
 # --- power ---------------------------------------------------------------------
+
+def power(system, pattern):
+    """Dissipated power sum_j U_j I_j for one current pattern."""
+    _, U = solve_current_drive(system, pattern)
+    return U @ pattern
+
 
 def test_power_positive_on_compatible_patterns(disk_system):
     rng = np.random.default_rng(8)

@@ -426,9 +426,9 @@ def test_one_factorization_per_feasible_point(small_problem, reconstruct, monkey
     factorizations, feasible = [], []
     splu, is_feasible = fem.splu, inverse._Problem.feasible
 
-    def counting_splu(matrix):
+    def counting_splu(matrix, **options):
         factorizations.append(matrix.shape)
-        return splu(matrix)
+        return splu(matrix, **options)
 
     def counting_feasible(problem, x):
         feasible.append(is_feasible(problem, x))

@@ -83,6 +83,53 @@ def test_solve_many_is_linear_in_the_currents(scene, seed):
         assert np.linalg.norm(mix - (a * from_P + b * from_Q)) <= 1e-10 * scale
 
 
+def contrast_field(seed: int, T: int, decades: float):
+    """A random SPD field whose eigenvalues, per element and across the
+    mesh, span up to 10**decades; returns (field, their contrast)."""
+    rng = np.random.default_rng(seed)
+    big, small = np.sort(10.0 ** rng.uniform(0, decades, (2, T)), axis=0)[::-1]
+    eta, lam = np.sqrt(big * small), big / small
+    g = np.column_stack(gamma_hat_entries(eta, rng.uniform(0, np.pi, T), lam))
+    return TensorField(g=g), big.max() / small.min()
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes(), seed=seeds, decades=st.floats(0, 6))
+def test_ordered_factor_matches_dense_solve(scene, seed, decades):
+    """`solve_many` through the ordered symmetric factor takes only diagonal
+    pivots, is backward stable, and equals a dense solve of the bordered
+    matrix for conductivity contrasts up to 1e6.  The match is to 1e-12
+    times the contrast: the matrix's condition grows with the contrast, and
+    at 1e6 dense LU itself is off by about 1e-10 from a refined solution.
+    The factor order is a permutation ending in U_0 .. U_{J-2}, the
+    multiplier and U_{J-1}, and the multiplier's is the one negative pivot
+    (with the multiplier last, U_{J-1} would take a round-off zero one)."""
+    mesh, _, layout, _ = scene
+    field, contrast = contrast_field(seed, mesh.n_elements, decades)
+    system = fem.assemble(mesh, field, layout)
+    n, J = system.n_nodes, system.J
+    order = system.operator.order
+    assert np.array_equal(np.sort(order), np.arange(n + J + 1))
+    assert np.array_equal(order[n:], n + np.r_[np.arange(J - 1), J, J - 1])
+
+    patterns = np.random.default_rng(seed).normal(size=(3, J))
+    patterns -= patterns.mean(axis=1, keepdims=True)
+    u, U = fem.solve_many(system, patterns)
+    assert np.array_equal(system.lu.factor.perm_r, np.arange(n + J + 1))
+    pivots = system.lu.factor.U.diagonal()
+    assert pivots[-2] < 0 and np.all(np.delete(pivots, -2) > 0)
+    A, rhs = system.matrix.toarray(), np.zeros((n + J + 1, 3))
+    rhs[n:n + J] = patterns.T
+    x = system.lu.solve(rhs)
+    assert np.array_equal(x[:n], u.T) and np.array_equal(x[n:n + J], U.T)
+    backward = np.linalg.norm(A @ x - rhs) / (np.linalg.norm(A, np.inf) * np.linalg.norm(x)
+                                              + np.linalg.norm(rhs))
+    assert backward <= 1e-14
+    dense = np.linalg.solve(A, rhs)
+    for got, want in ((u.T, dense[:n]), (U.T, dense[n:n + J])):
+        assert np.linalg.norm(got - want) <= 1e-12 * contrast * np.linalg.norm(want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(scene=scenes(), seed=seeds, lam=lams)
 def test_forward_map_lambda_inversion_symmetry(scene, seed, lam):

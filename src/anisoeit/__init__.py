@@ -16,12 +16,10 @@ from anisoeit.geometry import (
 )
 from anisoeit.tensors import (
     Diffeo,
-    Tensor2,
     TensorError,
     TensorField,
     UniformAnisoParams,
     anisotropy,
-    beltrami_mu,
     canonicalize,
     det_sqrt,
     gamma_hat,
@@ -66,9 +64,8 @@ __all__ = [
     "BoundaryCurve", "DomainSpec", "ElectrodeLayout", "GeometryError", "Mesh",
     "PixelLattice", "build_boundary", "build_pixel_lattice", "place_electrodes",
     "triangulate",
-    "Diffeo", "Tensor2", "TensorError", "TensorField", "UniformAnisoParams",
-    "anisotropy", "beltrami_mu", "canonicalize", "det_sqrt", "gamma_hat",
-    "push_forward",
+    "Diffeo", "TensorError", "TensorField", "UniformAnisoParams",
+    "anisotropy", "canonicalize", "det_sqrt", "gamma_hat", "push_forward",
     "CEMSystem", "DataVector", "MeasurementProtocol", "ModelError",
     "adjacent_protocol", "assemble", "electrode_matrix", "simulate_measurements",
     "solve_current_drive",

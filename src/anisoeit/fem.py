@@ -15,7 +15,10 @@ the nodes in geometric nested-dissection order (George 1973), then the
 electrode potentials with the multiplier before the last one.  Under it
 every pivot is diagonal, so one sparse LU factorization per conductivity
 runs in SuperLU's symmetric mode with no column ordering of its own, and
-serves every current pattern.
+serves every current pattern.  A drive is zero on every node row, so under
+that order its forward substitution leaves the node rows zero: callers that
+need only the electrode potentials (`predict`, `electrode_matrix`) solve
+with the factor's trailing (J + 1) x (J + 1) block alone.
 The measurement protocol is the adjacent pair drive, held as J alone; its
 measured pair rows are drive patterns, which the inverse solver relies on.
 """
@@ -24,10 +27,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrs as getrs
 from scipy.sparse.linalg import splu
 
 from anisoeit.geometry import ElectrodeLayout, Mesh
@@ -184,15 +189,52 @@ class CEMOperator:
 @dataclass(frozen=True)
 class OrderedLU:
     """A SuperLU `factor` of the bordered matrix permuted to `order`; `solve`
-    takes and returns natural (u, U, multiplier) order."""
+    takes and returns natural (u, U, multiplier) order.
+
+    `solve_tail` solves for the last `tail` unknowns of the natural order,
+    which `order` also puts last, when the right-hand side is zero on every
+    other row.  With diagonal pivots, L y = b then leaves y zero on the
+    leading rows, so the tail of x is U_tt^-1 L_tt^-1 b_t, from the trailing
+    tail x tail blocks of L and U."""
 
     factor: object
     order: np.ndarray
+    tail: int
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self.factor.solve(rhs[self.order])
         x = np.empty_like(y)
         x[self.order] = y
+        return x
+
+    @cached_property
+    def _tail_lu(self) -> np.ndarray:
+        """The trailing blocks of L (strictly below the diagonal) and U in
+        one dense array, as LAPACK getrf leaves them; read straight from the
+        CSC arrays, once per factor."""
+        f, m = self.factor, self.tail
+        for name in ("perm_r", "perm_c"):
+            moved = np.flatnonzero(getattr(f, name) != np.arange(f.shape[0]))
+            if len(moved):
+                raise ModelError(f"the factor moved pivot {moved[0]} ({name}); "
+                                 "the electrode solve needs diagonal pivots")
+        start = f.shape[0] - m
+        lu = np.zeros((m, m), order="F")
+        for part in (f.L, f.U):  # U last: its diagonal replaces L's unit one
+            first = part.indptr[start]
+            rows = part.indices[first:] - start
+            cols = np.repeat(np.arange(m), np.diff(part.indptr[start:]))
+            keep = rows >= 0  # U's trailing columns also reach the leading rows
+            lu[rows[keep], cols[keep]] = part.data[first:][keep]
+        return lu
+
+    def solve_tail(self, rhs: np.ndarray) -> np.ndarray:
+        """Rows (tail, K) of the solution for right-hand sides given on the
+        last `tail` natural rows and zero elsewhere; both in natural order."""
+        local = self.order[-self.tail:] - (len(self.order) - self.tail)
+        y, _ = getrs(self._tail_lu, np.arange(self.tail, dtype=np.int32), rhs[local])
+        x = np.empty_like(y)
+        x[local] = y
         return x
 
 
@@ -216,7 +258,7 @@ class CEMSystem:
         if self._lu is None:
             factor = splu(self.operator.ordered(self.matrix), permc_spec="NATURAL",
                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-            self._lu = OrderedLU(factor, self.operator.order)
+            self._lu = OrderedLU(factor, self.operator.order, self.J + 1)
         return self._lu
 
 
@@ -242,9 +284,12 @@ def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
     return u[0], U[0]
 
 
-def solve_many(system: CEMSystem, patterns: np.ndarray):
-    """Nodal and electrode potentials for stacked current patterns (K, J),
-    one factorization.  Each pattern must sum to zero (Kirchhoff)."""
+def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
+    """Nodal (K, n) and electrode (K, J) potentials for stacked current
+    patterns (K, J), one factorization.  Each pattern must sum to zero
+    (Kirchhoff).  With `nodes=False` the nodal potentials are None and the
+    electrode potentials come from the factor's trailing block alone
+    (`OrderedLU.solve_tail`), with no sweep over the node rows."""
     patterns = np.atleast_2d(np.asarray(patterns, dtype=float))
     n, J = system.n_nodes, system.J
     if patterns.ndim != 2 or patterns.shape[1] != J:
@@ -253,6 +298,10 @@ def solve_many(system: CEMSystem, patterns: np.ndarray):
     unbalanced = np.flatnonzero(np.abs(patterns.sum(axis=1)) > 1e-12 * scale)
     if len(unbalanced):
         raise ModelError(f"current pattern {unbalanced[0]} must sum to zero (Kirchhoff)")
+    if not nodes:
+        rhs = np.zeros((J + 1, len(patterns)))
+        rhs[:J] = patterns.T
+        return None, system.lu.solve_tail(rhs)[:J].T
     rhs = np.zeros((n + J + 1, len(patterns)))
     rhs[n:n + J, :] = patterns.T
     sol = system.lu.solve(rhs)
@@ -268,7 +317,7 @@ def electrode_matrix(system: CEMSystem):
     """
     J = system.J
     Q = np.eye(J) - np.ones((J, J)) / J
-    _, U = solve_many(system, Q)
+    _, U = solve_many(system, Q, nodes=False)
     G = U.T  # column k = potentials for pattern Q e_k
     E = np.linalg.pinv(G)
     return G, E
@@ -348,7 +397,7 @@ def predict(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout,
             protocol: MeasurementProtocol) -> np.ndarray:
     """Clean stacked measurement vector for a conductivity field."""
     system = assemble(mesh, fld, layout)
-    _, U = solve_many(system, protocol.patterns)
+    _, U = solve_many(system, protocol.patterns, nodes=False)
     return protocol.measure(U)
 
 

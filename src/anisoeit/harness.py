@@ -649,6 +649,7 @@ def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconStat
     metrics = {
         "converged": state.converged,
         "iterations": len(state.history),
+        "stages": state.stages,
         "final_misfit": state.final_misfit,
         "initial_misfit": state.initial_misfit,
         "final_objective": state.final_objective,

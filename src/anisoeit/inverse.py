@@ -148,11 +148,18 @@ ANISOTROPIC, ISOTROPIC = "uniformly-anisotropic", "isotropic"
 class ReconState:
     """Final iterate plus the full optimization record; `params` is the
     canonical (eta, theta, lam) in both modes, with theta = 0 and lam = 1 in
-    the isotropic mode, where eta is the conductivity gamma."""
+    the isotropic mode, where eta is the conductivity gamma.  `stages` holds
+    one {stage, xi, iterations, stop_reason} entry per barrier stage run.
+    The stop reason is `obj_tol` or `step_tol` when the relative objective
+    drop or the step fell below its tolerance, `max_inner` when the stage
+    used its iterations, `max_iterations` when the run reached its global
+    cap, and `line_search_failed` when no damping made the line search
+    accept a step."""
 
     mode: str
     params: UniformAnisoParams
     history: list
+    stages: list
     lambda_trace: list
     converged: bool
     final_objective: float
@@ -483,9 +490,10 @@ class _Problem:
     def block_caps(self):
         return list(zip(self.blocks, (_ETA_STEP_CAP, _THETA_STEP_CAP, _LOGLAM_STEP_CAP)))
 
-    def to_state(self, x, history, trace, converged, obj, misfit, initial_misfit) -> ReconState:
-        return ReconState(self.mode, canonicalize(self.unpack(x)), history, trace, converged,
-                          obj, misfit, initial_misfit)
+    def to_state(self, x, history, stages, trace, converged, obj, misfit,
+                 initial_misfit) -> ReconState:
+        return ReconState(self.mode, canonicalize(self.unpack(x)), history, stages, trace,
+                          converged, obj, misfit, initial_misfit)
 
 
 def objective(state, data: fem.DataVector, protocol: fem.MeasurementProtocol,
@@ -644,12 +652,13 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
     """Barrier-staged damped GN over the free unknowns; `x0` holds their
     starting values (default: unit isotropic conductivity).  Each history
     entry's `solves` counts the factorizations since the previous entry
-    (the first includes the starting point's)."""
+    (the first includes the starting point's); each stage entry records why
+    the stage stopped."""
     x = problem.initial(x0)
     if not problem.feasible(x):
         raise ReconError("initial iterate is infeasible")
     n = problem.n_free
-    history = []
+    history, stages = [], []
     trace = [problem.lam_of(x)]
     total = solves = 0
     converged = True
@@ -659,6 +668,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
         obj, misfit = problem.value(x, xi)[:2]
         if stage == 0:
             initial_misfit = misfit
+        first, stop_reason = total, None
         for _ in range(settings.max_inner):
             if total >= settings.max_iterations:
                 break
@@ -691,7 +701,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                 escalations += 1
                 shifts = np.maximum(shifts, 1e-14 * system.trace) * 1e4
             if not accepted:
-                converged = False
+                converged, stop_reason = False, "line_search_failed"
                 break
 
             step_norm = float(np.linalg.norm(t * delta))
@@ -709,12 +719,20 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             trace.append(problem.lam_of(x))
             rel_drop = (obj - obj_t) / max(abs(obj), 1e-300)
             obj, misfit = obj_t, misfit_t
-            if rel_drop < settings.obj_tol or step_norm < settings.step_tol:
+            if rel_drop < settings.obj_tol:
+                stop_reason = "obj_tol"
                 break
+            if step_norm < settings.step_tol:
+                stop_reason = "step_tol"
+                break
+        if stop_reason is None:  # a budget ran out; the global one also ends the run
+            stop_reason = "max_iterations" if total >= settings.max_iterations else "max_inner"
+        stages.append({"stage": stage, "xi": xi, "iterations": total - first,
+                       "stop_reason": stop_reason})
         if not converged or total >= settings.max_iterations:
             break
 
-    return problem.to_state(x, history, trace, converged, obj, misfit, initial_misfit)
+    return problem.to_state(x, history, stages, trace, converged, obj, misfit, initial_misfit)
 
 
 def gauss_newton_reconstruct(data: fem.DataVector, protocol: fem.MeasurementProtocol,
@@ -768,5 +786,6 @@ def run_log_to_json(state: ReconState) -> str:
         "final_objective": state.final_objective,
         "final_misfit": state.final_misfit,
         "lambda_trace": list(state.lambda_trace),
+        "stages": state.stages,
         "iterations": state.history,
     }, indent=1)

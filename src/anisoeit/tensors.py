@@ -25,24 +25,6 @@ MAX_EIG_RATIO = 1e6  # numerical ellipticity guard for TensorField
 
 
 @dataclass(frozen=True)
-class Tensor2:
-    """Symmetric positive definite 2x2 conductivity tensor."""
-
-    g11: float
-    g12: float
-    g22: float
-
-    def __post_init__(self):
-        if not (self.g11 > 0 and self.g11 * self.g22 - self.g12 ** 2 > 0):
-            raise TensorError(
-                f"tensor ({self.g11}, {self.g12}, {self.g22}) is not positive definite")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.g11, self.g12], [self.g12, self.g22]])
-
-
-@dataclass(frozen=True)
 class TensorField:
     """Per-element SPD tensors over a mesh; columns of g are g11, g12, g22."""
 
@@ -143,17 +125,12 @@ def anisotropy(f: TensorField):
     return K, float(K.max())
 
 
-def beltrami_mu(t: Tensor2) -> complex:
-    """Complex dilatation of the isotropizing map for a single tensor.
+def beltrami_mu_field(f: TensorField) -> np.ndarray:
+    """Per-element complex dilatation of the isotropizing map.
 
     Always strictly inside the unit disk; its modulus equals the pointwise
     anisotropy of the tensor.
     """
-    denom = t.g11 + t.g22 + 2.0 * np.sqrt(t.g11 * t.g22 - t.g12 ** 2)
-    return complex((-t.g11 + t.g22) / denom, -2.0 * t.g12 / denom)
-
-
-def beltrami_mu_field(f: TensorField) -> np.ndarray:
     g = f.g
     denom = g[:, 0] + g[:, 2] + 2.0 * np.sqrt(g[:, 0] * g[:, 2] - g[:, 1] ** 2)
     return ((-g[:, 0] + g[:, 2]) - 2j * g[:, 1]) / denom

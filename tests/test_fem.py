@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ def test_solve_many_checks_its_patterns(disk_system):
         solve_many(disk_system, adjacent_protocol(15).patterns)
     with pytest.raises(ModelError, match=r"got \(1, 2, 16\)"):
         solve_current_drive(disk_system, np.zeros((2, 16)))
+
+
+@pytest.mark.parametrize("moved", ["perm_r", "perm_c"])
+def test_electrode_solve_needs_diagonal_pivots(moved):
+    """The trailing-block solve holds only when no pivot left the diagonal;
+    a moved pivot is an error that names it, not a silent full solve."""
+    perms = {"perm_r": np.arange(6), "perm_c": np.arange(6)}
+    perms[moved][[3, 4]] = [4, 3]
+    stub = types.SimpleNamespace(shape=(6, 6), **perms)
+    lu = fem.OrderedLU(stub, np.arange(6), 3)
+    with pytest.raises(ModelError, match=rf"moved pivot 3 \({moved}\)"):
+        lu.solve_tail(np.zeros((3, 1)))
 
 
 def test_solution_residual_small(disk_system):

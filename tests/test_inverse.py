@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -412,6 +413,32 @@ def test_run_log_entries_are_taken_at_the_accepted_iterate(small_problem, recons
     assert state.initial_misfit == float(r @ r)
 
 
+@pytest.mark.parametrize("gn, reasons", [
+    (GNSettings(max_inner=1, obj_tol=0.0, step_tol=0.0), ["max_inner"] * 3),
+    (GNSettings(max_iterations=2, max_inner=5, obj_tol=0.0, step_tol=0.0),
+     ["max_iterations"]),
+    (GNSettings(obj_tol=1.0), ["obj_tol"] * 3),
+    (GNSettings(obj_tol=0.0, step_tol=1e9), ["step_tol"] * 3),
+])
+def test_each_stage_records_why_it_stopped(small_problem, gn, reasons):
+    """Every barrier stage that runs records its xi, its iteration count and
+    why it stopped, in the state and the run log; the counts add up to the
+    history.  Zero tolerances never bind, since an accepted step lowers the
+    objective, and a unit obj_tol or a huge step_tol binds at once."""
+    mesh, lattice, layout, prot = small_problem
+    data = fem.simulate_measurements(mesh, TensorField.isotropic(1.3, mesh.n_elements),
+                                     layout, prot, 0.01, 11)
+    schedule = BarrierSchedule.geometric(1e-5, 1e-8, 3)
+    state = isotropic_reconstruct(data, prot, mesh, lattice, layout,
+                                  RegWeights(alpha0=1e-8, alpha1=1e-4), schedule, gn)
+    assert [row["stop_reason"] for row in state.stages] == reasons
+    assert [row["stage"] for row in state.stages] == list(range(len(reasons)))
+    assert [row["xi"] for row in state.stages] == list(schedule.xi[:len(reasons)])
+    assert [row["iterations"] for row in state.stages] == [
+        sum(1 for row in state.history if row["stage"] == k) for k in range(len(reasons))]
+    assert json.loads(inverse.run_log_to_json(state))["stages"] == state.stages
+
+
 @pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])
 def test_one_factorization_per_feasible_point(small_problem, reconstruct, monkeypatch):
     """The starting point and each feasible line-search trial are factored
@@ -518,6 +545,7 @@ def test_line_search_failure_flags_nonconverged(small_problem, monkeypatch):
     state = gauss_newton_reconstruct(data, prot, mesh, lattice, layout,
                                      RegWeights(0, 0), BarrierSchedule.inactive(1))
     assert not state.converged
+    assert [row["stop_reason"] for row in state.stages] == ["line_search_failed"]
 
 
 def test_step_solve_rejects_indefinite_system():

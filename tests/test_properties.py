@@ -4,6 +4,7 @@ with their own contact impedances, and random anisotropic conductivities."""
 import dataclasses
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -57,12 +58,16 @@ def random_field(seed: int, T: int) -> TensorField:
 @settings(max_examples=25, deadline=None)
 @given(scene=scenes(), seed=seeds)
 def test_electrode_matrix_is_reciprocal(scene, seed):
-    """G is symmetric (CEM reciprocity) and kills constants (gauge) for a
+    """G, read from the factor's trailing block, is symmetric (CEM
+    reciprocity), kills constants (gauge) and matches the full solve for a
     random SPD field with per-element anisotropy."""
     mesh, _, layout, _ = scene
-    G, _ = fem.electrode_matrix(fem.assemble(mesh, random_field(seed, mesh.n_elements), layout))
+    system = fem.assemble(mesh, random_field(seed, mesh.n_elements), layout)
+    G, _ = fem.electrode_matrix(system)
     assert np.abs(G - G.T).max() <= 1e-10 * np.abs(G).max()
     assert np.abs(G @ np.ones(layout.J)).max() <= 1e-10 * np.abs(G).max()
+    _, U = fem.solve_many(system, np.eye(layout.J) - 1.0 / layout.J)
+    assert np.abs(G - U.T).max() <= 1e-13 * np.abs(G).max()
 
 
 @settings(max_examples=25, deadline=None)
@@ -93,18 +98,18 @@ def contrast_field(seed: int, T: int, decades: float):
     return TensorField(g=g), big.max() / small.min()
 
 
-@settings(max_examples=25, deadline=None)
-@given(scene=scenes(), seed=seeds, decades=st.floats(0, 6))
-def test_ordered_factor_matches_dense_solve(scene, seed, decades):
+def check_ordered_factor(mesh, layout, seed: int, decades: float):
     """`solve_many` through the ordered symmetric factor takes only diagonal
     pivots, is backward stable, and equals a dense solve of the bordered
-    matrix for conductivity contrasts up to 1e6.  The match is to 1e-12
-    times the contrast: the matrix's condition grows with the contrast, and
-    at 1e6 dense LU itself is off by about 1e-10 from a refined solution.
+    matrix for conductivity contrasts up to 10**decades.  The match is to
+    1e-12 times the contrast: the matrix's condition grows with the
+    contrast, and at 1e6 dense LU itself is off by about 1e-10 from a
+    refined solution.  The electrode potentials from the factor's trailing
+    block alone (`nodes=False`) match the full solve to 1e-13 and the dense
+    solve as closely as the full solve does.
     The factor order is a permutation ending in U_0 .. U_{J-2}, the
     multiplier and U_{J-1}, and the multiplier's is the one negative pivot
     (with the multiplier last, U_{J-1} would take a round-off zero one)."""
-    mesh, _, layout, _ = scene
     field, contrast = contrast_field(seed, mesh.n_elements, decades)
     system = fem.assemble(mesh, field, layout)
     n, J = system.n_nodes, system.J
@@ -128,6 +133,28 @@ def test_ordered_factor_matches_dense_solve(scene, seed, decades):
     dense = np.linalg.solve(A, rhs)
     for got, want in ((u.T, dense[:n]), (U.T, dense[n:n + J])):
         assert np.linalg.norm(got - want) <= 1e-12 * contrast * np.linalg.norm(want)
+    no_nodes, U_tail = fem.solve_many(system, patterns, nodes=False)
+    assert no_nodes is None
+    assert np.linalg.norm(U_tail - U) <= 1e-13 * np.linalg.norm(U)
+    want = dense[n:n + J].T
+    assert np.linalg.norm(U_tail - want) <= 1e-12 * contrast * np.linalg.norm(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes(), seed=seeds, decades=st.floats(0, 6))
+def test_ordered_factor_matches_dense_solve(scene, seed, decades):
+    """`check_ordered_factor` on random scenes and contrasts."""
+    mesh, _, layout, _ = scene
+    check_ordered_factor(mesh, layout, seed, decades)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ordered_factor_with_four_electrodes(seed):
+    """`check_ordered_factor` for the smallest protocol, J = 4, whose tail
+    block is 5 x 5, at contrast 1e6."""
+    curve = build_boundary(DomainSpec("fourier", {"cos": [0.0, 0.08], "sin": [-0.05]}), 256)
+    layout = place_electrodes(curve, 4, 0.5)
+    check_ordered_factor(triangulate(curve, layout, 300), layout, seed, 6.0)
 
 
 @settings(max_examples=25, deadline=None)

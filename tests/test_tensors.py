@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from anisoeit import tensors as tn
 from anisoeit.geometry import DomainSpec, build_boundary, place_electrodes, triangulate
-from anisoeit.tensors import (Diffeo, Tensor2, TensorField, TensorError,
-                              UniformAnisoParams, anisotropy, beltrami_mu,
+from anisoeit.tensors import (Diffeo, TensorField, TensorError,
+                              UniformAnisoParams, anisotropy,
                               beltrami_mu_field, canonicalize, det_sqrt, gamma_hat,
                               gamma_hat_entries, params_from_field, push_forward,
                               push_forward_function)
@@ -107,9 +107,14 @@ def test_anisotropy_direct_formula():
     assert Kmax == pytest.approx(0.5, abs=1e-14)
 
 
+def beltrami_mu(g11, g12, g22) -> complex:
+    """`beltrami_mu_field` of the one-element field (g11, g12, g22)."""
+    return beltrami_mu_field(TensorField(g=np.array([[g11, g12, g22]], dtype=float)))[0]
+
+
 def test_beltrami_identity_and_diag():
-    assert beltrami_mu(Tensor2(1, 0, 1)) == 0
-    mu = beltrami_mu(Tensor2(2.0, 0.0, 0.5))
+    assert beltrami_mu(1, 0, 1) == 0
+    mu = beltrami_mu(2.0, 0.0, 0.5)
     assert mu == pytest.approx(-1 / 3, abs=1e-14)
     K, _ = anisotropy(TensorField(g=np.array([[2.0, 0.0, 0.5]])))
     assert abs(mu) == pytest.approx(K[0], abs=1e-14)
@@ -118,13 +123,13 @@ def test_beltrami_identity_and_diag():
 def test_beltrami_rotation_invariance():
     rng = np.random.default_rng(4)
     g11, g12, g22 = spd_entries(rng)
-    base = abs(beltrami_mu(Tensor2(g11, g12, g22)))
+    base = abs(beltrami_mu(g11, g12, g22))
     G = np.array([[g11, g12], [g12, g22]])
     for alpha in np.linspace(0, np.pi, 8, endpoint=False):
         c, s = np.cos(alpha), np.sin(alpha)
         R = np.array([[c, s], [-s, c]])
         Gr = R @ G @ R.T
-        mu = beltrami_mu(Tensor2(Gr[0, 0], Gr[0, 1], Gr[1, 1]))
+        mu = beltrami_mu(Gr[0, 0], Gr[0, 1], Gr[1, 1])
         assert abs(abs(mu) - base) < 1e-12
 
 
@@ -270,8 +275,8 @@ def test_radial_diffeo_validity():
 
 
 def test_tensor_validation():
-    with pytest.raises(TensorError):
-        Tensor2(1.0, 2.0, 1.0)
+    with pytest.raises(TensorError, match="element 0 tensor is not positive definite"):
+        TensorField(g=np.array([[1.0, 2.0, 1.0]]))
     with pytest.raises(TensorError):
         TensorField(g=np.array([[1.0, 0.0, -1.0]]))
     with pytest.raises(TensorError, match="ratio"):

@@ -178,13 +178,6 @@ class CEMOperator:
         return sp.csc_matrix((matrix.data[self.gather], self.ordered_indices,
                               self.ordered_indptr), shape=(self.size, self.size))
 
-    def gradients(self, u: np.ndarray):
-        """Per-element gradients (gx, gy) of nodal fields u (n, K), each (T, K)."""
-        ue = u[self.triangles]
-        scale = (2.0 * self.areas)[:, None]
-        return (np.einsum("tik,ti->tk", ue, self.b) / scale,
-                np.einsum("tik,ti->tk", ue, self.c) / scale)
-
 
 @dataclass(frozen=True)
 class OrderedLU:

@@ -18,7 +18,12 @@ last solved set, so the accepted line-search trial serves the next
 Jacobian and the next stage start; the Jacobian is then formed from those
 fields (`_unique_jacobian`) for the reciprocal-unique measurements only
 (`_Fold`); under the adjacent protocol the drive fields are the adjoint
-fields too.
+fields too.  It is a per-pixel Gram of the drive gradients: a sparse map
+built once per problem (`_pixel_gradients`) takes the drive fields to
+their area-weighted element gradients grouped by pixel, and each free
+tensor family contracts them with its 2 x 2 derivative tensor in one
+batched matrix product over the pixels, so the isotropic mode forms the
+eta columns alone.
 
 The GN step is solved in data space (`_StepSystem`): the penalty Hessians
 stay sparse and are stored once per problem as LAPACK bands in lattice
@@ -34,6 +39,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -280,33 +286,29 @@ def _solve_drives(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     return u_nodal, protocol.measure(U)
 
 
-def _element_products(operator: fem.CEMOperator, u_nodal: np.ndarray, drive: np.ndarray,
-                      adjoint: np.ndarray, pixel_sum: scipy.sparse.spmatrix) -> np.ndarray:
-    """Summed per-element adjoint products of the measurements with the given
-    drive and adjoint pattern indices, from the drive fields `u_nodal`.
+def _pixel_gradients(mesh: Mesh, lattice: PixelLattice) -> scipy.sparse.csr_matrix:
+    """Sparse map from nodal potentials (n, K) to the element gradients of
+    every pixel, weighted by sqrt(area) and padded to a common width w.
 
-    Returns S = pixel_sum @ P of shape (rows, 3, n). For the drive field u
-    and the adjoint field w of measurement n, P[e, :, n] holds
-    (d1u d1w, d1u d2w + d2u d1w, d2u d2w) on element e, so the (negative)
-    derivative of measurement n along a tensor perturbation (dg11, dg12,
-    dg22) on element e is area_e * P[e, :, n] . dg.  The gathers are taken
-    along axis 1, so each (T, n) component of P is C-contiguous and reaches
-    the sparse sum without a copy.
+    Row 2wm + wc + j holds component c (x, then y) on slot j of pixel m,
+    the pixel's j-th element in mesh order; w is the largest element count
+    of any pixel, and the slots a pixel does not fill are empty rows.  On an
+    element grad(phi_i) = (b_i, c_i) / (2 area), so with A_m the 2w rows of
+    pixel m, (A_m^T T A_m)[d, a] = sum_e area_e grad(u_d)^T T grad(u_a) over
+    the pixel's elements e for any 2 x 2 tensor T.
     """
-    gx, gy = operator.gradients(u_nodal.T)
-    xd, xa, yd, ya = (g.take(i, axis=1) for g in (gx, gy) for i in (drive, adjoint))
-    S = np.empty((pixel_sum.shape[0], 3, len(drive)))
-    S[:, 0] = pixel_sum @ (xd * xa)
-    S[:, 1] = pixel_sum @ (xd * ya + yd * xa)
-    S[:, 2] = pixel_sum @ (yd * ya)
-    return S
-
-
-def _pixel_sum(lattice: PixelLattice, areas: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Sparse M x T matrix summing area-weighted element values to pixels."""
-    T = len(areas)
-    return scipy.sparse.csr_matrix((areas, (lattice.element_to_pixel, np.arange(T))),
-                                   shape=(lattice.n_active, T))
+    op = mesh.cem_operator
+    e2p = lattice.element_to_pixel
+    counts = np.bincount(e2p, minlength=lattice.n_active)
+    w = int(counts.max())
+    order = np.argsort(e2p, kind="stable")
+    slot = np.empty(len(e2p), dtype=np.int64)
+    slot[order] = np.arange(len(e2p)) - (np.cumsum(counts) - counts)[e2p[order]]
+    rows = (2 * w * e2p + slot)[:, None, None] + w * np.arange(2)[:, None]
+    rows, cols = np.broadcast_arrays(rows, op.triangles[:, None, :])
+    vals = np.stack([op.b, op.c], axis=1) * (0.5 / np.sqrt(op.areas))[:, None, None]
+    return scipy.sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                                   shape=(2 * w * lattice.n_active, mesh.n_nodes))
 
 
 def _aniso_derivative_tensors(params: UniformAnisoParams):
@@ -331,17 +333,30 @@ def forward_map(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
 
 
 def _unique_jacobian(params: UniformAnisoParams, u_nodal: np.ndarray, fold: _Fold,
-                     mesh: Mesh, lattice: PixelLattice) -> np.ndarray:
-    """The reciprocal-unique rows of `jacobian`, (len(fold.drive), 2M + 1),
-    from the drive fields `u_nodal` at params."""
-    operator = mesh.cem_operator
-    S = _element_products(operator, u_nodal, fold.drive, fold.adjoint,
-                          _pixel_sum(lattice, operator.areas))
-    D_eta, D_theta, D_lam = _aniso_derivative_tensors(params)
-    J_eta = -np.einsum("icn,ic->ni", S, D_eta)
-    J_theta = -np.einsum("icn,ic->ni", S, D_theta)
-    J_lam = -np.einsum("icn,ic->n", S, D_lam)
-    return np.hstack([J_eta, J_theta, J_lam[:, None]])
+                     grad: scipy.sparse.csr_matrix, families: int = 3) -> np.ndarray:
+    """The reciprocal-unique rows of `jacobian` over the first `families`
+    unknown families of (eta, theta, lam), from the drive fields `u_nodal`
+    (K, n) at params and the map `grad` of `_pixel_gradients`.
+
+    With A_m the weighted gradients (2w, K) of the drive fields on pixel m
+    and T_m the 2 x 2 derivative of pixel m's tensor along a family, the
+    derivative of measurement (drive d, adjoint a) is -(A_m^T T_m A_m)[d, a]:
+    one batched Gram over the pixels per family, read at the unique pairs.
+    The lam family moves every pixel, so its Gram is summed over them.
+    """
+    K, M = len(u_nodal), params.M
+    A = (grad @ u_nodal.T).reshape(M, 2, -1)  # per pixel: component, then (slot, drive)
+    # a contiguous copy: the batched product is about 3x slower on the view
+    At = np.ascontiguousarray(A.reshape(M, -1, K).transpose(0, 2, 1))
+    pairs = fold.drive * K + fold.adjoint
+    columns = []
+    for f, D in enumerate(_aniso_derivative_tensors(params)[:families]):
+        TA = np.matmul(-D[:, [0, 1, 1, 2]].reshape(M, 2, 2), A).reshape(M, -1, K)
+        if f < 2:  # eta or theta: one column per pixel
+            columns.append(np.matmul(At, TA).reshape(M, K * K).take(pairs, axis=1).T)
+        else:  # lam: one column
+            columns.append((A.reshape(-1, K).T @ TA.reshape(-1, K)).take(pairs))
+    return np.column_stack(columns)
 
 
 def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
@@ -354,7 +369,8 @@ def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     """
     u_nodal, U_pred = _solve_drives(params, protocol, mesh, lattice, layout)
     fold = _Fold(protocol)
-    return U_pred, _unique_jacobian(params, u_nodal, fold, mesh, lattice)[fold.twin]
+    grad = _pixel_gradients(mesh, lattice)
+    return U_pred, _unique_jacobian(params, u_nodal, fold, grad)[fold.twin]
 
 
 def _isotropic_params(gamma: np.ndarray) -> UniformAnisoParams:
@@ -450,15 +466,20 @@ class _Problem:
             self.solves += 1
         return self._last[1:]
 
+    @cached_property
+    def _grad(self) -> scipy.sparse.csr_matrix:
+        """`_pixel_gradients` of the model, built at the first linearization."""
+        return _pixel_gradients(*self.model[1:3])
+
     def linearize(self, x, xi: float):
         """(g, Js) at x: the objective gradient over the free unknowns, and
         the reciprocal-unique Jacobian rows scaled by sqrt(multiplicity), so
         that 2 Js^T Js is the Gauss-Newton term 2 J^T J."""
         params = self.unpack(x)
         u_nodal, U_pred = self._fields(x)
-        J = _unique_jacobian(params, u_nodal, self.fold, *self.model[1:3])
-        J[:, -1] *= params.lam  # chain rule to the internal log-lam variable
-        J = J[:, :self.n_free]
+        J = _unique_jacobian(params, u_nodal, self.fold, self._grad, len(self.blocks))
+        if self.mode == ANISOTROPIC:
+            J[:, -1] *= params.lam  # chain rule to the internal log-lam variable
         g = -2.0 * (J.T @ self.fold.residual_sums(self.data.values - U_pred)) + self.penalty(x)[1]
         g[:self.M] += barrier_grad(x[:self.M], xi)
         return g, self.fold.root_weight[:, None] * J
@@ -624,7 +645,8 @@ def _band_solve(U: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
 
 def _trust_capped_step(system: _StepSystem, g, block_caps, shifts):
     """Newton step with per-block Levenberg shifts escalated until each
-    block respects its trust cap; returns (delta, escalations).
+    block respects its trust cap; returns (delta, escalations, the shifts
+    that delta solves with).
 
     Damping a block inflates its diagonal, which keeps the system SPD, so
     the returned step is always a descent direction; near a minimizer the
@@ -643,7 +665,7 @@ def _trust_capped_step(system: _StepSystem, g, block_caps, shifts):
                                 1e-14 * system.trace)
                 violated = True
         if not violated:
-            return delta, escalations
+            return delta, escalations, shifts
     raise ReconError("GN step still breaks its trust caps after 40 damping escalations")
 
 
@@ -652,8 +674,11 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
     """Barrier-staged damped GN over the free unknowns; `x0` holds their
     starting values (default: unit isotropic conductivity).  Each history
     entry's `solves` counts the factorizations since the previous entry
-    (the first includes the starting point's); each stage entry records why
-    the stage stopped."""
+    (the first includes the starting point's); `grad_norm` is the norm of
+    the objective gradient g at the iterate the step left, and
+    `predicted_decrease` and `actual_decrease` are the objective decrease of
+    the accepted step t delta under the GN model and in fact.  Each stage
+    entry records why the stage stopped."""
     x = problem.initial(x0)
     if not problem.feasible(x):
         raise ReconError("initial iterate is infeasible")
@@ -680,7 +705,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             base = _DAMPING * system.trace
             shifts = np.full(len(problem.blocks), base)
             for _esc in range(_DAMPING_RETRIES + 1):
-                delta, cap_escalations = _trust_capped_step(
+                delta, cap_escalations, step_shifts = _trust_capped_step(
                     system, g, problem.block_caps(), shifts)
                 escalations += cap_escalations
                 slope = float(g @ delta)
@@ -705,6 +730,11 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                 break
 
             step_norm = float(np.linalg.norm(t * delta))
+            # (H + S) delta = -g with S the block shifts, so delta^T H delta
+            # = -g.delta - sum_k s_k |delta_k|^2 and the GN model predicts
+            # the decrease -t g.delta - t^2/2 delta^T H delta
+            curvature = -slope - sum(s_k * float(delta[b] @ delta[b])
+                                     for s_k, b in zip(step_shifts, problem.blocks))
             x = xt
             total += 1
             history.append({
@@ -714,6 +744,9 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                 "lambda": problem.lam_of(x), "step": t,
                 "backtracks": backtracks, "escalations": escalations,
                 "solves": problem.solves - solves,
+                "grad_norm": float(np.linalg.norm(g)),
+                "predicted_decrease": -t * slope - 0.5 * t * t * curvature,
+                "actual_decrease": obj - obj_t,
             })
             solves = problem.solves
             trace.append(problem.lam_of(x))

@@ -34,6 +34,11 @@ class TensorField:
         g = self.g
         if g.ndim != 2 or g.shape[1] != 3:
             raise TensorError("tensor field must have shape (T, 3)")
+        bad = np.flatnonzero(~np.isfinite(g.ravel()))
+        if len(bad):
+            e, c = divmod(int(bad[0]), 3)
+            raise TensorError(f"element {e} tensor entry g{('11', '12', '22')[c]} "
+                              f"is not finite ({g[e, c]})")
         det = g[:, 0] * g[:, 2] - g[:, 1] ** 2
         if not (np.all(g[:, 0] > 0) and np.all(det > 0)):
             bad = int(np.argmin(np.minimum(g[:, 0], det)))
@@ -65,6 +70,13 @@ class UniformAnisoParams:
     lam: float         # positive scalar
 
     def __post_init__(self):
+        for name in ("eta", "theta"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if len(bad):
+                raise TensorError(f"{name}[{bad[0]}] is not finite "
+                                  f"({getattr(self, name)[bad[0]]})")
+        if not np.isfinite(self.lam):
+            raise TensorError(f"lam is not finite ({self.lam})")
         if np.any(self.eta <= 0):
             raise TensorError("eta must be strictly positive")
         if not self.lam > 0:

@@ -64,3 +64,44 @@ def _random_step_penalty(rng, M: int, anisotropic: bool, beta2: float):
 def random_step_penalty():
     """`_random_step_penalty`, shared by the step-system tests."""
     return _random_step_penalty
+
+
+def _element_products(operator, u_nodal: np.ndarray, drive: np.ndarray,
+                      adjoint: np.ndarray) -> np.ndarray:
+    """Per-element adjoint products (T, 3, N) of the measurements with the
+    given drive and adjoint pattern indices, from the drive fields u_nodal
+    (K, n).  For the drive field u and the adjoint field w of measurement n,
+    P[e, :, n] = (d1u d1w, d1u d2w + d2u d1w, d2u d2w) on element e, with
+    grad(phi_i) = (b_i, c_i) / (2 area) on the element."""
+    ue = u_nodal.T[operator.triangles]
+    scale = (2.0 * operator.areas)[:, None]
+    gx = np.einsum("tik,ti->tk", ue, operator.b) / scale
+    gy = np.einsum("tik,ti->tk", ue, operator.c) / scale
+    xd, xa, yd, ya = gx[:, drive], gx[:, adjoint], gy[:, drive], gy[:, adjoint]
+    return np.stack([xd * xa, xd * ya + yd * xa, yd * ya], axis=1)
+
+
+def _elementwise_jacobian(params, u_nodal: np.ndarray, mesh, lattice, drive: np.ndarray,
+                          adjoint: np.ndarray) -> np.ndarray:
+    """Jacobian rows (N, 2M + 1) of the measurements (drive, adjoint) as
+    element-by-element sums: the area-weighted `_element_products` summed
+    per pixel and contracted with the tensor derivatives of each family."""
+    operator = mesh.cem_operator
+    P = operator.areas[:, None, None] * _element_products(operator, u_nodal, drive, adjoint)
+    S = np.zeros((lattice.n_active, 3, len(drive)))
+    np.add.at(S, lattice.element_to_pixel, P)
+    D_eta, D_theta, D_lam = inverse._aniso_derivative_tensors(params)
+    return -np.hstack([np.einsum("icn,ic->ni", S, D_eta), np.einsum("icn,ic->ni", S, D_theta),
+                       np.einsum("icn,ic->n", S, D_lam)[:, None]])
+
+
+@pytest.fixture(scope="session")
+def element_products():
+    """`_element_products`, the element-wise reference for the Jacobian."""
+    return _element_products
+
+
+@pytest.fixture(scope="session")
+def elementwise_jacobian():
+    """`_elementwise_jacobian`, the element-wise reference Jacobian."""
+    return _elementwise_jacobian

@@ -250,17 +250,18 @@ def test_theta_columns_vanish_at_lambda_one(small_problem):
     assert np.linalg.norm(J[:, M:2 * M]) <= 1e-8 * np.linalg.norm(J)
 
 
-def test_jacobian_column_locality(small_problem):
+def test_jacobian_column_locality(small_problem, element_products):
     """The eta column of pixel i is the adjoint integral over pixel i's
-    elements only: removing those elements' contributions zeroes it."""
+    elements only: removing those elements' contributions zeroes it.  In the
+    Gram Jacobian, zeroing pixel i's rows of the gradient map zeroes its eta
+    and theta columns and leaves every other pixel's columns bitwise equal."""
     mesh, lattice, layout, prot = small_problem
     M = lattice.n_active
     params = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=1.4)
     system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
     u_nodal, _ = fem.solve_many(system, prot.patterns)
-    P = inverse._element_products(system.operator, u_nodal, np.repeat(np.arange(prot.K), prot.L),
-                                  prot.retained_pairs.ravel(),
-                                  scipy.sparse.identity(mesh.n_elements))
+    P = element_products(system.operator, u_nodal, np.repeat(np.arange(prot.K), prot.L),
+                         prot.retained_pairs.ravel())
     areas = system.operator.areas
     i = M // 2
     mine = lattice.element_to_pixel == i
@@ -271,8 +272,21 @@ def test_jacobian_column_locality(small_problem):
     P_zeroed = P.copy()
     P_zeroed[mine] = 0.0
     T, _, N = P.shape
-    S_zeroed = (inverse._pixel_sum(lattice, areas) @ P_zeroed.reshape(T, 3 * N)).reshape(M, 3, N)
+    pixel_sum = scipy.sparse.csr_matrix((areas, (lattice.element_to_pixel, np.arange(T))),
+                                        shape=(M, T))
+    S_zeroed = (pixel_sum @ P_zeroed.reshape(T, 3 * N)).reshape(M, 3, N)
     assert np.linalg.norm(-np.einsum("cn,c->n", S_zeroed[i], D_eta_i)) == 0.0
+
+    fold = inverse._Fold(prot)
+    grad = inverse._pixel_gradients(mesh, lattice)
+    rows = grad.shape[0] // M
+    cut = grad.copy()
+    cut.data[cut.indptr[i * rows]:cut.indptr[(i + 1) * rows]] = 0.0
+    J_u = inverse._unique_jacobian(params, u_nodal, fold, grad)
+    J_cut = inverse._unique_jacobian(params, u_nodal, fold, cut)
+    assert np.linalg.norm(J_cut[:, [i, M + i]]) == 0.0
+    others = np.delete(np.arange(2 * M), [i, M + i])
+    assert np.array_equal(J_cut[:, others], J_u[:, others])
 
 
 def test_isotropic_jacobian_matches_fd(small_problem):
@@ -437,6 +451,44 @@ def test_each_stage_records_why_it_stopped(small_problem, gn, reasons):
     assert [row["iterations"] for row in state.stages] == [
         sum(1 for row in state.history if row["stage"] == k) for k in range(len(reasons))]
     assert json.loads(inverse.run_log_to_json(state))["stages"] == state.stages
+
+
+@pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])
+def test_history_records_gradient_and_decreases(small_problem, reconstruct, monkeypatch):
+    """Every history entry records the norm of the gradient g it stepped
+    from, a positive GN-predicted decrease, and the actual decrease, which
+    meets the Armijo condition of the accepted step t delta and is the drop
+    of the objective since the previous entry of the same stage."""
+    mesh, lattice, layout, prot = small_problem
+    cent = lattice.centers
+    gtruth = 1.0 + 0.8 * np.exp(-((cent[:, 0] - 0.3) ** 2 + cent[:, 1] ** 2) / 0.15)
+    data = fem.simulate_measurements(
+        mesh, TensorField.isotropic(gtruth[lattice.element_to_pixel]), layout, prot, 0.01, 11)
+    w = RegWeights(alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6)
+    steps = []  # per linearization, the (g, delta) of each step solve
+    linearize, capped_step = inverse._Problem.linearize, inverse._trust_capped_step
+
+    def recording_linearize(problem, x, xi):
+        steps.append([])
+        return linearize(problem, x, xi)
+
+    def recording_step(system, g, caps, shifts):
+        out = capped_step(system, g, caps, shifts)
+        steps[-1].append((g, out[0]))
+        return out
+
+    monkeypatch.setattr(inverse._Problem, "linearize", recording_linearize)
+    monkeypatch.setattr(inverse, "_trust_capped_step", recording_step)
+    state = reconstruct(data, prot, mesh, lattice, layout, w,
+                        BarrierSchedule.geometric(1e-5, 1e-8, 3), GNSettings(max_iterations=8))
+    assert len(state.history) == len(steps) == 8
+    for k, (row, calls) in enumerate(zip(state.history, steps)):
+        g, delta = calls[-1]  # the step the line search accepted
+        assert row["grad_norm"] == float(np.linalg.norm(g))
+        assert row["predicted_decrease"] > 0
+        assert row["actual_decrease"] >= -inverse._ARMIJO * row["step"] * float(g @ delta)
+        if k and state.history[k - 1]["stage"] == row["stage"]:
+            assert row["actual_decrease"] == state.history[k - 1]["objective"] - row["objective"]
 
 
 @pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])

@@ -194,6 +194,34 @@ def test_jacobian_matches_central_differences(scene, seed, lam, data):
         assert err < 1e-4, (column, err)
 
 
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes(), seed=seeds, lam=lams, grid_n=st.sampled_from([6, 20, 40]))
+def test_gram_jacobian_matches_elementwise_sums(elementwise_jacobian, scene, seed, lam, grid_n):
+    """The Jacobian from per-pixel Grams of the drive gradients equals the
+    element-by-element adjoint sums to 1e-12 on lattices of 6, 20 and 40
+    cells a side, whose pixels hold from one to dozens of elements, so the
+    padding width varies.  At theta = 0 and lam = 1 the isotropic problem's
+    `linearize` rows are the anisotropic eta columns, bit for bit."""
+    mesh, _, layout, protocol = scene
+    lattice = build_pixel_lattice(mesh, grid_n)
+    M = lattice.n_active
+    p = random_params(seed, M, lam)
+    u_nodal, _ = inverse._solve_drives(p, protocol, mesh, lattice, layout)
+    _, J = jacobian(p, protocol, mesh, lattice, layout)
+    drive = np.repeat(np.arange(protocol.K), protocol.L)
+    want = elementwise_jacobian(p, u_nodal, mesh, lattice, drive, protocol.retained_pairs.ravel())
+    assert np.linalg.norm(J - want) <= 1e-12 * np.linalg.norm(want)
+
+    iso = UniformAnisoParams(eta=p.eta, theta=np.zeros(M), lam=1.0)
+    data = fem.simulate_measurements(mesh, gamma_hat(p, lattice), layout, protocol, 0.0, None)
+    problem = inverse._Problem(inverse.ISOTROPIC, data, protocol, mesh, lattice, layout,
+                               RegWeights(0.0, 0.0))
+    _, Js = problem.linearize(problem.initial(iso.eta), 0.0)
+    _, J_iso = jacobian(iso, protocol, mesh, lattice, layout)
+    first = np.unique(problem.fold.twin, return_index=True)[1]
+    assert np.array_equal(Js, problem.fold.root_weight[:, None] * J_iso[first, :M])
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_isotropic_field_is_det_sqrt_bitwise(small_lattice, data):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,28 @@ def test_gamma_hat_rejects_bad_params():
         UniformAnisoParams(eta=np.array([1.0, -1.0]), theta=np.zeros(2), lam=1.0)
     with pytest.raises(TensorError):
         UniformAnisoParams(eta=np.ones(2), theta=np.zeros(2), lam=0.0)
+
+
+@pytest.mark.parametrize("eta, theta, lam, message", [
+    ([1.0, np.nan], [0.0, 0.0], 1.0, r"eta\[1\] is not finite \(nan\)"),
+    ([np.inf], [0.0], 1.0, r"eta\[0\] is not finite \(inf\)"),
+    ([1.0], [np.inf], 1.0, r"theta\[0\] is not finite \(inf\)"),
+    ([1.0], [0.0], np.inf, r"lam is not finite \(inf\)"),
+])
+def test_params_reject_non_finite_entries(eta, theta, lam, message):
+    with pytest.raises(TensorError, match=message):
+        UniformAnisoParams(eta=np.array(eta), theta=np.array(theta), lam=lam)
+
+
+def test_tensor_field_rejects_non_finite_entries():
+    """An infinite conductivity is named, without the RuntimeWarning its
+    eigenvalue check would raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TensorError, match=r"element 1 tensor entry g11 is not finite \(inf\)"):
+            TensorField(g=np.array([[1.0, 0.0, 1.0], [np.inf, 0.0, np.inf]]))
+        with pytest.raises(TensorError, match=r"element 0 tensor entry g12 is not finite \(nan\)"):
+            TensorField(g=np.array([[1.0, np.nan, 1.0]]))
 
 
 def test_gamma_hat_injectivity_and_canonicalization(small_lattice):

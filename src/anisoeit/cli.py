@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Subcommands: mesh, simulate, reconstruct, verify, report.  Every failure
-exits nonzero with a stage-tagged diagnostic on stderr.
+exits nonzero with a stage-tagged diagnostic on stderr.  reconstruct and
+verify take -v/--verbose, which logs each finished barrier stage to stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -29,7 +31,9 @@ _FLAGS = {
     "--perturbation-center": dict(type=float, nargs=2, help="default 0.5 0.22"),
     "--perturbation-radius": dict(type=float, help="default 0.25"),
     "--perturbation-amplitude": dict(type=float, help="default 1.0"),
+    "--verbose": dict(action="store_true", help="log each barrier stage to stderr"),
 }
+_SHORT = {"--verbose": "-v"}
 # verify suite -> the argparse names of the suite-specific flags it reads and
 # their values when absent; the invariance suite builds its own disk scene
 _SUITE_FLAGS = {
@@ -124,10 +128,10 @@ _COMMANDS = (
     ("simulate", "emit simulated data CSV", cmd_simulate,
      ("--config", "--case", "--seed", "--out")),
     ("reconstruct", "run an experiment end to end", cmd_reconstruct,
-     ("--config", "--case", "--seed", "--mode", "--inverse-crime", "--out")),
+     ("--config", "--case", "--seed", "--mode", "--inverse-crime", "--out", "--verbose")),
     ("verify", "invariance / locality verification suites", cmd_verify,
      ("--config", "--case", "--seed", "--out", "--suite", "--c", "--perturbation-center",
-      "--perturbation-radius", "--perturbation-amplitude")),
+      "--perturbation-radius", "--perturbation-amplitude", "--verbose")),
     ("report", "aggregate run reports under --out", cmd_report, ("--out",)),
 )
 
@@ -139,10 +143,15 @@ def main(argv=None) -> int:
     for name, help_text, func, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(*([_SHORT[flag]] if flag in _SHORT else []), flag, **_FLAGS[flag])
         p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
+    logger, handler = logging.getLogger("anisoeit"), logging.StreamHandler(sys.stderr)
+    level = logger.level
+    if getattr(args, "verbose", False):
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except harness.HarnessError as exc:
@@ -151,6 +160,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - unexpected failure path
         print(f"[stage:internal] {exc}", file=sys.stderr)
         return 3
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

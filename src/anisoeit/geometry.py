@@ -246,15 +246,31 @@ def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     x1, y1 = poly[:, 0], poly[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     inside = np.zeros(len(pts), dtype=bool)
-    # chunk over polygon edges to bound memory on fine curves
+    # chunk over polygon edges to bound memory on fine curves.  The 4e6-
+    # element chunk stays until the factor stops allocating per call
+    # (ROADMAP item 4): with a smaller one, set-up no longer frees a block of
+    # 30 MiB or more, glibc then trims the heap after every operation and each
+    # SuperLU factorization faults its pages in afresh.
     step = max(1, int(4e6 // max(len(pts), 1)))
+    # one float and two bool buffers per call; each chunk is formed in place
+    # with the operations of a1 + (y - b1) (a2 - a1) / (b2 - b1) in order
+    xi = np.empty((len(pts), min(step, len(poly))))
+    cond, left = np.empty(xi.shape, dtype=bool), np.empty(xi.shape, dtype=bool)
     for k0 in range(0, len(poly), step):
         sl = slice(k0, k0 + step)
         a1, b1, a2, b2 = x1[sl], y1[sl], x2[sl], y2[sl]
-        cond = (b1[None, :] > y[:, None]) != (b2[None, :] > y[:, None])
+        t, c, lt = xi[:, :len(a1)], cond[:, :len(a1)], left[:, :len(a1)]
+        np.greater(b1, y[:, None], out=c)
+        np.greater(b2, y[:, None], out=lt)
+        np.not_equal(c, lt, out=c)
+        np.subtract(y[:, None], b1, out=t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xi = a1 + (y[:, None] - b1) * (a2 - a1) / (b2 - b1)
-        inside ^= np.bitwise_xor.reduce(cond & (x[:, None] < xi), axis=1)
+            t *= a2 - a1
+            t /= b2 - b1
+            t += a1
+        np.less(x[:, None], t, out=lt)
+        c &= lt
+        inside ^= np.bitwise_xor.reduce(c, axis=1)
     return inside
 
 

@@ -439,8 +439,12 @@ def rasterize(values_per_element: np.ndarray, mesh: Mesh, resolution: int = 256)
 
     Each cell takes the value of the element containing its center, found by
     `locate_points` with tol 1e-12; on shared edges and vertices the
-    highest-index element wins.
+    highest-index element wins.  A `resolution` that is not a positive
+    integer raises HarnessError("export", ...).
     """
+    is_int = isinstance(resolution, (int, np.integer)) and not isinstance(resolution, bool)
+    if not is_int or resolution < 1:
+        raise HarnessError("export", f"resolution must be a positive integer, got {resolution!r}")
     x0, y0 = mesh.nodes.min(axis=0)
     x1, y1 = mesh.nodes.max(axis=0)
     wx, wy = (x1 - x0) / resolution, (y1 - y0) / resolution

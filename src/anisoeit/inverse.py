@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -49,6 +50,11 @@ import scipy.sparse
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice
 from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat, gamma_hat_entries
 from anisoeit import fem
+
+
+# one INFO record per finished barrier stage; silent unless a handler is
+# attached (the CLI's -v/--verbose attaches one to the "anisoeit" logger)
+_log = logging.getLogger(__name__)
 
 
 class ReconError(ValueError):
@@ -311,19 +317,23 @@ def _pixel_gradients(mesh: Mesh, lattice: PixelLattice) -> scipy.sparse.csr_matr
                                    shape=(2 * w * lattice.n_active, mesh.n_nodes))
 
 
-def _aniso_derivative_tensors(params: UniformAnisoParams):
+def _aniso_derivative_tensors(params: UniformAnisoParams, families: int = 3):
     """Per-pixel tensor derivatives wrt eta_i, theta_i and lam, each (M, 3)
-    in the (g11, g12, g22) component order of `TensorField`."""
+    in the (g11, g12, g22) component order of `TensorField`; only the first
+    `families` of the three are formed and returned."""
     eta, theta, lam = params.eta, params.theta, params.lam
-    p, q = np.sqrt(lam), 1.0 / np.sqrt(lam)
-    c, s = np.cos(theta), np.sin(theta)
-    c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
-    D_eta = np.stack(gamma_hat_entries(1.0, theta, lam), axis=1)
-    D_theta = np.stack([eta * (q - p) * s2, eta * (q - p) * c2, -eta * (q - p) * s2], axis=1)
-    dp, dq = 0.5 / np.sqrt(lam), -0.5 * lam ** -1.5
-    D_lam = np.stack([eta * (dp * c ** 2 + dq * s ** 2), eta * (dq - dp) * c * s,
-                      eta * (dp * s ** 2 + dq * c ** 2)], axis=1)
-    return D_eta, D_theta, D_lam
+    tensors = [np.stack(gamma_hat_entries(1.0, theta, lam), axis=1)]
+    if families > 1:
+        p, q = np.sqrt(lam), 1.0 / np.sqrt(lam)
+        c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
+        tensors.append(np.stack([eta * (q - p) * s2, eta * (q - p) * c2,
+                                 -eta * (q - p) * s2], axis=1))
+    if families > 2:
+        c, s = np.cos(theta), np.sin(theta)
+        dp, dq = 0.5 / np.sqrt(lam), -0.5 * lam ** -1.5
+        tensors.append(np.stack([eta * (dp * c ** 2 + dq * s ** 2), eta * (dq - dp) * c * s,
+                                 eta * (dp * s ** 2 + dq * c ** 2)], axis=1))
+    return tensors
 
 
 def forward_map(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
@@ -350,7 +360,7 @@ def _unique_jacobian(params: UniformAnisoParams, u_nodal: np.ndarray, fold: _Fol
     At = np.ascontiguousarray(A.reshape(M, -1, K).transpose(0, 2, 1))
     pairs = fold.drive * K + fold.adjoint
     columns = []
-    for f, D in enumerate(_aniso_derivative_tensors(params)[:families]):
+    for f, D in enumerate(_aniso_derivative_tensors(params, families)):
         TA = np.matmul(-D[:, [0, 1, 1, 2]].reshape(M, 2, 2), A).reshape(M, -1, K)
         if f < 2:  # eta or theta: one column per pixel
             columns.append(np.matmul(At, TA).reshape(M, K * K).take(pairs, axis=1).T)
@@ -678,7 +688,8 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
     the objective gradient g at the iterate the step left, and
     `predicted_decrease` and `actual_decrease` are the objective decrease of
     the accepted step t delta under the GN model and in fact.  Each stage
-    entry records why the stage stopped."""
+    entry records why the stage stopped and is also logged at INFO, the
+    entry itself as the record's args."""
     x = problem.initial(x0)
     if not problem.feasible(x):
         raise ReconError("initial iterate is infeasible")
@@ -762,6 +773,8 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             stop_reason = "max_iterations" if total >= settings.max_iterations else "max_inner"
         stages.append({"stage": stage, "xi": xi, "iterations": total - first,
                        "stop_reason": stop_reason})
+        _log.info("barrier stage %(stage)d (xi=%(xi).3g): %(iterations)d iterations, "
+                  "stopped by %(stop_reason)s", stages[-1])
         if not converged or total >= settings.max_iterations:
             break
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, GeometryError, _check_simple,
-                               _extract_boundary_loop, build_boundary, build_pixel_lattice,
-                               locate_points, place_electrodes, triangulate)
+                               _extract_boundary_loop, _points_in_polygon, build_boundary,
+                               build_pixel_lattice, locate_points, place_electrodes,
+                               triangulate)
 
 
 def test_disk_circumference():
@@ -131,6 +133,60 @@ def test_check_simple_matches_all_pairs(seed, n, swaps, wiggle):
             _check_simple(points)
     else:
         _check_simple(points)
+
+
+def chunked_crossings(pts, poly):
+    """Reference: the crossing-number test with one temporary per operation,
+    chunked over polygon edges as `_points_in_polygon` is."""
+    x, y = pts[:, 0], pts[:, 1]
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    inside = np.zeros(len(pts), dtype=bool)
+    step = max(1, int(4e6 // max(len(pts), 1)))
+    for k0 in range(0, len(poly), step):
+        sl = slice(k0, k0 + step)
+        a1, b1, a2, b2 = x1[sl], y1[sl], x2[sl], y2[sl]
+        cond = (b1[None, :] > y[:, None]) != (b2[None, :] > y[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = a1 + (y[:, None] - b1) * (a2 - a1) / (b2 - b1)
+        inside ^= np.bitwise_xor.reduce(cond & (x[:, None] < xi), axis=1)
+    return inside
+
+
+# points x edges: one chunk; two chunks, the last of 167 edges; three
+# chunks, the last of 803 edges
+@pytest.mark.parametrize("n_pts, n_edges", [(300, 40), (3000, 1500), (2500, 4003)])
+def test_points_in_polygon_matches_reference(n_pts, n_edges):
+    """Bitwise equal to the reference on a random star polygon with vertices
+    rounded to a grid, so with horizontal and zero-length edges, and on
+    random grid points, vertices and edge midpoints."""
+    rng = np.random.default_rng(n_pts + n_edges)
+    t = np.sort(rng.uniform(0, 2 * np.pi, n_edges))
+    r = rng.uniform(0.4, 1.0, n_edges)
+    poly = np.round(np.column_stack([r * np.cos(t), r * np.sin(t)]) * 16) / 16
+    pts = np.round(rng.uniform(-1.1, 1.1, (n_pts, 2)) * 16) / 16
+    k = n_pts // 4
+    pts[:k] = poly[rng.integers(0, n_edges, k)]
+    i = rng.integers(0, n_edges, k)
+    pts[k:2 * k] = 0.5 * (poly[i] + poly[(i + 1) % n_edges])
+    inside = _points_in_polygon(pts, poly)
+    assert 0 < inside.sum() < n_pts
+    assert np.array_equal(inside, chunked_crossings(pts, poly))
+
+
+def test_points_in_polygon_memory_bound():
+    """At points x edges = 8e6 the traced peak stays within one float and
+    two bool buffers of a 4e6-element chunk (40 MB) plus 8 MB."""
+    t = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
+    poly = np.column_stack([np.cos(t), np.sin(t)])
+    pts = np.random.default_rng(0).uniform(-1, 1, (2000, 2))
+    tracemalloc.start()
+    try:
+        _points_in_polygon(pts, poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_truncated_ellipse_shape():

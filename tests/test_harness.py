@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,14 @@ def test_rasterize_matches_per_triangle_loop(small_disk_mesh, resolution):
                           loop_rasterize(vals, small_disk_mesh, resolution), equal_nan=True)
 
 
+@pytest.mark.parametrize("resolution", [0, -3, 2.5, True, "64"])
+def test_rasterize_rejects_bad_resolution(small_disk_mesh, resolution):
+    vals = np.ones(small_disk_mesh.n_elements)
+    with pytest.raises(harness.HarnessError,
+                       match=rf"\[stage:export\] .*got {re.escape(repr(resolution))}"):
+        rasterize(vals, small_disk_mesh, resolution)
+
+
 def test_rasterize_covers_domain(small_disk_mesh):
     vals = np.linspace(1, 2, small_disk_mesh.n_elements)
     img = rasterize(vals, small_disk_mesh, resolution=128)
@@ -425,7 +434,8 @@ def test_cli_mesh_writes_the_reconstruction_mesh(tiny_config, tmp_path):
                                   ["verify", "--suite", "invariance", "--seed", "3"],
                                   ["verify", "--suite", "locality", "--c", "0.2"],
                                   ["verify", "--suite", "invariance",
-                                   "--perturbation-radius", "0.1"]])
+                                   "--perturbation-radius", "0.1"],
+                                  ["mesh", "-v"], ["simulate", "--verbose"], ["report", "-v"]])
 def test_cli_rejects_flags_the_command_does_not_read(argv, capsys, tmp_path):
     verify_flags = next(flags for name, *_, flags in cli._COMMANDS if name == "verify")
     if argv[0] == "verify" and argv[3] in verify_flags:
@@ -440,6 +450,26 @@ def test_cli_rejects_flags_the_command_does_not_read(argv, capsys, tmp_path):
         cli.main(argv + ["--case", "case1_ellipse"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_verbose_logs_each_barrier_stage(tiny_config, tmp_path, capsys):
+    """-v adds one stderr line per barrier stage, naming its stop reason, to
+    an otherwise identical run; without it stderr stays empty."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config.to_dict()))
+    outputs = []
+    for flags in ([], ["-v"]):
+        out = tmp_path / f"r{len(flags)}"
+        assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)] + flags) == 0
+        outputs.append(capsys.readouterr())
+    plain, verbose = outputs
+    assert plain.err == "" and verbose.out == plain.out
+    stages = json.loads(next((tmp_path / "r1").rglob("*_run_log.json")).read_text())["stages"]
+    lines = verbose.err.splitlines()
+    assert len(lines) == len(stages)
+    for line, entry in zip(lines, stages):
+        assert line.startswith(f"barrier stage {entry['stage']} ")
+        assert line.endswith(f"stopped by {entry['stop_reason']}")
 
 
 def test_cli_reconstruct_and_report(tiny_config, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -434,11 +435,13 @@ def test_run_log_entries_are_taken_at_the_accepted_iterate(small_problem, recons
     (GNSettings(obj_tol=1.0), ["obj_tol"] * 3),
     (GNSettings(obj_tol=0.0, step_tol=1e9), ["step_tol"] * 3),
 ])
-def test_each_stage_records_why_it_stopped(small_problem, gn, reasons):
+def test_each_stage_records_why_it_stopped(small_problem, gn, reasons, caplog):
     """Every barrier stage that runs records its xi, its iteration count and
-    why it stopped, in the state and the run log; the counts add up to the
-    history.  Zero tolerances never bind, since an accepted step lowers the
-    objective, and a unit obj_tol or a huge step_tol binds at once."""
+    why it stopped, in the state, the run log and one INFO record of the
+    anisoeit logger; the counts add up to the history.  Zero tolerances
+    never bind, since an accepted step lowers the objective, and a unit
+    obj_tol or a huge step_tol binds at once."""
+    caplog.set_level(logging.INFO, logger="anisoeit")
     mesh, lattice, layout, prot = small_problem
     data = fem.simulate_measurements(mesh, TensorField.isotropic(1.3, mesh.n_elements),
                                      layout, prot, 0.01, 11)
@@ -451,6 +454,9 @@ def test_each_stage_records_why_it_stopped(small_problem, gn, reasons):
     assert [row["iterations"] for row in state.stages] == [
         sum(1 for row in state.history if row["stage"] == k) for k in range(len(reasons))]
     assert json.loads(inverse.run_log_to_json(state))["stages"] == state.stages
+    records = [r for r in caplog.records if r.name.startswith("anisoeit")]
+    assert [r.args for r in records] == state.stages
+    assert [r.getMessage().rsplit(" ", 1)[1] for r in records] == reasons
 
 
 @pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])

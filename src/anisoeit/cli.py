@@ -22,7 +22,7 @@ _FLAGS = {
                    help="use a shipped benchmark config instead of --config"),
     "--seed": dict(type=int, default=None, help="override the config noise seed"),
     "--mode": dict(type=str, choices=harness.MODES, default=None,
-                   help="override the config reconstruction mode"),
+                   help="run the per-case baseline of this mode"),
     "--inverse-crime": dict(action="store_true",
                             help="reconstruct on the simulation mesh (solver validation only)"),
     "--out": dict(type=str, default="out", help="output directory"),
@@ -53,7 +53,7 @@ def _load_config(args) -> harness.ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "mode", None):
-        config = dataclasses.replace(config, mode=args.mode)
+        config = harness.with_mode(config, args.mode)
     return config
 
 

@@ -291,7 +291,15 @@ _ISO_BASELINES = {
 }
 
 
-def _isotropic_variant(config: ExperimentConfig, mode: str) -> ExperimentConfig:
+def with_mode(config: ExperimentConfig, mode: str) -> ExperimentConfig:
+    """The config that `mode` runs for the case of `config`: `config` if it
+    is in `mode` already, else the per-case isotropic baseline derived from a
+    `uniformly-anisotropic` config; anything else raises HarnessError("config")."""
+    if config.mode == mode:
+        return config
+    if mode not in _ISO_BASELINES or config.mode != "uniformly-anisotropic":
+        raise HarnessError("config", f"cannot derive mode {mode!r} from a {config.mode!r} "
+                                     "config; only a uniformly-anisotropic one has baselines")
     common, per_case = _ISO_BASELINES[mode]
     fields = {**common, **per_case.get(config.name, {})}
     weights = RegWeights(alpha0=config.weights.alpha0,
@@ -302,12 +310,12 @@ def _isotropic_variant(config: ExperimentConfig, mode: str) -> ExperimentConfig:
 def isotropic_mismodeled_variant(config: ExperimentConfig) -> ExperimentConfig:
     """Isotropic reconstruction on the (wrong) model domain with the
     per-case baseline weights and barrier schedules."""
-    return _isotropic_variant(config, "isotropic-mismodeled")
+    return with_mode(config, "isotropic-mismodeled")
 
 
 def isotropic_correct_variant(config: ExperimentConfig) -> ExperimentConfig:
     """Isotropic reconstruction on the true domain (reference quality)."""
-    return _isotropic_variant(config, "isotropic-correct")
+    return with_mode(config, "isotropic-correct")
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +733,10 @@ def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir,
     field inside a disk about its peak.  Both modes reconstruct from the
     same scene of each phantom.
     """
+    aniso = with_mode(config, "uniformly-anisotropic")
+    iso = with_mode(config, "isotropic-mismodeled")
+
     def body(out):
-        aniso = dataclasses.replace(config, mode="uniformly-anisotropic")
-        iso = isotropic_mismodeled_variant(config)
         pert_phantom = Phantom(background=config.phantom.background,
                                inclusions=config.phantom.inclusions + (perturbation,))
         scenes, states = {}, {}

@@ -451,3 +451,18 @@ def test_data_vector_csv_roundtrip(small_disk_mesh, disk_layout, protocol16):
     assert np.array_equal(back.contact_impedances, dv.contact_impedances)
     header = text.splitlines()[0]
     assert "J=16" in header and "N=208" in header and "seed=9" in header
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda mesh, field, curve, layout: assemble(
+        mesh, TensorField.isotropic(1.0, mesh.n_elements + 1), layout),
+     "tensor field does not match mesh"),
+    (lambda mesh, field, curve, layout: assemble(mesh, field, place_electrodes(curve, 8, 0.5)),
+     "layout has 8 electrodes but the mesh tags 16"),
+    (lambda mesh, field, curve, layout: assemble(mesh, field, dataclasses.replace(
+        layout, contact_impedances=np.zeros(16))), "contact impedances must be positive"),
+], ids=["field size", "electrode count", "impedances"])
+def test_assemble_checks_its_inputs(small_disk_mesh, disk_curve, disk_layout, check, message):
+    field = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
+    with pytest.raises(ModelError, match=message):
+        check(small_disk_mesh, field, disk_curve, disk_layout)

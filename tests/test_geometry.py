@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -63,6 +64,7 @@ def test_min_samples_rejected():
     ("fourier", {"sin": 0.1}, "sin"),
     ("fourier", {"radius": 1.0}, "radius"),
     ("disk", [1.0], "dict"),
+    ("truncated_ellipse", {"a": 1.1, "b": 0.9, "cut_frac": 1.0}, "cut_frac must lie in"),
 ])
 def test_domain_spec_rejects_bad_params(kind, params, named):
     """Only the params a kind reads, each a finite number (or a list of
@@ -528,3 +530,14 @@ def test_locate_points_rejects_bad_queries(small_disk_mesh):
     pts[4, 0] = np.nan
     with pytest.raises(GeometryError, match="query point 3 is not finite"):
         locate_points(small_disk_mesh, pts)
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda curve, layout, mesh: triangulate(
+        dataclasses.replace(curve, points=curve.points[::-1].copy()), layout, 500),
+     "boundary curve must be CCW with positive area"),
+    (lambda curve, layout, mesh: build_pixel_lattice(mesh, 0), "target_M must be positive"),
+], ids=["clockwise curve", "target_M 0"])
+def test_public_inputs_are_checked(disk_curve, disk_layout, small_disk_mesh, check, message):
+    with pytest.raises(GeometryError, match=message):
+        check(disk_curve, disk_layout, small_disk_mesh)

@@ -8,11 +8,11 @@ import pytest
 
 from anisoeit import cli, harness
 from anisoeit.geometry import DomainSpec
-from anisoeit.harness import (ExperimentConfig, Inclusion, Phantom,
+from anisoeit.harness import (MODES, ExperimentConfig, Inclusion, Phantom, RunReport,
                               blob_analysis, boundary_artifact_energy, builtin_configs,
                               export_field_image, locality_fraction,
                               normalization_map, rasterize, read_pgm, run_experiment,
-                              write_pgm)
+                              with_mode, write_pgm)
 from anisoeit.tensors import scalar_field_from_csv
 
 
@@ -485,3 +485,97 @@ def test_cli_errors_are_stage_tagged(tmp_path, capsys):
     rc = cli.main(["simulate", "--out", str(tmp_path)])
     assert rc != 0
     assert "[stage:config]" in capsys.readouterr().err
+
+
+# --- modes: the CLI runs what the library runs ----------------------------------------
+
+def _stub(monkeypatch, name: str, success: bool = False) -> list:
+    """Replace harness.<name> with a recorder of its arguments that returns
+    a report with `success` (failed at stage "stub" otherwise)."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return RunReport(run_id="stub", config_hash="", mode="stub", success=success, metrics={},
+                         manifest=[], stage=None if success else "stub",
+                         message="" if success else "stub says no")
+
+    monkeypatch.setattr(harness, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", sorted(builtin_configs()))
+def test_cli_mode_is_the_library_mode(case, mode, monkeypatch, tmp_path):
+    """`--mode` applies the per-case baseline of `with_mode`, and `--seed`
+    changes the seed alone; neither needs a run."""
+    calls = _stub(monkeypatch, "run_experiment")
+    expected = with_mode(builtin_configs()[case], mode)
+    for seed in ([], ["--seed", "3"]):
+        argv = ["reconstruct", "--case", case, "--mode", mode, "--out", str(tmp_path)] + seed
+        assert cli.main(argv) == 2
+    (plain, _), (seeded, _) = calls
+    assert plain[0].hash() == expected.hash()
+    assert seeded[0] == dataclasses.replace(expected, seed=3)
+
+
+@pytest.mark.parametrize("mode", ["isotropic-mismodeled", "isotropic-correct"])
+def test_cli_mode_writes_the_library_run(tiny_config, mode, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config.to_dict()))
+    argv = ["reconstruct", "--config", str(cfg_path), "--mode", mode, "--out"]
+    assert cli.main(argv + [str(tmp_path / "cli")]) == 0
+    report = run_experiment(with_mode(tiny_config, mode), tmp_path / "lib")
+    assert capsys.readouterr().out.startswith(f"{report.run_id}: ")
+    assert (tmp_path / "cli" / f"report_{report.run_id}.json").exists()
+    for name in ("recon.csv", "run_log.json"):
+        name = f"{tiny_config.name}-{mode}_{name}"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+@pytest.mark.parametrize("success", [True, False])
+@pytest.mark.parametrize("suite", ["invariance", "locality"])
+def test_cli_verify_passes_the_documented_defaults(suite, success, monkeypatch, tmp_path, capsys):
+    calls = _stub(monkeypatch, f"verify_{suite}", success)
+    argv = ["verify", "--suite", suite, "--out", str(tmp_path)]
+    rc = cli.main(argv + ([] if suite == "invariance" else ["--case", "case1_ellipse"]))
+    if suite == "invariance":
+        assert calls == [((str(tmp_path),), {"c": 0.3})]
+    else:
+        assert cli.main(argv + ["--case", "case1_ellipse", "--seed", "3"]) == rc
+        case1 = builtin_configs()["case1_ellipse"]
+        pert = Inclusion(center=(0.5, 0.22), radius=0.25, amplitude=1.0)
+        assert calls == [((case1, pert, str(tmp_path)), {}),
+                         ((dataclasses.replace(case1, seed=3), pert, str(tmp_path)), {})]
+    err = capsys.readouterr().err
+    if success:
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2 and "[stage:stub] stub says no" in err
+
+
+def test_cli_failed_reconstruct_is_stage_tagged(tiny_config, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dataclasses.replace(tiny_config, recon_elements=50).to_dict()))
+    assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "[stage:geometry] target_elements must be at least 100" in capsys.readouterr().err
+
+
+def test_with_mode_derives_only_from_the_anisotropic_mode(tiny_config, tmp_path, capsys):
+    case1 = builtin_configs()["case1_ellipse"]
+    for mode in MODES:
+        derived = with_mode(case1, mode)
+        assert derived.mode == mode and with_mode(derived, mode) is derived
+    correct = harness.isotropic_correct_variant(case1)
+    for config, mode in ((case1, "bogus"), (correct, "isotropic-mismodeled"),
+                         (correct, "uniformly-anisotropic")):
+        with pytest.raises(harness.HarnessError, match=r"\[stage:config\]") as exc:
+            with_mode(config, mode)
+        assert exc.value.stage == "config"
+        assert repr(mode) in str(exc.value) and repr(config.mode) in str(exc.value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(harness.isotropic_correct_variant(tiny_config).to_dict()))
+    rc = cli.main(["verify", "--suite", "locality", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "loc")])
+    assert rc == 2 and "[stage:config]" in capsys.readouterr().err
+    assert not (tmp_path / "loc").exists()

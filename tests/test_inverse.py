@@ -671,6 +671,28 @@ def test_reconstruct_rejects_mismatched_inputs(small_problem, reconstruct):
                         BarrierSchedule.inactive(1), GNSettings(max_iterations=1))
 
 
+@pytest.mark.parametrize("check, message", [
+    (lambda run: BarrierSchedule(xi=np.full((2, 2), 1e-5)), "nonempty 1-d sequence"),
+    (lambda run: BarrierSchedule.geometric(1e-8, 1e-5), "need start > end > 0"),
+    (lambda run: run(gauss_newton_reconstruct, lambda M: np.ones(M)),
+     r"uniformly-anisotropic iterate needs \d+ entries, got shape \(\d+,\)"),
+    (lambda run: run(isotropic_reconstruct, lambda M: np.full(M, -1.0)),
+     "initial iterate is infeasible"),
+], ids=["2-d schedule", "geometric start <= end", "x0 length", "infeasible x0"])
+def test_public_inputs_are_checked(small_problem, check, message):
+    mesh, lattice, layout, prot = small_problem
+    data = fem.simulate_measurements(mesh, TensorField.isotropic(1.0, mesh.n_elements),
+                                     layout, prot, 0.0, None)
+
+    def run(reconstruct, x0_of_M):
+        return reconstruct(data, prot, mesh, lattice, layout, RegWeights(0, 0),
+                           BarrierSchedule.inactive(1), GNSettings(max_iterations=1),
+                           x0=x0_of_M(lattice.n_active))
+
+    with pytest.raises(ReconError, match=message):
+        check(run)
+
+
 def test_recon_state_csv(small_problem):
     mesh, lattice, layout, prot = small_problem
     M = lattice.n_active

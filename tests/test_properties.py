@@ -1,20 +1,23 @@
 """Property tests on random small scenes: Fourier domains, 4 to 32 electrodes
-with their own contact impedances, and random anisotropic conductivities."""
+with their own contact impedances, and random anisotropic conductivities;
+and whole reconstructions of random small experiments."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anisoeit import fem, inverse
+from anisoeit import fem, harness, inverse
 from anisoeit.geometry import (DomainSpec, build_boundary, build_pixel_lattice,
                                place_electrodes, triangulate)
+from anisoeit.harness import ExperimentConfig, Inclusion, Phantom, with_mode
 from anisoeit.inverse import (BarrierSchedule, GNSettings, RegWeights, barrier_grad,
                               forward_map, gauss_newton_reconstruct, jacobian, objective,
-                              penalty_eta_grad, penalty_theta_grad)
+                              penalty_eta_grad, penalty_theta_grad, run_log_to_json)
 from anisoeit.tensors import (TensorField, UniformAnisoParams, det_sqrt, gamma_hat,
                               gamma_hat_entries)
 
@@ -304,3 +307,65 @@ def test_accepted_gauss_newton_step_is_an_armijo_descent_step(scene, seed, lam, 
     assert g @ s < 0
     # the last term allows for round-off in g and in log(exp(log lam))
     assert state.history[0]["objective"] <= f0 + inverse._ARMIJO * (g @ s) + 1e-12 * abs(f0)
+
+
+@st.composite
+def experiments(draw):
+    """A small experiment on a random Fourier true domain with 8 or 16
+    electrodes, 0-2 inclusions and 0 or 1% noise, in either mode that
+    reconstructs on the disk, with a 3-stage barrier and a 12-iteration
+    budget."""
+    inclusions = tuple(Inclusion(center=(draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.4, 0.4))),
+                                 radius=draw(st.floats(0.15, 0.3)),
+                                 amplitude=draw(st.sampled_from([1.0, -0.5])))
+                       for _ in range(draw(st.integers(0, 2))))
+    config = ExperimentConfig(
+        name="random_scene", model_domain=DomainSpec("disk", {}),
+        true_domain=DomainSpec("fourier", {
+            "cos": draw(coefficients),
+            "sin": draw(st.lists(st.floats(-0.1, 0.1), max_size=2))}),
+        phantom=Phantom(background=1.0, inclusions=inclusions),
+        n_electrodes=draw(st.sampled_from([8, 16])),
+        noise_fraction=draw(st.sampled_from([0.0, 0.01])), seed=draw(st.integers(0, 2 ** 16)),
+        sim_elements=500, recon_elements=400, pixels=30, boundary_samples=512, xi_stages=3,
+        max_inner=4, max_iterations=12)
+    return with_mode(config, draw(st.sampled_from(["uniformly-anisotropic",
+                                                   "isotropic-mismodeled"])))
+
+
+# a scene where the anisotropic run drives lam to about 428 and stops at the
+# global iteration cap: case1 weights and budget, finer meshes
+DEGENERATE_SCENE = ExperimentConfig(
+    name="degenerate_lam", model_domain=DomainSpec("disk", {}),
+    true_domain=DomainSpec("fourier", {"cos": [0.0, 0.108, -0.085], "sin": [0.108, -0.045]}),
+    phantom=Phantom(background=1.0, inclusions=(Inclusion((0.295, -0.082), 0.232, 1.0),)),
+    n_electrodes=32, noise_fraction=0.05, seed=75, sim_elements=1200, recon_elements=1000,
+    pixels=200)
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=experiments())
+@example(config=DEGENERATE_SCENE)
+def test_reconstruction_record_is_consistent(config):
+    """Every accepted step decreases the objective, which is the sum of its
+    parts; the stages account for every iteration and stop for a reason
+    their counts bear out; the run log holds the same record."""
+    state = harness.reconstruct_scene(config, harness.build_scene(config))
+    history, stages = state.history, state.stages
+    for entry in history:
+        parts = entry["misfit"] + entry["penalty"] + entry["barrier"]
+        assert abs(entry["objective"] - parts) <= 1e-12 * abs(entry["objective"])
+        assert entry["actual_decrease"] > 0
+        assert entry["solves"] >= 1
+    total = 0
+    for stage in stages:
+        total += stage["iterations"]
+        if stage["stop_reason"] == "max_inner":
+            assert stage["iterations"] == config.max_inner and total < config.max_iterations
+        if stage["stop_reason"] == "max_iterations":
+            assert total == config.max_iterations
+    assert total == len(history)
+    for stage in stages[:-1]:
+        assert stage["stop_reason"] not in ("max_iterations", "line_search_failed")
+    log = json.loads(run_log_to_json(state))
+    assert (log["iterations"], log["stages"]) == (history, stages)

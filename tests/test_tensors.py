@@ -323,3 +323,35 @@ def test_tensor_field_csv_format():
     row = lines[1].split(",")
     assert int(row[0]) == 0
     assert [float(v) for v in row[1:]] == [2.0, 0.25, 1.0]
+
+
+def _diffeo(inverse=lambda x: np.atleast_2d(x), jacobian=np.eye(2)) -> Diffeo:
+    """The identity map, with the given inverse and constant Jacobian."""
+    return Diffeo(forward=lambda x: np.atleast_2d(x), inverse=inverse,
+                  jacobian=lambda x: np.tile(jacobian, (len(np.atleast_2d(x)), 1, 1)))
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda mesh, lattice, field: TensorField(g=np.ones((4, 2))), r"shape \(T, 3\)"),
+    (lambda mesh, lattice, field: UniformAnisoParams(eta=np.ones(3), theta=np.zeros(2), lam=1.0),
+     "eta and theta must have equal length"),
+    (lambda mesh, lattice, field: gamma_hat(UniformAnisoParams(
+        eta=np.ones(lattice.n_active + 1), theta=np.zeros(lattice.n_active + 1), lam=1.0),
+        lattice), r"parameter length \d+ does not match lattice size \d+"),
+    (lambda mesh, lattice, field: Diffeo.affine([[1.0, 0.0], [0.0, -1.0]]),
+     "affine map must be orientation preserving"),
+    (lambda mesh, lattice, field: push_forward(
+        TensorField.isotropic(1.0, mesh.n_elements + 1), mesh, Diffeo.identity(), mesh),
+     "field does not match source mesh"),
+    (lambda mesh, lattice, field: push_forward(
+        field, mesh, _diffeo(inverse=lambda x: np.atleast_2d(x) + 0.1), mesh),
+     "diffeo inverse is inconsistent with forward map"),
+    (lambda mesh, lattice, field: push_forward(
+        field, mesh, _diffeo(jacobian=np.diag([1.0, -1.0])), mesh),
+     "diffeo is not orientation preserving on the preimages"),
+], ids=["field shape", "eta/theta length", "lattice size", "affine orientation",
+        "push-forward field size", "push-forward inverse", "push-forward orientation"])
+def test_public_inputs_are_checked(small_disk_mesh, small_lattice, check, message):
+    field = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
+    with pytest.raises(TensorError, match=message):
+        check(small_disk_mesh, small_lattice, field)

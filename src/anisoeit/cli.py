@@ -57,6 +57,14 @@ def _load_config(args) -> harness.ExperimentConfig:
     return config
 
 
+def _tagged(report, command: str) -> str:
+    """The failure message of `report` with one stage tag: that of its stage
+    (or `command`) is added unless the message already starts with a tag."""
+    if report.message.startswith("[stage:"):
+        return report.message
+    return f"[stage:{report.stage or command}] {report.message}"
+
+
 def cmd_mesh(args) -> int:
     config = _load_config(args)
     scene = harness.build_scene(config, inverse_crime=args.inverse_crime)
@@ -84,7 +92,7 @@ def cmd_reconstruct(args) -> int:
     config = _load_config(args)
     report = harness.run_experiment(config, args.out, inverse_crime=args.inverse_crime)
     if not report.success:
-        print(report.message, file=sys.stderr)
+        print(_tagged(report, "reconstruct"), file=sys.stderr)
         return 2
     m = report.metrics
     print(f"{report.run_id}: converged={m['converged']} misfit={m['final_misfit']:.4e} "
@@ -110,7 +118,7 @@ def cmd_verify(args) -> int:
         report = harness.verify_locality(config, pert, args.out)
     print(json.dumps(report.metrics, indent=1, default=harness._json_default))
     if not report.success:
-        print(f"[stage:{report.stage or 'verify'}] {report.message}", file=sys.stderr)
+        print(_tagged(report, "verify"), file=sys.stderr)
         return 2
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,6 +36,11 @@ def _finite(value) -> bool:
     """Whether `value` is a finite real number (not a boolean)."""
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool) and bool(np.isfinite(value)))
+
+
+def _integer(value) -> bool:
+    """Whether `value` is an integer, NumPy's included (not a boolean)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -247,10 +253,12 @@ def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     inside = np.zeros(len(pts), dtype=bool)
     # chunk over polygon edges to bound memory on fine curves.  The 4e6-
-    # element chunk stays until the factor stops allocating per call
-    # (ROADMAP item 4): with a smaller one, set-up no longer frees a block of
-    # 30 MiB or more, glibc then trims the heap after every operation and each
-    # SuperLU factorization faults its pages in afresh.
+    # element chunk stays until the op loops stop allocating per call: with a
+    # smaller one, set-up no longer frees a block of 30 MiB or more, glibc
+    # then trims the heap after every operation, and each SuperLU
+    # factorization (ROADMAP item 4) and each GN iteration's Jacobian
+    # temporaries (drive gradients, Gram, column stack) fault their pages in
+    # afresh.
     step = max(1, int(4e6 // max(len(pts), 1)))
     # one float and two bool buffers per call; each chunk is formed in place
     # with the operations of a1 + (y - b1) (a2 - a1) / (b2 - b1) in order
@@ -270,7 +278,7 @@ def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
             t += a1
         np.less(x[:, None], t, out=lt)
         c &= lt
-        inside ^= np.bitwise_xor.reduce(c, axis=1)
+        inside ^= np.count_nonzero(c, axis=1) % 2 == 1
     return inside
 
 
@@ -463,8 +471,10 @@ def triangulate(curve: BoundaryCurve, layout: ElectrodeLayout, target_elements: 
     boundary; the element count lands within 25% of the target (one
     corrective resize pass if the first guess is off).
     """
+    if not _integer(target_elements):
+        raise GeometryError(f"target_elements must be an integer, got {target_elements!r}")
     if target_elements < 100:
-        raise GeometryError("target_elements must be at least 100")
+        raise GeometryError(f"target_elements must be at least 100, got {target_elements!r}")
     A = curve.area()
     if A <= 0:
         raise GeometryError("boundary curve must be CCW with positive area")
@@ -505,7 +515,8 @@ def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -
     # distance to a densely resampled boundary bounds distance to the curve
     dense_s = np.arange(0, S, min(h / 6, S / 2048))
     dense = curve.point_at(dense_s)
-    dist, _ = cKDTree(dense).query(lattice, k=1)
+    # a point farther than h comes back at distance inf, which passes too
+    dist, _ = cKDTree(dense).query(lattice, k=1, distance_upper_bound=h)
     lattice = lattice[dist > 0.62 * h]
 
     nodes = np.vstack([bpts, lattice])
@@ -543,9 +554,12 @@ def _twice_areas(nodes: np.ndarray, simplices: np.ndarray) -> np.ndarray:
 
 def _extract_boundary_loop(simplices, n_boundary, s_nodes, layout) -> tuple:
     """Boundary edges of the complex, validated as the CCW node loop 0..n_b-1."""
-    edges, count = np.unique(np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1),
-                             axis=0, return_counts=True)
-    loop_edges = {(int(a), int(b)) for a, b in edges[count == 1]}
+    # each edge (lo, hi) as the one key lo * n + hi
+    n = int(simplices.max()) + 1
+    lo, hi = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1).astype(np.int64).T
+    keys, count = np.unique(lo * n + hi, return_counts=True)
+    once = keys[count == 1]
+    loop_edges = set(zip((once // n).tolist(), (once % n).tolist()))
     expected = {tuple(sorted((k, (k + 1) % n_boundary))) for k in range(n_boundary)}
     if loop_edges != expected:
         raise GeometryError(
@@ -650,8 +664,10 @@ def build_pixel_lattice(mesh: Mesh, target_M: int) -> PixelLattice:
     center falls outside map to the nearest active center, and active pixels
     left with no triangles are pruned.
     """
+    if not _integer(target_M):
+        raise GeometryError(f"target_M must be an integer, got {target_M!r}")
     if target_M < 1:
-        raise GeometryError("target_M must be positive")
+        raise GeometryError(f"target_M must be positive, got {target_M!r}")
     if target_M > mesh.n_elements:
         raise GeometryError(
             f"target_M={target_M} exceeds element count {mesh.n_elements}; "
@@ -661,7 +677,9 @@ def build_pixel_lattice(mesh: Mesh, target_M: int) -> PixelLattice:
     x1, y1 = mesh.nodes.max(axis=0)
     bbox = (float(x0), float(y0), float(x1), float(y1))
 
-    for n in range(max(1, int(np.sqrt(target_M * 0.8))), 4096):
+    # an n x n grid has at most n^2 active cells, so start at the least n
+    # with n^2 >= target_M
+    for n in range(math.isqrt(target_M - 1) + 1, 4096):
         wx = (x1 - x0) / n
         wy = (y1 - y0) / n
         ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")

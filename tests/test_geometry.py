@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import hashlib
 import json
+import re
 import tracemalloc
 from collections import Counter
 
@@ -9,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from anisoeit import geometry
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, GeometryError, _check_simple,
                                _extract_boundary_loop, _points_in_polygon, build_boundary,
                                build_pixel_lattice, locate_points, place_electrodes,
                                triangulate)
+from anisoeit.harness import builtin_configs
 
 
 def test_disk_circumference():
@@ -465,6 +469,135 @@ def test_neighbor_pairs_are_4_neighborhood(small_lattice):
         assert tuple(ia) in cells and tuple(ib) in cells
 
 
+# --- set-up identities -----------------------------------------------------
+
+DIGEST_DOMAINS = dict({name: config.true_domain for name, config in builtin_configs().items()},
+                      disk=DomainSpec("disk", {}))
+
+
+def mesh_digest(mesh):
+    """sha256 of the nodes, the triangles as <i8, the boundary-edge tuples
+    and the element map and active cells of the mesh's 40-pixel lattice."""
+    lattice = build_pixel_lattice(mesh, 40)
+    edges = mesh.boundary_edges
+    h = hashlib.sha256()
+    for a in (mesh.nodes.astype("<f8"), mesh.triangles.astype("<i8"),
+              np.array([e.nodes for e in edges], dtype="<i8"),
+              np.array([e.s_interval for e in edges], dtype="<f8"),
+              np.array([-1 if e.electrode is None else e.electrode for e in edges], dtype="<i8"),
+              lattice.element_to_pixel.astype("<i8"), lattice.active_ij.astype("<i8")):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# (domain, elements, electrodes) -> mesh_digest, on 2048-sample curves with
+# electrodes at half coverage
+PINNED_MESH_DIGESTS = {
+    ("case1_ellipse", 300, 16):
+        "5a58b1cd6f7be3bf83dad6f5c0a5db27f475b2f0e40d89325c3ecf2bbf94bdb5",
+    ("case1_ellipse", 300, 32):
+        "ba66cb1f48a8df6ebb9d0684700d5104f4d4edbcae6ddb040800bba52841aecb",
+    ("case1_ellipse", 2350, 16):
+        "c566ab6727ba10c812bd5d158d40c6c48b66596a794d7df9bbd4b1610f988e4b",
+    ("case1_ellipse", 2350, 32):
+        "4babe75c84c267b05ae0678289556dece27d529542f2564072ec70e72cdaa89e",
+    ("case2_truncated_ellipse", 300, 16):
+        "7c29f65f7a172c470bd7cb6c27294bc38e3682f5611f4ec0cc767db90ff4b54e",
+    ("case2_truncated_ellipse", 300, 32):
+        "8ab6b1321290ecfa9c4bb57b3fac4b25111261b6827579428f2695f8f89e18b7",
+    ("case2_truncated_ellipse", 2350, 16):
+        "ba593424ebb1cdffc1e25c3e3bfaea33ad1e4d7ed6b2a5ee29f9298f08c4b2e4",
+    ("case2_truncated_ellipse", 2350, 32):
+        "98c5aa0ed2d147cd86661076e341f2d2aaaddd965e4b32140c783c6d67affaba",
+    ("case3_fourier", 300, 16):
+        "8660130f0ac408f68842699a9d5d50fb79efa18ffb18b6e7c043a3174b98dd1e",
+    ("case3_fourier", 300, 32):
+        "ac4c19551f73f29a9a43f7632c9c2d080128a0a25084e68e373bb3a068d60fc5",
+    ("case3_fourier", 2350, 16):
+        "1666b549b6a81a93f43c8a132ac044889c59955daeea65216cec7338703ebbc6",
+    ("case3_fourier", 2350, 32):
+        "a0192de7c8213add1b516816a45fa22105ca252008d904db98606117223c541b",
+    ("disk", 300, 16):
+        "3da6d117f3b7fb8e10a99818cc99355a545ca73a7153ae03d22a257adaa19229",
+    ("disk", 300, 32):
+        "8ea1c2a79e89f76bde3fb71213477d43f9b32222caaa1f15c0193aec65c99d37",
+    ("disk", 2350, 16):
+        "980b5fcd1aab1ce0ccd504826283681c7d92cfbb8070a421bc4cb18f95f89665",
+    ("disk", 2350, 32):
+        "0fa60d86e99e435bcede72a7018e2a3c63a685e48eb638d754fcdb24e7f5dd7e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_DOMAINS))
+def test_meshes_match_pinned_digests(name):
+    curve = build_boundary(DIGEST_DOMAINS[name], 2048)
+    for target in (300, 2350):
+        for J in (16, 32):
+            mesh = triangulate(curve, place_electrodes(curve, J, 0.5), target)
+            assert mesh_digest(mesh) == PINNED_MESH_DIGESTS[name, target, J], (target, J)
+
+
+class UnboundedTree(geometry.cKDTree):
+    """A k-d tree whose nearest-neighbour query searches without a bound."""
+
+    def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
+        return super().query(x, k=k, **kwargs)
+
+
+def triangulated(curve, layout, target):
+    """The mesh `triangulate` builds, or the GeometryError it raises."""
+    try:
+        return triangulate(curve, layout, target)
+    except GeometryError as exc:
+        return str(exc)
+
+
+@settings(max_examples=15, deadline=None)
+@given(terms=st.lists(st.tuples(st.floats(-0.12, 0.12), st.floats(-0.12, 0.12)),
+                      min_size=1, max_size=3),
+       target=st.integers(300, 1500), J=st.sampled_from([8, 16]))
+def test_triangulate_matches_unbounded_search_and_xor_parity(terms, target, J):
+    """The bounded clearance query and the counted crossing parity give the
+    mesh of the unbounded query and the xor-reduced parity."""
+    cos, sin = (list(c) for c in zip(*terms))
+    curve = build_boundary(DomainSpec("fourier", {"cos": cos, "sin": sin}), 1024)
+    layout = place_electrodes(curve, J, 0.5)
+    mesh = triangulated(curve, layout, target)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "cKDTree", UnboundedTree)
+        mp.setattr(geometry, "_points_in_polygon", chunked_crossings)
+        reference = triangulated(curve, layout, target)
+    assert type(mesh) is type(reference)
+    if isinstance(reference, str):
+        assert mesh == reference
+    else:
+        assert np.array_equal(mesh.nodes, reference.nodes)
+        assert np.array_equal(mesh.triangles, reference.triangles)
+        assert mesh.boundary_edges == reference.boundary_edges
+
+
+@functools.lru_cache(maxsize=None)
+def fourier_mesh():
+    curve = build_boundary(LOCATE_DOMAINS["fourier"], 1024)
+    return triangulate(curve, place_electrodes(curve, 16, 0.5), 1500)
+
+
+@settings(max_examples=25, deadline=None)
+@given(target_M=st.integers(1, 1000))
+def test_lattice_grid_is_the_smallest(target_M):
+    """Every smaller square grid over the bounding box has fewer than
+    target_M cell centres inside the boundary polygon."""
+    mesh = fourier_mesh()
+    lattice = build_pixel_lattice(mesh, target_M)
+    assert lattice.n_active >= 1
+    x0, y0, x1, y1 = lattice.bbox
+    poly = mesh.boundary_polygon()
+    for n in range(1, lattice.grid_n):
+        c = np.arange(n) + 0.5
+        ix, iy = np.meshgrid(c * ((x1 - x0) / n) + x0, c * ((y1 - y0) / n) + y0, indexing="ij")
+        assert chunked_crossings(np.column_stack([ix.ravel(), iy.ravel()]), poly).sum() < target_M
+
+
 # --- point location ------------------------------------------------------
 
 LOCATE_DOMAINS = {
@@ -532,12 +665,30 @@ def test_locate_points_rejects_bad_queries(small_disk_mesh):
         locate_points(small_disk_mesh, pts)
 
 
+NOT_INTEGERS = (True, 2350.5, float("nan"), float("inf"), "40")
+
+
 @pytest.mark.parametrize("check, message", [
     (lambda curve, layout, mesh: triangulate(
         dataclasses.replace(curve, points=curve.points[::-1].copy()), layout, 500),
      "boundary curve must be CCW with positive area"),
     (lambda curve, layout, mesh: build_pixel_lattice(mesh, 0), "target_M must be positive"),
-], ids=["clockwise curve", "target_M 0"])
+] + [(lambda curve, layout, mesh, v=value: triangulate(curve, layout, v),
+      rf"target_elements must be an integer, got {re.escape(repr(value))}")
+     for value in NOT_INTEGERS
+] + [(lambda curve, layout, mesh, v=value: build_pixel_lattice(mesh, v),
+      rf"target_M must be an integer, got {re.escape(repr(value))}")
+     for value in NOT_INTEGERS
+], ids=["clockwise curve", "target_M 0"] + [f"target_elements {v!r}" for v in NOT_INTEGERS]
+   + [f"target_M {v!r}" for v in NOT_INTEGERS])
 def test_public_inputs_are_checked(disk_curve, disk_layout, small_disk_mesh, check, message):
     with pytest.raises(GeometryError, match=message):
         check(disk_curve, disk_layout, small_disk_mesh)
+
+
+def test_public_inputs_take_numpy_integers(disk_curve, disk_layout, small_disk_mesh):
+    a = triangulate(disk_curve, disk_layout, np.int64(500))
+    assert np.array_equal(a.triangles, small_disk_mesh.triangles)
+    b = build_pixel_lattice(small_disk_mesh, np.int32(48))
+    assert np.array_equal(b.element_to_pixel,
+                          build_pixel_lattice(small_disk_mesh, 48).element_to_pixel)

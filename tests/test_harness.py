@@ -579,3 +579,20 @@ def test_with_mode_derives_only_from_the_anisotropic_mode(tiny_config, tmp_path,
                    "--out", str(tmp_path / "loc")])
     assert rc == 2 and "[stage:config]" in capsys.readouterr().err
     assert not (tmp_path / "loc").exists()
+
+
+def test_cli_failure_lines_carry_one_stage_tag(tiny_config, tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dataclasses.replace(tiny_config, pixels=100_000).to_dict()))
+    rc = cli.main(["verify", "--suite", "locality", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "loc")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("[stage:") == 1 and err.startswith("[stage:geometry] ")
+
+    def exploded(*args):
+        raise RuntimeError("export exploded")
+
+    monkeypatch.setattr(harness, "_measure_and_export", exploded)
+    cfg_path.write_text(json.dumps(tiny_config.to_dict()))
+    rc = cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path / "rec")])
+    assert rc == 2 and capsys.readouterr().err == "[stage:metrics] export exploded\n"

@@ -39,7 +39,6 @@ from anisoeit.fem import (
 from anisoeit.inverse import (
     BarrierSchedule,
     GNSettings,
-    NeighborGraph,
     ReconError,
     ReconState,
     RegWeights,
@@ -69,9 +68,8 @@ __all__ = [
     "CEMSystem", "DataVector", "MeasurementProtocol", "ModelError",
     "adjacent_protocol", "assemble", "electrode_matrix", "simulate_measurements",
     "solve_current_drive",
-    "BarrierSchedule", "GNSettings", "NeighborGraph", "ReconError", "ReconState",
-    "RegWeights", "gauss_newton_reconstruct", "isotropic_reconstruct", "jacobian",
-    "objective",
+    "BarrierSchedule", "GNSettings", "ReconError", "ReconState", "RegWeights",
+    "gauss_newton_reconstruct", "isotropic_reconstruct", "jacobian", "objective",
     "ExperimentConfig", "Inclusion", "Phantom", "RunReport", "builtin_configs",
     "export_field_image", "run_experiment", "verify_invariance", "verify_locality",
 ]

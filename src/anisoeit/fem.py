@@ -242,8 +242,6 @@ class CEMSystem:
 
     matrix: sp.csc_matrix
     operator: CEMOperator
-    n_nodes: int
-    J: int
     _lu: Optional[OrderedLU] = field(default=None, repr=False)
 
     @property
@@ -251,7 +249,7 @@ class CEMSystem:
         if self._lu is None:
             factor = splu(self.operator.ordered(self.matrix), permc_spec="NATURAL",
                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-            self._lu = OrderedLU(factor, self.operator.order, self.J + 1)
+            self._lu = OrderedLU(factor, self.operator.order, self.operator.J + 1)
         return self._lu
 
 
@@ -268,7 +266,7 @@ def assemble(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout) -> CEMSystem
     if np.any(layout.contact_impedances <= 0):
         raise ModelError("contact impedances must be positive")
     mat = op.matrix(fld.g, 1.0 / layout.contact_impedances)
-    return CEMSystem(matrix=mat, operator=op, n_nodes=op.n_nodes, J=op.J)
+    return CEMSystem(matrix=mat, operator=op)
 
 
 def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
@@ -284,7 +282,7 @@ def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
     electrode potentials come from the factor's trailing block alone
     (`OrderedLU.solve_tail`), with no sweep over the node rows."""
     patterns = np.atleast_2d(np.asarray(patterns, dtype=float))
-    n, J = system.n_nodes, system.J
+    n, J = system.operator.n_nodes, system.operator.J
     if patterns.ndim != 2 or patterns.shape[1] != J:
         raise ModelError(f"patterns must have shape (K, {J}), got {patterns.shape}")
     scale = np.maximum(np.abs(patterns).max(axis=1), 1.0)
@@ -308,7 +306,7 @@ def electrode_matrix(system: CEMSystem):
     voltages (symmetric by reciprocity); E is its pseudo-inverse, the
     voltage-to-current map.
     """
-    J = system.J
+    J = system.operator.J
     Q = np.eye(J) - np.ones((J, J)) / J
     _, U = solve_many(system, Q, nodes=False)
     G = U.T  # column k = potentials for pattern Q e_k

@@ -377,6 +377,8 @@ def build_boundary(spec: DomainSpec, n_samples: int) -> BoundaryCurve:
     Raises GeometryError for self-intersecting curves and for Fourier
     specs whose radius function is not strictly positive.
     """
+    if not _integer(n_samples):
+        raise GeometryError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 64:
         raise GeometryError("n_samples must be at least 64")
     kind, p = spec.kind, spec.params
@@ -422,20 +424,21 @@ def build_boundary(spec: DomainSpec, n_samples: int) -> BoundaryCurve:
 
 
 def place_electrodes(curve: BoundaryCurve, J: int, coverage: float,
-                     start_offset: float = 0.0,
                      contact_impedance: float = 1.0) -> ElectrodeLayout:
     """Place J equal-length electrode arcs, midpoints equally spaced.
 
-    Electrode j is centered at arclength (j * S / J + start_offset) and has
-    length coverage * S / J, so the gaps all equal (1 - coverage) * S / J.
+    Electrode j is centered at arclength j * S / J and has length
+    coverage * S / J, so the gaps all equal (1 - coverage) * S / J.
     """
+    if not _integer(J):
+        raise GeometryError(f"J must be an integer, got {J!r}")
     if J < 2:
         raise GeometryError("need at least 2 electrodes")
     if not 0.0 < coverage < 1.0:
         raise GeometryError("coverage must lie strictly between 0 and 1")
     S = curve.total_length
     length = coverage * S / J
-    starts = (np.arange(J) * S / J + start_offset - length / 2) % S
+    starts = (np.arange(J) * S / J - length / 2) % S
     arcs = np.column_stack([starts, np.full(J, length)])
     z = np.full(J, float(contact_impedance))
     if not np.all(np.isfinite(z) & (z > 0)):

@@ -129,6 +129,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise HarnessError("config", f"unknown mode {self.mode!r}")
+        with _stage("config", "gn."):  # GNSettings names the field
+            self.settings()
 
     def schedule(self) -> BarrierSchedule:
         if self.xi_start == 0 and self.xi_end == 0:
@@ -322,9 +324,15 @@ def isotropic_correct_variant(config: ExperimentConfig) -> ExperimentConfig:
 # metrics
 # ---------------------------------------------------------------------------
 
+_ARTIFACT_WIDTH = 0.15     # boundary band of `boundary_artifact_energy`
+_BLOB_FRACTION = 0.02      # size floor of `lattice_blobs`, in active pixels
+_LOCALITY_RADIUS = 0.3     # disk of `locality_fraction` about the peak
+
+
 def boundary_artifact_energy(values_per_pixel: np.ndarray, lattice: PixelLattice,
-                             mesh: Mesh, curve: BoundaryCurve, width: float = 0.15) -> float:
-    """Fraction of area-weighted (v - mean)^2 energy within `width` of the boundary."""
+                             mesh: Mesh, curve: BoundaryCurve) -> float:
+    """Fraction of area-weighted (v - mean)^2 energy within `_ARTIFACT_WIDTH`
+    of the boundary."""
     v = values_per_pixel[lattice.element_to_pixel]
     A = mesh.areas()
     cent = mesh.centroids()
@@ -335,7 +343,7 @@ def boundary_artifact_energy(values_per_pixel: np.ndarray, lattice: PixelLattice
     total = energy.sum()
     if total <= 0:
         return 0.0
-    return float(energy[dist < width].sum() / total)
+    return float(energy[dist < _ARTIFACT_WIDTH].sum() / total)
 
 
 def blob_analysis(img: np.ndarray, xy_of_cell, min_size: int = 2) -> list:
@@ -365,16 +373,14 @@ def blob_analysis(img: np.ndarray, xy_of_cell, min_size: int = 2) -> list:
     return out
 
 
-def lattice_blobs(values_per_pixel: np.ndarray, lattice: PixelLattice,
-                  min_size: int = None) -> list:
+def lattice_blobs(values_per_pixel: np.ndarray, lattice: PixelLattice) -> list:
     """Blob analysis on the pixel lattice.
 
-    The default size floor is 2% of the active pixels: the smallest
-    inclusion the experiments claim to resolve (radius 0.25 in a unit-scale
-    domain) covers about that many, so smaller components are noise.
+    The size floor is 2% of the active pixels: the smallest inclusion the
+    experiments claim to resolve (radius 0.25 in a unit-scale domain)
+    covers about that many, so smaller components are noise.
     """
-    if min_size is None:
-        min_size = max(2, round(0.02 * lattice.n_active))
+    min_size = max(2, round(_BLOB_FRACTION * lattice.n_active))
     img = lattice.image(values_per_pixel)
     x0, y0, x1, y1 = lattice.bbox
     wx, wy = lattice.cell_size()
@@ -425,8 +431,9 @@ def lambda_plateau(trace) -> float:
     return float(np.abs(tr[-3:] - tr[-1]).max() / max(abs(tr[-1]), 1e-300))
 
 
-def locality_fraction(delta_per_element: np.ndarray, mesh: Mesh, radius: float = 0.3):
-    """Energy fraction of a difference field inside a disk about its peak."""
+def locality_fraction(delta_per_element: np.ndarray, mesh: Mesh):
+    """Energy fraction of a difference field inside the disk of radius
+    `_LOCALITY_RADIUS` about its peak."""
     A = mesh.areas()
     cent = mesh.centroids()
     energy = A * delta_per_element ** 2
@@ -434,7 +441,7 @@ def locality_fraction(delta_per_element: np.ndarray, mesh: Mesh, radius: float =
     if total <= 0:
         return 0.0, (float("nan"), float("nan"))
     peak = cent[int(np.argmax(np.abs(delta_per_element)))]
-    frac = float(energy[np.linalg.norm(cent - peak, axis=1) <= radius].sum() / total)
+    frac = float(energy[np.linalg.norm(cent - peak, axis=1) <= _LOCALITY_RADIUS].sum() / total)
     return frac, (float(peak[0]), float(peak[1]))
 
 
@@ -686,14 +693,20 @@ def _measure_and_export(config: ExperimentConfig, scene: Scene, state: ReconStat
 # verification suites
 # ---------------------------------------------------------------------------
 
-def verify_invariance(out_dir, c: float = 0.3, element_levels=(550, 2200, 8800),
-                      min_factor: float = 1.5, threshold: float = 0.02) -> RunReport:
+# the mesh ladder and pass criteria of `verify_invariance`
+_INVARIANCE_LEVELS = (550, 2200, 8800)
+_INVARIANCE_THRESHOLD = 0.02
+_INVARIANCE_MIN_FACTOR = 1.5
+
+
+def verify_invariance(out_dir, c: float = 0.3) -> RunReport:
     """Boundary-preserving push-forward leaves clean electrode data invariant.
 
     Compares simulated data for an analytic isotropic conductivity against
-    its push-forward under the radial map on the unit disk, over a mesh
-    refinement ladder; the relative difference must fall below `threshold`
-    at the middle level and shrink by `min_factor` per refinement.
+    its push-forward under the radial map on the unit disk, over the mesh
+    refinement ladder `_INVARIANCE_LEVELS`; the relative difference must
+    fall below `_INVARIANCE_THRESHOLD` at the middle level and shrink by
+    `_INVARIANCE_MIN_FACTOR` per refinement.
     """
     def body(out):
         curve = build_boundary(DomainSpec("disk", {}), 2048)
@@ -705,7 +718,7 @@ def verify_invariance(out_dir, c: float = 0.3, element_levels=(550, 2200, 8800),
         diffeo = Diffeo.radial_boundary_preserving(c)
         diffs = []
         elements = []
-        for target in element_levels:
+        for target in _INVARIANCE_LEVELS:
             mesh = triangulate(curve, layout, target)
             f_direct = TensorField.isotropic(phantom.evaluate(mesh.centroids()))
             f_pushed = push_forward_function(phantom.evaluate, diffeo, mesh)
@@ -714,17 +727,17 @@ def verify_invariance(out_dir, c: float = 0.3, element_levels=(550, 2200, 8800),
             diffs.append(float(np.linalg.norm(v1 - v2) / np.linalg.norm(v1)))
             elements.append(mesh.n_elements)
         factors = [diffs[i] / diffs[i + 1] for i in range(len(diffs) - 1)]
-        ok = diffs[1] < threshold and all(f >= min_factor for f in factors)
+        ok = (diffs[1] < _INVARIANCE_THRESHOLD
+              and all(f >= _INVARIANCE_MIN_FACTOR for f in factors))
         metrics = {"c": c, "elements": elements, "relative_differences": diffs,
-                   "refinement_factors": factors, "threshold": threshold,
-                   "min_factor": min_factor}
+                   "refinement_factors": factors, "threshold": _INVARIANCE_THRESHOLD,
+                   "min_factor": _INVARIANCE_MIN_FACTOR}
         return metrics, [], "" if ok else "non-monotone refinement trend or threshold exceeded"
 
     return _saved_report(out_dir, f"invariance-c{c}", "", "verify-invariance", "invariance", body)
 
 
-def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir,
-                    radius: float = 0.3) -> RunReport:
+def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir) -> RunReport:
     """Local conductivity perturbations stay local in the eta reconstruction.
 
     Reconstructs the config phantom and the phantom plus one inclusion
@@ -753,15 +766,15 @@ def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir,
         def eta(key):  # per element, in either mode
             return det_sqrt(gamma_hat(states[key].params, lattice))
 
-        frac_a, peak_a = locality_fraction(eta("aniso_pert") - eta("aniso_base"), mesh, radius)
-        frac_i, peak_i = locality_fraction(eta("iso_pert") - eta("iso_base"), mesh, radius)
+        frac_a, peak_a = locality_fraction(eta("aniso_pert") - eta("aniso_base"), mesh)
+        frac_i, peak_i = locality_fraction(eta("iso_pert") - eta("iso_base"), mesh)
 
         base_eta = states["aniso_base"].params.eta
         rel_delta = float(np.linalg.norm(states["aniso_pert"].params.eta - base_eta)
                           / np.linalg.norm(base_eta))
         ok = frac_a >= 0.6 and frac_i < frac_a
         metrics = {
-            "radius": radius,
+            "radius": _LOCALITY_RADIUS,
             "anisotropic_fraction": frac_a, "anisotropic_peak": peak_a,
             "isotropic_fraction": frac_i, "isotropic_peak": peak_i,
             "relative_eta_change": rel_delta,

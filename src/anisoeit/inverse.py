@@ -47,7 +47,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice
+from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice, _finite, _integer
 from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat, gamma_hat_entries
 from anisoeit import fem
 
@@ -116,31 +116,22 @@ class BarrierSchedule:
         return BarrierSchedule(xi=np.zeros(stages))
 
 
-@dataclass(frozen=True)
-class NeighborGraph:
-    """4-neighborhood of active lattice pixels; pairs are unordered."""
-
-    M: int
-    pairs: np.ndarray  # (P, 2)
-
-    @staticmethod
-    def from_lattice(lattice: PixelLattice) -> "NeighborGraph":
-        return NeighborGraph(M=lattice.n_active, pairs=lattice.neighbor_pairs())
-
-    def laplacian(self) -> scipy.sparse.csr_matrix:
-        a, b = self.pairs[:, 0], self.pairs[:, 1]
-        ones = np.ones(len(a))
-        entries = np.concatenate([ones, ones, -ones, -ones])
-        rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
-        return scipy.sparse.csr_matrix((entries, (rows, cols)), shape=(self.M, self.M))
-
-
 @dataclass
 class GNSettings:
     max_iterations: int = 60      # global Gauss-Newton cap
     max_inner: int = 10           # iterations per barrier stage
     obj_tol: float = 1e-6
     step_tol: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("max_iterations", "max_inner"):
+            value = getattr(self, name)
+            if not (_integer(value) and value >= 1):
+                raise ReconError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("obj_tol", "step_tol"):
+            value = getattr(self, name)
+            if not (_finite(value) and value >= 0):
+                raise ReconError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 _ARMIJO = 1e-4                # sufficient-decrease fraction of the line search
@@ -188,44 +179,51 @@ class ReconState:
 # penalty functionals (double sums count each unordered pair twice)
 # ---------------------------------------------------------------------------
 
-def penalty_eta(eta: np.ndarray, graph: NeighborGraph, alpha0: float, alpha1: float) -> float:
-    a, b = graph.pairs[:, 0], graph.pairs[:, 1]
-    diff2 = np.sum((eta[a] - eta[b]) ** 2) if len(graph.pairs) else 0.0
+def penalty_eta(eta: np.ndarray, pairs: np.ndarray, alpha0: float, alpha1: float) -> float:
+    a, b = pairs[:, 0], pairs[:, 1]
+    diff2 = np.sum((eta[a] - eta[b]) ** 2) if len(pairs) else 0.0
     return float(alpha0 * np.sum(eta ** 2) + 2.0 * alpha1 * diff2)
 
 
-def penalty_eta_grad(eta: np.ndarray, graph: NeighborGraph, alpha0: float, alpha1: float) -> np.ndarray:
+def penalty_eta_grad(eta: np.ndarray, pairs: np.ndarray, alpha0: float,
+                     alpha1: float) -> np.ndarray:
     g = 2.0 * alpha0 * eta
-    if len(graph.pairs):
-        a, b = graph.pairs[:, 0], graph.pairs[:, 1]
+    if len(pairs):
+        a, b = pairs[:, 0], pairs[:, 1]
         d = eta[a] - eta[b]
         np.add.at(g, a, 4.0 * alpha1 * d)
         np.add.at(g, b, -4.0 * alpha1 * d)
     return g
 
 
-def penalty_theta(theta: np.ndarray, graph: NeighborGraph, beta0: float, beta1: float) -> float:
-    a, b = graph.pairs[:, 0], graph.pairs[:, 1]
-    diff = np.sum(2.0 - 2.0 * np.cos(theta[a] - theta[b])) if len(graph.pairs) else 0.0
+def penalty_theta(theta: np.ndarray, pairs: np.ndarray, beta0: float, beta1: float) -> float:
+    a, b = pairs[:, 0], pairs[:, 1]
+    diff = np.sum(2.0 - 2.0 * np.cos(theta[a] - theta[b])) if len(pairs) else 0.0
     return float(beta0 * np.sum(theta ** 2) + 2.0 * beta1 * diff)
 
 
-def penalty_theta_grad(theta: np.ndarray, graph: NeighborGraph, beta0: float, beta1: float) -> np.ndarray:
+def penalty_theta_grad(theta: np.ndarray, pairs: np.ndarray, beta0: float,
+                       beta1: float) -> np.ndarray:
     g = 2.0 * beta0 * theta
-    if len(graph.pairs):
-        a, b = graph.pairs[:, 0], graph.pairs[:, 1]
+    if len(pairs):
+        a, b = pairs[:, 0], pairs[:, 1]
         s = np.sin(theta[a] - theta[b])
         np.add.at(g, a, 4.0 * beta1 * s)
         np.add.at(g, b, -4.0 * beta1 * s)
     return g
 
 
-def penalty_hess(graph: NeighborGraph, w0: float, w1: float) -> scipy.sparse.csr_matrix:
-    """Hessian of `penalty_eta` with weights (w0, w1) = (alpha0, alpha1); with
-    (beta0, beta1), the small-angle PSD surrogate of the Hessian of
-    `penalty_theta`."""
-    identity = scipy.sparse.identity(graph.M, format="csr")
-    return 2.0 * w0 * identity + 4.0 * w1 * graph.laplacian()
+def penalty_hess(pairs: np.ndarray, M: int, w0: float, w1: float) -> scipy.sparse.csr_matrix:
+    """Hessian of `penalty_eta` on M pixels with weights (w0, w1) = (alpha0,
+    alpha1); with (beta0, beta1), the small-angle PSD surrogate of the
+    Hessian of `penalty_theta`.  The smoothness part is 4 w1 times the graph
+    Laplacian of the unordered neighbor `pairs`."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    ones = np.ones(len(a))
+    entries = np.concatenate([ones, ones, -ones, -ones])
+    rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+    laplacian = scipy.sparse.csr_matrix((entries, (rows, cols)), shape=(M, M))
+    return 2.0 * w0 * scipy.sparse.identity(M, format="csr") + 4.0 * w1 * laplacian
 
 
 def penalty_lambda(lam: float, beta2: float, nu: float = 1.0) -> float:
@@ -431,13 +429,13 @@ class _Problem:
             raise ReconError("data values contain non-finite entries")
         self.mode, self.data, self.weights = mode, data, weights
         self.model = (protocol, mesh, lattice, layout)
-        self.graph = NeighborGraph.from_lattice(lattice)
+        self.pairs = lattice.neighbor_pairs()
         M = self.M = lattice.n_active
         blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
         self.blocks = blocks if mode == ANISOTROPIC else blocks[:1]
         self.n_free = self.blocks[-1].stop
-        pen_hess = [penalty_hess(self.graph, weights.alpha0, weights.alpha1),
-                    penalty_hess(self.graph, weights.beta0, weights.beta1)]
+        pen_hess = [penalty_hess(self.pairs, M, weights.alpha0, weights.alpha1),
+                    penalty_hess(self.pairs, M, weights.beta0, weights.beta1)]
         self._pen_bands = [_banded(h) for h in pen_hess[:len(self.blocks)]]
         self._lam_curvature = 2.0 * weights.beta2 / weights.nu ** 2
         self.fold = _Fold(protocol)
@@ -497,12 +495,12 @@ class _Problem:
     def penalty(self, x):
         M, w = self.M, self.weights
         eta, theta, ll = x[:M], x[M:2 * M], x[2 * M]
-        val = (penalty_eta(eta, self.graph, w.alpha0, w.alpha1)
-               + penalty_theta(theta, self.graph, w.beta0, w.beta1)
+        val = (penalty_eta(eta, self.pairs, w.alpha0, w.alpha1)
+               + penalty_theta(theta, self.pairs, w.beta0, w.beta1)
                + w.beta2 * (ll + ll ** 2 / w.nu ** 2))
         grad = np.concatenate([
-            penalty_eta_grad(eta, self.graph, w.alpha0, w.alpha1),
-            penalty_theta_grad(theta, self.graph, w.beta0, w.beta1),
+            penalty_eta_grad(eta, self.pairs, w.alpha0, w.alpha1),
+            penalty_theta_grad(theta, self.pairs, w.beta0, w.beta1),
             [w.beta2 * (1.0 + 2.0 * ll / w.nu ** 2)]])
         return val, grad[:self.n_free]
 
@@ -527,23 +525,15 @@ class _Problem:
                           converged, obj, misfit, initial_misfit)
 
 
-def objective(state, data: fem.DataVector, protocol: fem.MeasurementProtocol,
-              mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout,
-              weights: RegWeights, xi: float) -> float:
-    """Augmented objective: misfit + penalties + interior-point barrier.
-
-    ``state`` is a UniformAnisoParams (anisotropic model) or a positive
-    vector of pixel conductivities (isotropic model).
-    """
-    if isinstance(state, UniformAnisoParams):
-        mode, free = ANISOTROPIC, np.concatenate([state.eta, state.theta, [np.log(state.lam)]])
-    else:
-        mode, free = ISOTROPIC, state
-    problem = _Problem(mode, data, protocol, mesh, lattice, layout, weights)
-    x = problem.initial(free)
-    if not problem.feasible(x):
-        raise ReconError("infeasible state")
-    return problem.value(x, xi)[0]
+def objective(state: UniformAnisoParams, data: fem.DataVector,
+              protocol: fem.MeasurementProtocol, mesh: Mesh, lattice: PixelLattice,
+              layout: ElectrodeLayout, weights: RegWeights, xi: float) -> float:
+    """Augmented objective at the anisotropic parameters ``state``: misfit +
+    penalties + interior-point barrier.  At theta = 0 and lam = 1 it is the
+    isotropic mode's objective, since the theta and lam penalties vanish."""
+    problem = _Problem(ANISOTROPIC, data, protocol, mesh, lattice, layout, weights)
+    free = np.concatenate([state.eta, state.theta, [np.log(state.lam)]])
+    return problem.value(problem.initial(free), xi)[0]
 
 
 # ---------------------------------------------------------------------------

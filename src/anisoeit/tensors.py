@@ -148,7 +148,7 @@ def beltrami_mu_field(f: TensorField) -> np.ndarray:
     return ((-g[:, 0] + g[:, 2]) - 2j * g[:, 1]) / denom
 
 
-def params_from_field(f: TensorField, lattice: PixelLattice = None):
+def params_from_field(f: TensorField):
     """Recover (lam, theta mod pi, eta) from a uniformly anisotropic field.
 
     The lam <-> 1/lam ambiguity is resolved to the canonical lam >= 1
@@ -187,14 +187,12 @@ class Diffeo:
     forward: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]   # (n, 2, 2)
     inverse: Callable[[np.ndarray], np.ndarray]
-    kind: str = "custom"
 
     @staticmethod
     def identity() -> "Diffeo":
         return Diffeo(forward=lambda x: np.array(x, dtype=float, copy=True),
                       jacobian=lambda x: np.tile(np.eye(2), (len(np.atleast_2d(x)), 1, 1)),
-                      inverse=lambda x: np.array(x, dtype=float, copy=True),
-                      kind="affine")
+                      inverse=lambda x: np.array(x, dtype=float, copy=True))
 
     @staticmethod
     def affine(A, b=(0.0, 0.0)) -> "Diffeo":
@@ -205,8 +203,7 @@ class Diffeo:
         Ainv = np.linalg.inv(A)
         return Diffeo(forward=lambda x: np.atleast_2d(x) @ A.T + b,
                       jacobian=lambda x: np.tile(A, (len(np.atleast_2d(x)), 1, 1)),
-                      inverse=lambda x: (np.atleast_2d(x) - b) @ Ainv.T,
-                      kind="affine")
+                      inverse=lambda x: (np.atleast_2d(x) - b) @ Ainv.T)
 
     @staticmethod
     def radial_boundary_preserving(c: float) -> "Diffeo":
@@ -214,8 +211,8 @@ class Diffeo:
 
         Orientation preserving for |c| <= 0.5 (radial derivative 1 + c - 2cr > 0).
         """
-        if abs(c) > 0.5:
-            raise TensorError("radial map requires |c| <= 0.5")
+        if not abs(c) <= 0.5:  # also rejects nan
+            raise TensorError(f"radial map requires a finite c with |c| <= 0.5, got c={c!r}")
 
         def fwd(x):
             x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -243,8 +240,7 @@ class Diffeo:
             scale = np.where(rho > 1e-300, r / np.where(rho > 1e-300, rho, 1.0), 1.0)
             return x * scale[:, None]
 
-        return Diffeo(forward=fwd, jacobian=jac, inverse=inv,
-                      kind="radial_boundary_preserving")
+        return Diffeo(forward=fwd, jacobian=jac, inverse=inv)
 
     def roundtrip_error(self, pts: np.ndarray) -> float:
         pts = np.atleast_2d(pts)
@@ -308,14 +304,6 @@ def push_forward_function(gamma_fn: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
-
-def tensor_field_to_csv(f: TensorField) -> str:
-    buf = io.StringIO()
-    buf.write("element,g11,g12,g22\n")
-    for i, (a, b, c) in enumerate(f.g):
-        buf.write(f"{i},{a:.17g},{b:.17g},{c:.17g}\n")
-    return buf.getvalue()
-
 
 def scalar_field_to_csv(values: np.ndarray) -> str:
     buf = io.StringIO()

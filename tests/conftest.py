@@ -47,10 +47,10 @@ def _random_step_penalty(rng, M: int, anisotropic: bool, beta2: float):
     ij = np.column_stack(np.divmod(cells, side))
     step = ij[None, :, :] - ij[:, None, :]
     a, b = np.nonzero((step == [1, 0]).all(axis=2) | (step == [0, 1]).all(axis=2))
-    graph = inverse.NeighborGraph(M=M, pairs=np.column_stack([a, b]))
+    pairs = np.column_stack([a, b])
     w = inverse.RegWeights(*rng.uniform(0, 1e-2, 4), beta2=beta2, nu=rng.uniform(0.5, 2.0))
-    hess = [inverse.penalty_hess(graph, w.alpha0, w.alpha1),
-            inverse.penalty_hess(graph, w.beta0, w.beta1)][:2 if anisotropic else 1]
+    hess = [inverse.penalty_hess(pairs, M, w.alpha0, w.alpha1),
+            inverse.penalty_hess(pairs, M, w.beta0, w.beta1)][:2 if anisotropic else 1]
     bands = [inverse._banded(h) for h in hess]
     bar = rng.uniform(0, 1, M) * rng.choice([0.0, 1.0])
     bands[0][-1] += bar

@@ -134,8 +134,7 @@ def test_criterion_3_jacobian_gate():
 # --- criterion 4: coordinate invariance ------------------------------------------
 
 def test_criterion_4_coordinate_invariance(out_root):
-    report = verify_invariance(out_root / "invariance", c=0.3,
-                               element_levels=(550, 2200, 8800))
+    report = verify_invariance(out_root / "invariance", c=0.3)
     m = report.metrics
     ok = report.success
     _report(4, "coordinate-invariance", ok,

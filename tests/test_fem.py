@@ -171,7 +171,7 @@ def test_electrode_solve_needs_diagonal_pivots(moved):
 def test_solution_residual_small(disk_system):
     pattern = np.zeros(16)
     pattern[0], pattern[3] = 1.0, -1.0
-    n = disk_system.n_nodes
+    n = disk_system.operator.n_nodes
     rhs = np.zeros(n + 17)
     rhs[n:n + 16] = pattern
     sol = disk_system.lu.solve(rhs)

@@ -260,17 +260,6 @@ def test_bad_contact_impedance_rejected(z):
         place_electrodes(curve, 16, 0.5, contact_impedance=z)
 
 
-def test_rotating_offset_permutes_arcs_cyclically():
-    curve = build_boundary(DomainSpec("disk", {}), 1024)
-    S = curve.total_length
-    base = place_electrodes(curve, 16, 0.5)
-    rotated = place_electrodes(curve, 16, 0.5, start_offset=S / 16)
-    # shifting the start offset by S/J maps each arc onto the next one, so
-    # the arc sets coincide as arclength intervals modulo S
-    assert np.allclose(np.sort(rotated.arcs[:, 0]), np.sort(base.arcs[:, 0]), atol=1e-9)
-    assert np.allclose(rotated.arcs[:, 1], base.arcs[:, 1])
-
-
 # --- triangulation -------------------------------------------------------
 
 def test_disk_mesh_counts_and_areas(disk_mesh):
@@ -679,8 +668,16 @@ NOT_INTEGERS = (True, 2350.5, float("nan"), float("inf"), "40")
 ] + [(lambda curve, layout, mesh, v=value: build_pixel_lattice(mesh, v),
       rf"target_M must be an integer, got {re.escape(repr(value))}")
      for value in NOT_INTEGERS
+] + [(lambda curve, layout, mesh, v=value: build_boundary(DomainSpec("disk", {}), v),
+      rf"n_samples must be an integer, got {re.escape(repr(value))}")
+     for value in NOT_INTEGERS + (100.5,)
+] + [(lambda curve, layout, mesh, v=value: place_electrodes(curve, v, 0.5),
+      rf"J must be an integer, got {re.escape(repr(value))}")
+     for value in NOT_INTEGERS + (16.0,)
 ], ids=["clockwise curve", "target_M 0"] + [f"target_elements {v!r}" for v in NOT_INTEGERS]
-   + [f"target_M {v!r}" for v in NOT_INTEGERS])
+   + [f"target_M {v!r}" for v in NOT_INTEGERS]
+   + [f"n_samples {v!r}" for v in NOT_INTEGERS + (100.5,)]
+   + [f"J {v!r}" for v in NOT_INTEGERS + (16.0,)])
 def test_public_inputs_are_checked(disk_curve, disk_layout, small_disk_mesh, check, message):
     with pytest.raises(GeometryError, match=message):
         check(disk_curve, disk_layout, small_disk_mesh)
@@ -692,3 +689,7 @@ def test_public_inputs_take_numpy_integers(disk_curve, disk_layout, small_disk_m
     b = build_pixel_lattice(small_disk_mesh, np.int32(48))
     assert np.array_equal(b.element_to_pixel,
                           build_pixel_lattice(small_disk_mesh, 48).element_to_pixel)
+    curve = build_boundary(DomainSpec("disk", {}), np.int64(1024))
+    assert np.array_equal(curve.points, disk_curve.points)
+    layout = place_electrodes(disk_curve, np.int64(16), 0.5)
+    assert np.array_equal(layout.arcs, disk_layout.arcs)

@@ -145,6 +145,8 @@ BAD_CONFIGS = {
         kind="ellipse", params={"a": float("nan"), "b": 0.8}), "true_domain: ellipse param 'a'"),
     "non-numeric fourier coefficient": (lambda d: d["model_domain"].update(
         kind="fourier", params={"cos": ["0.1"]}), "model_domain: fourier param 'cos'"),
+    "empty iteration budget": (lambda d: d["gn"].update(max_inner=0),
+                               "gn.max_inner must be an integer >= 1, got 0"),
 }
 
 
@@ -186,7 +188,7 @@ def test_phantom_bumps_are_compactly_supported():
 def test_locality_fraction_point_mass(small_disk_mesh):
     delta = np.zeros(small_disk_mesh.n_elements)
     delta[10] = 1.0
-    frac, peak = locality_fraction(delta, small_disk_mesh, radius=0.3)
+    frac, peak = locality_fraction(delta, small_disk_mesh)
     assert frac == 1.0
     assert np.allclose(peak, small_disk_mesh.centroids()[10])
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from anisoeit import fem, inverse
 from anisoeit.geometry import build_pixel_lattice, triangulate
-from anisoeit.inverse import (BarrierSchedule, GNSettings, NeighborGraph, ReconError,
+from anisoeit.inverse import (BarrierSchedule, GNSettings, ReconError,
                               RegWeights, barrier, barrier_grad, forward_map,
                               forward_map_isotropic, gauss_newton_reconstruct,
                               isotropic_reconstruct, jacobian, jacobian_isotropic,
@@ -19,60 +19,58 @@ from anisoeit.inverse import (BarrierSchedule, GNSettings, NeighborGraph, ReconE
 from anisoeit.tensors import TensorField, UniformAnisoParams, gamma_hat
 
 
-def two_pixel_graph():
-    return NeighborGraph(M=2, pairs=np.array([[0, 1]]))
+TWO_PIXEL_PAIRS = np.array([[0, 1]])
 
 
 # --- penalties --------------------------------------------------------------
 
 def test_penalty_eta_constant_field(small_lattice):
-    graph = NeighborGraph.from_lattice(small_lattice)
-    M = graph.M
-    val = penalty_eta(np.full(M, 3.0), graph, alpha0=0.7, alpha1=5.0)
+    M = small_lattice.n_active
+    val = penalty_eta(np.full(M, 3.0), small_lattice.neighbor_pairs(), alpha0=0.7, alpha1=5.0)
     assert val == pytest.approx(0.7 * M * 9.0, rel=1e-14)
 
 
 def test_penalty_eta_two_pixels_hand_enumeration():
     # double sum counts the unordered pair twice: 2 * |1-3|^2 = 8
-    val = penalty_eta(np.array([1.0, 3.0]), two_pixel_graph(), alpha0=0.0, alpha1=1.0)
+    val = penalty_eta(np.array([1.0, 3.0]), TWO_PIXEL_PAIRS, alpha0=0.0, alpha1=1.0)
     assert val == pytest.approx(8.0, abs=1e-15)
 
 
 def test_penalty_eta_gradient_fd(small_lattice):
     rng = np.random.default_rng(0)
-    graph = NeighborGraph.from_lattice(small_lattice)
-    eta = rng.uniform(0.5, 2.0, graph.M)
-    g = penalty_eta_grad(eta, graph, 0.3, 1.7)
+    pairs, M = small_lattice.neighbor_pairs(), small_lattice.n_active
+    eta = rng.uniform(0.5, 2.0, M)
+    g = penalty_eta_grad(eta, pairs, 0.3, 1.7)
     h = 1e-6
-    for i in rng.choice(graph.M, 8, replace=False):
+    for i in rng.choice(M, 8, replace=False):
         ep, em = eta.copy(), eta.copy()
         ep[i] += h
         em[i] -= h
-        fd = (penalty_eta(ep, graph, 0.3, 1.7) - penalty_eta(em, graph, 0.3, 1.7)) / (2 * h)
+        fd = (penalty_eta(ep, pairs, 0.3, 1.7) - penalty_eta(em, pairs, 0.3, 1.7)) / (2 * h)
         assert abs(g[i] - fd) <= 1e-8 * max(abs(fd), 1.0)
 
 
 def test_penalty_theta_values():
-    graph = two_pixel_graph()
-    assert penalty_theta(np.array([0.7, 0.7]), graph, 0.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+    pairs = TWO_PIXEL_PAIRS
+    assert penalty_theta(np.array([0.7, 0.7]), pairs, 0.0, 2.0) == pytest.approx(0.0, abs=1e-14)
     # antipodal unit vectors: 2 * |1 - (-1)|^2 = 8
-    assert penalty_theta(np.array([0.0, np.pi]), graph, 0.0, 1.0) == pytest.approx(8.0, abs=1e-12)
+    assert penalty_theta(np.array([0.0, np.pi]), pairs, 0.0, 1.0) == pytest.approx(8.0, abs=1e-12)
     t = np.array([0.3, -1.2])
-    assert penalty_theta(t + 2 * np.pi, graph, 0.0, 1.3) == pytest.approx(
-        penalty_theta(t, graph, 0.0, 1.3), abs=1e-12)
+    assert penalty_theta(t + 2 * np.pi, pairs, 0.0, 1.3) == pytest.approx(
+        penalty_theta(t, pairs, 0.0, 1.3), abs=1e-12)
 
 
 def test_penalty_theta_gradient_fd(small_lattice):
     rng = np.random.default_rng(1)
-    graph = NeighborGraph.from_lattice(small_lattice)
-    theta = rng.uniform(-3, 3, graph.M)
-    g = penalty_theta_grad(theta, graph, 0.2, 0.9)
+    pairs, M = small_lattice.neighbor_pairs(), small_lattice.n_active
+    theta = rng.uniform(-3, 3, M)
+    g = penalty_theta_grad(theta, pairs, 0.2, 0.9)
     h = 1e-6
-    for i in rng.choice(graph.M, 8, replace=False):
+    for i in rng.choice(M, 8, replace=False):
         tp, tm = theta.copy(), theta.copy()
         tp[i] += h
         tm[i] -= h
-        fd = (penalty_theta(tp, graph, 0.2, 0.9) - penalty_theta(tm, graph, 0.2, 0.9)) / (2 * h)
+        fd = (penalty_theta(tp, pairs, 0.2, 0.9) - penalty_theta(tm, pairs, 0.2, 0.9)) / (2 * h)
         assert abs(g[i] - fd) <= 1e-7 * max(abs(fd), 1.0)
 
 
@@ -135,9 +133,9 @@ def test_reg_weights_reject_non_finite(weights):
         RegWeights(**{"alpha0": 0.0, "alpha1": 0.0, **weights})
 
 
-def loop_laplacian(graph):
-    L = np.zeros((graph.M, graph.M))
-    for a, b in graph.pairs:
+def loop_laplacian(pairs, M):
+    L = np.zeros((M, M))
+    for a, b in pairs:
         L[a, a] += 1.0
         L[b, b] += 1.0
         L[a, b] -= 1.0
@@ -146,11 +144,12 @@ def loop_laplacian(graph):
 
 
 def test_neighbor_graph_symmetric(small_lattice):
-    lattice_graph = NeighborGraph.from_lattice(small_lattice)
-    cases = [(lattice_graph, loop_laplacian(lattice_graph)),
-             (two_pixel_graph(), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
-    for graph, expected in cases:
-        L = graph.laplacian()
+    """`penalty_hess` at weights (0, 1/4) is the graph Laplacian of the pairs."""
+    pairs, M = small_lattice.neighbor_pairs(), small_lattice.n_active
+    cases = [(pairs, M, loop_laplacian(pairs, M)),
+             (TWO_PIXEL_PAIRS, 2, np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+    for pairs, M, expected in cases:
+        L = inverse.penalty_hess(pairs, M, 0.0, 0.25)
         assert isinstance(L, scipy.sparse.csr_matrix)
         L = L.toarray()
         assert np.array_equal(L, expected)
@@ -191,13 +190,19 @@ def test_objective_constant_shift_quadratic(small_problem):
     assert v1 == pytest.approx(data.N * const ** 2, rel=1e-12)
 
 
-def test_objective_rejects_infeasible(small_problem):
+def test_objective_at_isotropic_params_is_the_isotropic_objective(small_problem):
+    """At theta = 0 and lam = 1 the theta and lam penalties add exact zeros,
+    so `objective` equals the isotropic mode's objective bit for bit."""
     mesh, lattice, layout, prot = small_problem
+    M = lattice.n_active
+    gamma = np.random.default_rng(3).uniform(0.8, 1.4, M)
     data = fem.simulate_measurements(mesh, TensorField.isotropic(1.0, mesh.n_elements),
                                      layout, prot, 0.0, None)
-    with pytest.raises(ReconError):
-        objective(-np.ones(lattice.n_active), data, prot, mesh, lattice, layout,
-                  RegWeights(0, 0), 0.0)
+    w = RegWeights(1e-3, 2e-2, 3e-3, 4e-2, beta2=0.5, nu=0.7)
+    params = UniformAnisoParams(eta=gamma, theta=np.zeros(M), lam=1.0)
+    iso = inverse._Problem(inverse.ISOTROPIC, data, prot, mesh, lattice, layout, w)
+    assert (objective(params, data, prot, mesh, lattice, layout, w, 1e-4)
+            == iso.value(iso.initial(gamma), 1e-4)[0])
 
 
 def fd_jacobian_columns(params, prot, mesh, lattice, layout, cols):
@@ -678,7 +683,16 @@ def test_reconstruct_rejects_mismatched_inputs(small_problem, reconstruct):
      r"uniformly-anisotropic iterate needs \d+ entries, got shape \(\d+,\)"),
     (lambda run: run(isotropic_reconstruct, lambda M: np.full(M, -1.0)),
      "initial iterate is infeasible"),
-], ids=["2-d schedule", "geometric start <= end", "x0 length", "infeasible x0"])
+    (lambda run: GNSettings(max_inner=0), "max_inner must be an integer >= 1, got 0"),
+    (lambda run: GNSettings(max_iterations=-3), "max_iterations must be an integer >= 1"),
+    (lambda run: GNSettings(max_iterations=8.0), "max_iterations must be an integer"),
+    (lambda run: GNSettings(max_inner=True), "max_inner must be an integer"),
+    (lambda run: GNSettings(obj_tol=np.nan), "obj_tol must be finite and nonnegative"),
+    (lambda run: GNSettings(step_tol=-1e-8), "step_tol must be finite and nonnegative"),
+    (lambda run: GNSettings(step_tol=np.inf), "step_tol must be finite"),
+], ids=["2-d schedule", "geometric start <= end", "x0 length", "infeasible x0",
+        "max_inner 0", "max_iterations -3", "max_iterations 8.0", "max_inner True",
+        "obj_tol nan", "step_tol -1e-8", "step_tol inf"])
 def test_public_inputs_are_checked(small_problem, check, message):
     mesh, lattice, layout, prot = small_problem
     data = fem.simulate_measurements(mesh, TensorField.isotropic(1.0, mesh.n_elements),

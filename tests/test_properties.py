@@ -115,7 +115,7 @@ def check_ordered_factor(mesh, layout, seed: int, decades: float):
     (with the multiplier last, U_{J-1} would take a round-off zero one)."""
     field, contrast = contrast_field(seed, mesh.n_elements, decades)
     system = fem.assemble(mesh, field, layout)
-    n, J = system.n_nodes, system.J
+    n, J = system.operator.n_nodes, system.operator.J
     order = system.operator.order
     assert np.array_equal(np.sort(order), np.arange(n + J + 1))
     assert np.array_equal(order[n:], n + np.r_[np.arange(J - 1), J, J - 1])
@@ -298,10 +298,10 @@ def test_accepted_gauss_newton_step_is_an_armijo_descent_step(scene, seed, lam, 
 
     U, J = jacobian(start, protocol, mesh, lattice, layout)
     J[:, -1] *= start.lam  # to the log-lam unknown
-    graph = inverse.NeighborGraph.from_lattice(lattice)
+    pairs = lattice.neighbor_pairs()
     g = -2.0 * (J.T @ (data.values - U)) + np.concatenate([
-        penalty_eta_grad(start.eta, graph, w.alpha0, w.alpha1) + barrier_grad(start.eta, xi),
-        penalty_theta_grad(start.theta, graph, w.beta0, w.beta1),
+        penalty_eta_grad(start.eta, pairs, w.alpha0, w.alpha1) + barrier_grad(start.eta, xi),
+        penalty_theta_grad(start.theta, pairs, w.beta0, w.beta1),
         [w.beta2 * (1.0 + 2.0 * log_lam / w.nu ** 2)]])
     f0 = objective(start, data, protocol, mesh, lattice, layout, w, xi)
     assert g @ s < 0

@@ -1,0 +1,46 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import anisoeit
+
+SOURCE = Path(anisoeit.__file__).parent
+
+
+def _unread_parameters(tree: ast.Module) -> list:
+    """`name.parameter` for every parameter of a module- or class-level
+    function that the function's body never reads.  Nested functions are not
+    scanned on their own: a closure's signature may be fixed by its caller
+    (`harness._saved_report` calls `body(out)`)."""
+    functions = [node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions += [node for node in cls.body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unread = []
+    for fn in functions:
+        args = fn.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  *filter(None, (args.vararg, args.kwarg)))]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{fn.name}.{p}" for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = {path.name: _unread_parameters(ast.parse(path.read_text()))
+              for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: params for name, params in unread.items() if params} == {}
+
+
+def test_unread_parameter_scan_finds_one():
+    tree = ast.parse("def f(a, b=1, *c, d, **e):\n"
+                     "    def inner(x):\n"
+                     "        return a + d\n"
+                     "    return inner(e)\n"
+                     "class C:\n"
+                     "    def m(self, y):\n"
+                     "        return self\n")
+    assert _unread_parameters(tree) == ["f.b", "f.c", "m.y"]

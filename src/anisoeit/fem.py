@@ -12,13 +12,15 @@ per-electrode 1/z_j; a `CEMOperator`, built once per mesh and kept as
 `Mesh.cem_operator`, holds all the geometry-only work, so assembling for a
 conductivity is one sparse mat-vec.  That work includes the factor order:
 the nodes in geometric nested-dissection order (George 1973), then the
-electrode potentials with the multiplier before the last one.  Under it
-every pivot is diagonal, so one sparse LU factorization per conductivity
-runs in SuperLU's symmetric mode with no column ordering of its own, and
-serves every current pattern.  A drive is zero on every node row, so under
-that order its forward substitution leaves the node rows zero: callers that
-need only the electrode potentials (`predict`, `electrode_matrix`) solve
-with the factor's trailing (J + 1) x (J + 1) block alone.
+electrode potentials with the multiplier before the last one.  The operator
+keeps one sparsity pattern, already in that order, so the mat-vec gives the
+matrix that is factored.  Under the order every pivot is diagonal, so one
+sparse LU factorization per conductivity, owned by its `CEMSystem`, runs in
+SuperLU's symmetric mode with no column ordering of its own, and serves
+every current pattern.  A drive is zero on every node row, so under that
+order its forward substitution leaves the node rows zero: callers that need
+only the electrode potentials (`predict`, `electrode_matrix`) solve with the
+factor's trailing (J + 1) x (J + 1) block alone.
 The measurement protocol is the adjacent pair drive, held as J alone; its
 measured pair rows are drive patterns, which the inverse solver relies on.
 """
@@ -26,7 +28,7 @@ measured pair rows are drive patterns, which the inverse solver relies on.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -101,19 +103,19 @@ def _csc_pattern(keys: np.ndarray, size: int):
 class CEMOperator:
     """The conductivity-independent part of the CEM system on one mesh.
 
-    The CSC data array is `data_map @ [g.ravel(), 1/z, 1]`: element e's
-    (g11, g12, g22) are inputs 3e..3e+2, 1/z_j is input 3T + j and the
-    constant last input carries the gauge border.  On an element,
-    grad(phi_i) = (b_i, c_i) / (2 area).
-
     `order` is the factor order: the nodes by `_dissection`, then
-    U_0 .. U_{J-2}, the multiplier and U_{J-1}.  The (u, U) block is
-    singular along (1, 1), so a multiplier after every electrode would meet
-    a round-off zero pivot; with this tail every pivot before the multiplier
-    is a Cholesky pivot of an SPD block and the multiplier pivot is
-    -1^T S^-1 1 < 0, S the Schur complement on U_0 .. U_{J-2}.  The CSC
-    pattern under the order is (`ordered_indices`, `ordered_indptr`), and
-    `gather` takes natural CSC data to it.
+    U_0 .. U_{J-2}, the multiplier and U_{J-1}, and `rank` its inverse.  The
+    (u, U) block is singular along (1, 1), so a multiplier after every
+    electrode would meet a round-off zero pivot; with this tail every pivot
+    before the multiplier is a Cholesky pivot of an SPD block and the
+    multiplier pivot is -1^T S^-1 1 < 0, S the Schur complement on
+    U_0 .. U_{J-2}.
+
+    The one CSC pattern (`indices`, `indptr`) is that of the bordered
+    matrix permuted symmetrically to `order`, and its data array is
+    `data_map @ [g.ravel(), 1/z, 1]`: element e's (g11, g12, g22) are inputs
+    3e..3e+2, 1/z_j is input 3T + j and the constant last input carries the
+    gauge border.  On an element, grad(phi_i) = (b_i, c_i) / (2 area).
     """
 
     def __init__(self, mesh: Mesh):
@@ -150,62 +152,53 @@ class CEMOperator:
                                  np.repeat(3 * T + ej, 9), np.full(2 * J, 3 * T + J)])
         coef = np.concatenate([stiff.ravel(), edge.ravel(), np.ones(2 * J)])
 
-        keys, position = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
+        coupled = (rows < n) & (cols < n) & (rows != cols)
+        tail = n + np.arange(J + 1)
+        tail[-2:] = tail[-2:][::-1]  # U_0 .. U_{J-2}, multiplier, U_{J-1}
+        self.order = np.concatenate([_dissection(mesh.nodes, rows[coupled], cols[coupled]),
+                                     tail])
+        rank = self.rank = np.empty(size, dtype=np.int64)
+        rank[self.order] = np.arange(size)
+        keys, position = np.unique(rank[cols] * size + rank[rows], return_inverse=True)
         self.indices, self.indptr = _csc_pattern(keys, size)
         self.data_map = sp.csr_matrix((coef, (position, inputs)),
                                       shape=(len(keys), 3 * T + J + 1))
 
-        rows, cols = keys % size, keys // size
-        edge = (rows < n) & (cols < n) & (rows != cols)
-        tail = n + np.arange(J + 1)
-        tail[-2:] = tail[-2:][::-1]  # U_0 .. U_{J-2}, multiplier, U_{J-1}
-        self.order = np.concatenate([_dissection(mesh.nodes, rows[edge], cols[edge]), tail])
-        rank = np.empty(size, dtype=np.int64)
-        rank[self.order] = np.arange(size)
-        ordered = rank[cols] * size + rank[rows]
-        self.gather = np.argsort(ordered)
-        self.ordered_indices, self.ordered_indptr = _csc_pattern(ordered[self.gather], size)
-
     def matrix(self, g: np.ndarray, inv_z: np.ndarray) -> sp.csc_matrix:
-        """The bordered CEM matrix for per-element tensors g (T, 3) and
-        per-electrode 1/z (J,)."""
+        """The bordered CEM matrix, in factor order, for per-element tensors
+        g (T, 3) and per-electrode 1/z (J,)."""
         data = self.data_map @ np.concatenate([g.ravel(), inv_z, [1.0]])
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
 
-    def ordered(self, matrix: sp.csc_matrix) -> sp.csc_matrix:
-        """`matrix`, on this operator's pattern, permuted symmetrically to
-        `order`: one gather of its CSC data."""
-        return sp.csc_matrix((matrix.data[self.gather], self.ordered_indices,
-                              self.ordered_indptr), shape=(self.size, self.size))
 
+@dataclass
+class CEMSystem:
+    """Assembled gauge-constrained CEM system over (u, U, multiplier), its
+    `matrix` in the operator's factor order.
 
-@dataclass(frozen=True)
-class OrderedLU:
-    """A SuperLU `factor` of the bordered matrix permuted to `order`; `solve`
-    takes and returns natural (u, U, multiplier) order.
+    `factor` is formed at the first solve, once per system, with diagonal
+    pivots: SuperLU in symmetric mode, with no column ordering of its own
+    and a zero pivot threshold, so it leaves a diagonal only when it is an
+    exact zero (the order makes every diagonal pivot sound).  A right-hand
+    side that is zero on every node row then leaves the forward
+    substitution zero there, so the electrode potentials of a drive solve
+    with the trailing (J + 1) x (J + 1) blocks of L and U alone
+    (`_tail_lu`)."""
 
-    `solve_tail` solves for the last `tail` unknowns of the natural order,
-    which `order` also puts last, when the right-hand side is zero on every
-    other row.  With diagonal pivots, L y = b then leaves y zero on the
-    leading rows, so the tail of x is U_tt^-1 L_tt^-1 b_t, from the trailing
-    tail x tail blocks of L and U."""
+    matrix: sp.csc_matrix
+    operator: CEMOperator
 
-    factor: object
-    order: np.ndarray
-    tail: int
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = self.factor.solve(rhs[self.order])
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
+    @cached_property
+    def factor(self):
+        return splu(self.matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
 
     @cached_property
     def _tail_lu(self) -> np.ndarray:
         """The trailing blocks of L (strictly below the diagonal) and U in
         one dense array, as LAPACK getrf leaves them; read straight from the
         CSC arrays, once per factor."""
-        f, m = self.factor, self.tail
+        f, m = self.factor, self.operator.J + 1
         for name in ("perm_r", "perm_c"):
             moved = np.flatnonzero(getattr(f, name) != np.arange(f.shape[0]))
             if len(moved):
@@ -220,37 +213,6 @@ class OrderedLU:
             keep = rows >= 0  # U's trailing columns also reach the leading rows
             lu[rows[keep], cols[keep]] = part.data[first:][keep]
         return lu
-
-    def solve_tail(self, rhs: np.ndarray) -> np.ndarray:
-        """Rows (tail, K) of the solution for right-hand sides given on the
-        last `tail` natural rows and zero elsewhere; both in natural order."""
-        local = self.order[-self.tail:] - (len(self.order) - self.tail)
-        y, _ = getrs(self._tail_lu, np.arange(self.tail, dtype=np.int32), rhs[local])
-        x = np.empty_like(y)
-        x[local] = y
-        return x
-
-
-@dataclass
-class CEMSystem:
-    """Assembled gauge-constrained CEM system over (u, U, multiplier).
-
-    `lu` factors `matrix` once under the operator's order with diagonal
-    pivots: SuperLU in symmetric mode, with no column ordering of its own
-    and a zero pivot threshold, so it leaves a diagonal only when it is an
-    exact zero (the order makes every diagonal pivot sound)."""
-
-    matrix: sp.csc_matrix
-    operator: CEMOperator
-    _lu: Optional[OrderedLU] = field(default=None, repr=False)
-
-    @property
-    def lu(self) -> OrderedLU:
-        if self._lu is None:
-            factor = splu(self.operator.ordered(self.matrix), permc_spec="NATURAL",
-                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-            self._lu = OrderedLU(factor, self.operator.order, self.operator.J + 1)
-        return self._lu
 
 
 def assemble(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout) -> CEMSystem:
@@ -278,25 +240,31 @@ def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
 def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
     """Nodal (K, n) and electrode (K, J) potentials for stacked current
     patterns (K, J), one factorization.  Each pattern must sum to zero
-    (Kirchhoff).  With `nodes=False` the nodal potentials are None and the
-    electrode potentials come from the factor's trailing block alone
-    (`OrderedLU.solve_tail`), with no sweep over the node rows."""
+    (Kirchhoff).  The patterns go straight into the electrode rows of the
+    factor order and the potentials are read back by `rank`.  With
+    `nodes=False` the nodal potentials are None and the electrode potentials
+    come from the factor's trailing block alone (`CEMSystem._tail_lu`),
+    with no sweep over the node rows."""
     patterns = np.atleast_2d(np.asarray(patterns, dtype=float))
-    n, J = system.operator.n_nodes, system.operator.J
+    op = system.operator
+    n, J = op.n_nodes, op.J
     if patterns.ndim != 2 or patterns.shape[1] != J:
         raise ModelError(f"patterns must have shape (K, {J}), got {patterns.shape}")
     scale = np.maximum(np.abs(patterns).max(axis=1), 1.0)
     unbalanced = np.flatnonzero(np.abs(patterns.sum(axis=1)) > 1e-12 * scale)
     if len(unbalanced):
         raise ModelError(f"current pattern {unbalanced[0]} must sum to zero (Kirchhoff)")
+    electrodes = op.rank[n:n + J]
     if not nodes:
+        electrodes = electrodes - n  # rows of the trailing block
         rhs = np.zeros((J + 1, len(patterns)))
-        rhs[:J] = patterns.T
-        return None, system.lu.solve_tail(rhs)[:J].T
-    rhs = np.zeros((n + J + 1, len(patterns)))
-    rhs[n:n + J, :] = patterns.T
-    sol = system.lu.solve(rhs)
-    return sol[:n, :].T, sol[n:n + J, :].T
+        rhs[electrodes] = patterns.T
+        y, _ = getrs(system._tail_lu, np.arange(J + 1, dtype=np.int32), rhs)
+        return None, y[electrodes].T
+    rhs = np.zeros((op.size, len(patterns)))
+    rhs[electrodes] = patterns.T
+    sol = system.factor.solve(rhs)
+    return sol[op.rank[:n]].T, sol[electrodes].T
 
 
 def electrode_matrix(system: CEMSystem):

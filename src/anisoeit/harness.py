@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise HarnessError("config", f"unknown mode {self.mode!r}")
         with _stage("config", "gn."):  # GNSettings names the field
             self.settings()
+        with _stage("config", "schedule: "):
+            self.schedule()
 
     def schedule(self) -> BarrierSchedule:
         if self.xi_start == 0 and self.xi_end == 0:

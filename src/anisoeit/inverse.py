@@ -464,7 +464,7 @@ class _Problem:
         """(objective, misfit, penalty, barrier) at a feasible x; the
         objective is the sum of the other three."""
         r = self.data.values - self._fields(x)[1]
-        misfit, pen, bar = float(r @ r), self.penalty(x)[0], barrier(x[:self.M], xi)
+        misfit, pen, bar = float(r @ r), self.penalty(x), barrier(x[:self.M], xi)
         return misfit + pen + bar, misfit, pen, bar
 
     def _fields(self, x):
@@ -488,21 +488,26 @@ class _Problem:
         J = _unique_jacobian(params, u_nodal, self.fold, self._grad, len(self.blocks))
         if self.mode == ANISOTROPIC:
             J[:, -1] *= params.lam  # chain rule to the internal log-lam variable
-        g = -2.0 * (J.T @ self.fold.residual_sums(self.data.values - U_pred)) + self.penalty(x)[1]
+        g = -2.0 * (J.T @ self.fold.residual_sums(self.data.values - U_pred)) + self.penalty_grad(x)
         g[:self.M] += barrier_grad(x[:self.M], xi)
         return g, self.fold.root_weight[:, None] * J
 
-    def penalty(self, x):
+    def penalty(self, x) -> float:
         M, w = self.M, self.weights
         eta, theta, ll = x[:M], x[M:2 * M], x[2 * M]
-        val = (penalty_eta(eta, self.pairs, w.alpha0, w.alpha1)
-               + penalty_theta(theta, self.pairs, w.beta0, w.beta1)
-               + w.beta2 * (ll + ll ** 2 / w.nu ** 2))
-        grad = np.concatenate([
-            penalty_eta_grad(eta, self.pairs, w.alpha0, w.alpha1),
-            penalty_theta_grad(theta, self.pairs, w.beta0, w.beta1),
-            [w.beta2 * (1.0 + 2.0 * ll / w.nu ** 2)]])
-        return val, grad[:self.n_free]
+        return (penalty_eta(eta, self.pairs, w.alpha0, w.alpha1)
+                + penalty_theta(theta, self.pairs, w.beta0, w.beta1)
+                + w.beta2 * (ll + ll ** 2 / w.nu ** 2))
+
+    def penalty_grad(self, x) -> np.ndarray:
+        """The penalty gradient over the free unknowns."""
+        M, w = self.M, self.weights
+        grad = penalty_eta_grad(x[:M], self.pairs, w.alpha0, w.alpha1)
+        if self.mode != ANISOTROPIC:
+            return grad
+        ll = x[2 * M]
+        return np.concatenate([grad, penalty_theta_grad(x[M:2 * M], self.pairs, w.beta0, w.beta1),
+                               [w.beta2 * (1.0 + 2.0 * ll / w.nu ** 2)]])
 
     def step_system(self, x, xi: float, Jm) -> _StepSystem:
         """The GN step system at x: penalty bands plus the barrier curvature

@@ -37,6 +37,48 @@ def protocol16():
     return fem.adjacent_protocol(16)
 
 
+def _node_order(operator, A):
+    """The factor-order matrix A (sparse or dense) of `operator` permuted
+    back to node order: entry (order[i], order[j]) is A[i, j]."""
+    rank = np.argsort(operator.order)
+    return A[rank][:, rank]
+
+
+@pytest.fixture(scope="session")
+def node_order():
+    """`_node_order`, for tests that read the CEM matrix by node."""
+    return _node_order
+
+
+def _cem_energy(mesh, g: np.ndarray, z: np.ndarray, u: np.ndarray, U: np.ndarray) -> float:
+    """sum_e area_e grad(u)' gamma_e grad(u) + sum_j (1/z_j) int_{e_j}
+    (u - U_j)^2 ds for nodal u and electrode U, with the contact term
+    evaluated edge by edge."""
+    p = mesh.nodes[mesh.triangles]
+    edges1, edges2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * np.abs(edges1[:, 0] * edges2[:, 1] - edges1[:, 1] * edges2[:, 0])
+    ue = u[mesh.triangles]
+    jumps = np.stack([ue[:, 1] - ue[:, 0], ue[:, 2] - ue[:, 0]], axis=1)
+    grads = np.linalg.solve(np.stack([edges1, edges2], axis=1), jumps[..., None])[..., 0]
+    bulk = np.sum(areas * (g[:, 0] * grads[:, 0] ** 2 + 2 * g[:, 1] * grads[:, 0] * grads[:, 1]
+                           + g[:, 2] * grads[:, 1] ** 2))
+    contact = 0.0
+    for edge in mesh.boundary_edges:
+        if edge.electrode is None:
+            continue
+        j, (na, nb) = edge.electrode, edge.nodes
+        ell = np.linalg.norm(mesh.nodes[na] - mesh.nodes[nb])
+        da, db = u[na] - U[j], u[nb] - U[j]
+        contact += ell * (da * da + da * db + db * db) / 3.0 / z[j]
+    return bulk + contact
+
+
+@pytest.fixture(scope="session")
+def cem_energy():
+    """`_cem_energy`, the edge-by-edge reference for v'Av."""
+    return _cem_energy
+
+
 def _random_step_penalty(rng, M: int, anisotropic: bool, beta2: float):
     """The penalty part of a random GN step system on M pixels: a random
     lattice (numbered at random, so of any bandwidth), random weights and a

@@ -24,53 +24,55 @@ def disk_system(disk_mesh, disk_layout):
 
 # --- assembly -------------------------------------------------------------
 
-def reference_triangle():
-    """The unit right triangle as a mesh with no electrodes."""
+def reference_triangle(electrodes=(None, None, None)):
+    """The unit right triangle as a mesh, its three edges on the given
+    electrodes (none by default)."""
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    return Mesh(nodes=nodes, triangles=tris,
-                boundary_edges=(BoundaryEdge((0, 1), (0.0, 1.0), None),
-                                BoundaryEdge((1, 2), (1.0, 1.0 + np.sqrt(2)), None),
-                                BoundaryEdge((2, 0), (1.0 + np.sqrt(2), 2 + np.sqrt(2)), None)))
+    ends = np.cumsum([0.0, 1.0, np.sqrt(2), 1.0])
+    return Mesh(nodes=nodes, triangles=tris, boundary_edges=tuple(
+        BoundaryEdge(pair, (ends[k], ends[k + 1]), electrode)
+        for k, (pair, electrode) in enumerate(zip(((0, 1), (1, 2), (2, 0)), electrodes))))
 
 
-def test_reference_triangle_stiffness():
+def test_reference_triangle_stiffness(node_order):
     # unit right triangle, unit conductivity: classical P1 element matrix
     op = CEMOperator(reference_triangle())
     assert op.J == 0
-    K = op.matrix(TensorField.isotropic(1.0, 1).g, np.zeros(0)).toarray()[:3, :3]
+    A = op.matrix(TensorField.isotropic(1.0, 1).g, np.zeros(0))
+    K = node_order(op, A).toarray()[:3, :3]
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(K, expected, atol=1e-14)
 
 
-def test_factor_order_without_electrodes():
+def test_factor_order_without_electrodes(node_order):
     """With J = 0 the order is the (single-leaf) nodes, then the multiplier."""
     op = CEMOperator(reference_triangle())
     assert np.array_equal(op.order, np.arange(4))
     A = op.matrix(TensorField.isotropic(1.0, 1).g, np.zeros(0))
-    assert np.array_equal(op.ordered(A).toarray(), A.toarray())
+    assert np.array_equal(A.toarray(), node_order(op, A).toarray())
 
 
-def test_ordered_factor_fills_less_than_colamd():
+def test_ordered_factor_fills_less_than_colamd(node_order):
     """On the 8k-element, 32-electrode case3 mesh the nested-dissection
     factor has at most 0.8 times the L + U entries of SuperLU's own COLAMD
-    order on the same matrix."""
+    order on the same matrix in node order."""
     curve = build_boundary(builtin_configs()["case3_fourier"].true_domain, 2048)
     layout = place_electrodes(curve, 32, 0.5)
     mesh = triangulate(curve, layout, 8500)
     assert mesh.n_elements > 8000
     system = assemble(mesh, TensorField.isotropic(1.0, mesh.n_elements), layout)
-    ordered, colamd = system.lu.factor, splu(system.matrix)
+    ordered, colamd = system.factor, splu(node_order(system.operator, system.matrix))
     assert ordered.L.nnz + ordered.U.nnz <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
 
-def test_stiffness_linear_in_tensor(small_disk_mesh):
+def test_stiffness_linear_in_tensor(small_disk_mesh, node_order):
     op = small_disk_mesh.cem_operator
     n, no_contact = small_disk_mesh.n_nodes, np.zeros(op.J)
     f1 = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
     f2 = TensorField.isotropic(2.0, small_disk_mesh.n_elements)
-    v1 = op.matrix(f1.g, no_contact)[:n, :n].toarray()
-    v2 = op.matrix(f2.g, no_contact)[:n, :n].toarray()
+    v1 = node_order(op, op.matrix(f1.g, no_contact))[:n, :n].toarray()
+    v2 = node_order(op, op.matrix(f2.g, no_contact))[:n, :n].toarray()
     assert np.allclose(v2, 2.0 * v1, rtol=1e-15)
 
 
@@ -82,43 +84,26 @@ def test_operator_is_built_once_per_mesh(small_disk_mesh, disk_layout):
     assert s1.operator is s2.operator is small_disk_mesh.cem_operator
 
 
-def test_energy_identity_random_fields(small_disk_mesh, disk_layout):
+def test_energy_identity_random_fields(small_disk_mesh, disk_layout, node_order, cem_energy):
     """For v = (u, U, 0): v'Av = sum_e area_e grad(u)' gamma_e grad(u)
     + sum_j (1/z_j) int_{e_j} (u - U_j)^2 ds, with the right-hand side
     evaluated edge by edge, on random SPD fields and contact impedances."""
     mesh = small_disk_mesh
     rng = np.random.default_rng(11)
-    p = mesh.nodes[mesh.triangles]
-    edges1, edges2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    areas = 0.5 * np.abs(edges1[:, 0] * edges2[:, 1] - edges1[:, 1] * edges2[:, 0])
     for _ in range(5):
         a, c = rng.uniform(0.2, 3.0, (2, mesh.n_elements))
         g = np.column_stack([a, rng.uniform(-0.9, 0.9, mesh.n_elements) * np.sqrt(a * c), c])
         z = rng.uniform(0.05, 5.0, disk_layout.J)
         layout = dataclasses.replace(disk_layout, contact_impedances=z)
-        A = assemble(mesh, TensorField(g=g), layout).matrix
+        A = node_order(mesh.cem_operator, assemble(mesh, TensorField(g=g), layout).matrix)
         u, U = rng.normal(size=mesh.n_nodes), rng.normal(size=disk_layout.J)
         v = np.concatenate([u, U, [0.0]])
-
-        ue = u[mesh.triangles]
-        grads = np.linalg.solve(np.stack([edges1, edges2], axis=1),
-                                np.stack([ue[:, 1] - ue[:, 0], ue[:, 2] - ue[:, 0]], axis=1)[..., None])[..., 0]
-        bulk = np.sum(areas * (g[:, 0] * grads[:, 0] ** 2 + 2 * g[:, 1] * grads[:, 0] * grads[:, 1]
-                               + g[:, 2] * grads[:, 1] ** 2))
-        contact = 0.0
-        for edge in mesh.boundary_edges:
-            if edge.electrode is None:
-                continue
-            j, (na, nb) = edge.electrode, edge.nodes
-            ell = np.linalg.norm(mesh.nodes[na] - mesh.nodes[nb])
-            da, db = u[na] - U[j], u[nb] - U[j]
-            contact += ell * (da * da + da * db + db * db) / 3.0 / z[j]
-        energy = bulk + contact
+        energy = cem_energy(mesh, g, z, u, U)
         assert abs(v @ (A @ v) - energy) <= 1e-12 * energy
 
 
-def test_assembled_matrix_symmetric(disk_system):
-    M = disk_system.matrix
+def test_assembled_matrix_symmetric(disk_system, node_order):
+    M = node_order(disk_system.operator, disk_system.matrix)
     asym = abs(M - M.T).max()
     assert asym <= 1e-14 * abs(M).max()
 
@@ -157,25 +142,28 @@ def test_solve_many_checks_its_patterns(disk_system):
 
 
 @pytest.mark.parametrize("moved", ["perm_r", "perm_c"])
-def test_electrode_solve_needs_diagonal_pivots(moved):
+def test_electrode_solve_needs_diagonal_pivots(monkeypatch, moved):
     """The trailing-block solve holds only when no pivot left the diagonal;
     a moved pivot is an error that names it, not a silent full solve."""
     perms = {"perm_r": np.arange(6), "perm_c": np.arange(6)}
     perms[moved][[3, 4]] = [4, 3]
     stub = types.SimpleNamespace(shape=(6, 6), **perms)
-    lu = fem.OrderedLU(stub, np.arange(6), 3)
+    monkeypatch.setattr(fem, "splu", lambda *args, **kwargs: stub)
+    op = CEMOperator(reference_triangle((0, 1, None)))  # 3 nodes, 2 electrodes, multiplier
+    system = fem.CEMSystem(op.matrix(TensorField.isotropic(1.0, 1).g, np.ones(2)), op)
     with pytest.raises(ModelError, match=rf"moved pivot 3 \({moved}\)"):
-        lu.solve_tail(np.zeros((3, 1)))
+        solve_many(system, np.array([[1.0, -1.0]]), nodes=False)
 
 
-def test_solution_residual_small(disk_system):
+def test_solution_residual_small(disk_system, node_order):
     pattern = np.zeros(16)
     pattern[0], pattern[3] = 1.0, -1.0
-    n = disk_system.operator.n_nodes
+    op = disk_system.operator
+    n = op.n_nodes
     rhs = np.zeros(n + 17)
     rhs[n:n + 16] = pattern
-    sol = disk_system.lu.solve(rhs)
-    res = np.linalg.norm(disk_system.matrix @ sol - rhs) / np.linalg.norm(rhs)
+    sol = disk_system.factor.solve(rhs[op.order])[np.argsort(op.order)]
+    res = np.linalg.norm(node_order(op, disk_system.matrix) @ sol - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
 
 

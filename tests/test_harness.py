@@ -147,6 +147,12 @@ BAD_CONFIGS = {
         kind="fourier", params={"cos": ["0.1"]}), "model_domain: fourier param 'cos'"),
     "empty iteration budget": (lambda d: d["gn"].update(max_inner=0),
                                "gn.max_inner must be an integer >= 1, got 0"),
+    "no barrier stages": (lambda d: d["schedule"].update(stages=0),
+                          "schedule: schedule must be a nonempty 1-d sequence"),
+    "negative barrier start": (lambda d: d["schedule"].update(xi_start=-1.0),
+                               "schedule: need start > end > 0"),
+    "increasing barrier": (lambda d: d["schedule"].update(xi_start=d["schedule"]["xi_end"] / 10),
+                           "schedule: need start > end > 0"),
 }
 
 

@@ -91,6 +91,27 @@ def test_solve_many_is_linear_in_the_currents(scene, seed):
         assert np.linalg.norm(mix - (a * from_P + b * from_Q)) <= 1e-10 * scale
 
 
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes(), seed=seeds)
+def test_factor_order_matrix_is_the_cem_form(node_order, cem_energy, scene, seed):
+    """The assembled matrix comes in canonical CSC form (sorted, no
+    duplicates), so SuperLU sorts nothing itself; permuted back to node
+    order it is symmetric and v'Av is the CEM energy of v = (u, U, 0) for a
+    random SPD field and random potentials."""
+    mesh, _, layout, _ = scene
+    field = random_field(seed, mesh.n_elements)
+    op = mesh.cem_operator
+    A = op.matrix(field.g, 1.0 / layout.contact_impedances)
+    assert A.has_canonical_format
+    A = node_order(op, A)
+    assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
+    rng = np.random.default_rng(seed)
+    u, U = rng.normal(size=mesh.n_nodes), rng.normal(size=layout.J)
+    v = np.concatenate([u, U, [0.0]])
+    energy = cem_energy(mesh, field.g, layout.contact_impedances, u, U)
+    assert abs(v @ (A @ v) - energy) <= 1e-12 * energy
+
+
 def contrast_field(seed: int, T: int, decades: float):
     """A random SPD field whose eigenvalues, per element and across the
     mesh, span up to 10**decades; returns (field, their contrast)."""
@@ -123,12 +144,13 @@ def check_ordered_factor(mesh, layout, seed: int, decades: float):
     patterns = np.random.default_rng(seed).normal(size=(3, J))
     patterns -= patterns.mean(axis=1, keepdims=True)
     u, U = fem.solve_many(system, patterns)
-    assert np.array_equal(system.lu.factor.perm_r, np.arange(n + J + 1))
-    pivots = system.lu.factor.U.diagonal()
+    assert np.array_equal(system.factor.perm_r, np.arange(n + J + 1))
+    pivots = system.factor.U.diagonal()
     assert pivots[-2] < 0 and np.all(np.delete(pivots, -2) > 0)
-    A, rhs = system.matrix.toarray(), np.zeros((n + J + 1, 3))
+    rank = np.argsort(order)
+    A, rhs = system.matrix.toarray()[np.ix_(rank, rank)], np.zeros((n + J + 1, 3))
     rhs[n:n + J] = patterns.T
-    x = system.lu.solve(rhs)
+    x = system.factor.solve(rhs[order])[rank]
     assert np.array_equal(x[:n], u.T) and np.array_equal(x[n:n + J], U.T)
     backward = np.linalg.norm(A @ x - rhs) / (np.linalg.norm(A, np.inf) * np.linalg.norm(x)
                                               + np.linalg.norm(rhs))

@@ -11,7 +11,7 @@ bordered matrix is linear in the per-element (g11, g12, g22) and the
 per-electrode 1/z_j; a `CEMOperator`, built once per mesh and kept as
 `Mesh.cem_operator`, holds all the geometry-only work, so assembling for a
 conductivity is one sparse mat-vec.  That work includes the factor order:
-the nodes in geometric nested-dissection order (George 1973), then the
+the nodes in SuperLU's multiple-minimum-degree order (Liu 1985), then the
 electrode potentials with the multiplier before the last one.  The operator
 keeps one sparsity pattern, already in that order, so the mat-vec gives the
 matrix that is factored.  Under the order every pivot is diagonal, so one
@@ -41,57 +41,8 @@ from anisoeit.geometry import ElectrodeLayout, Mesh
 from anisoeit.tensors import TensorField
 
 
-# part size at which nested dissection stops cutting; on an 8k-element,
-# 32-electrode mesh leaves of 8 to 32 nodes factor and solve equally fast
-# and 64 is about 10% slower
-DISSECTION_LEAF = 32
-
-
 class ModelError(ValueError):
     """Invalid forward-model input (incompatible pattern, bad tensor, ...)."""
-
-
-def _dissection(nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geometric nested-dissection order of the mesh nodes; (a, b) are the
-    mesh edges as directed pairs, each edge in both directions.
-
-    A part larger than `DISSECTION_LEAF` is cut at the median of the longer
-    side of its bounding box, and its separator is the set of lower-half
-    nodes with a neighbour in the upper half.  The order is lower half, upper
-    half, separator, recursively.  All parts of one level are cut together;
-    each node's path of choices (0 lower, 1 upper, 2 separator), padded
-    with zeros once it leaves the cutting, is its base-3 sort key, and while
-    a node is live its path names its part.  Distinct live parts are never
-    adjacent, so a cut needs no part check.
-    """
-    n = len(nodes)
-    rank = np.empty((2, n), dtype=np.int64)  # each node's rank along x and along y
-    for axis in range(2):
-        rank[axis, np.argsort(nodes[:, axis], kind="stable")] = np.arange(n)
-    path = np.zeros(n, dtype=np.int64)
-    live = np.arange(n)  # nodes of the parts still to cut, grouped by part
-    while True:
-        size = np.diff(np.flatnonzero(np.diff(path[live], prepend=-1)), append=len(live))
-        cut = size > DISSECTION_LEAF
-        live, size = live[np.repeat(cut, size)], size[cut]
-        if not len(live):
-            break
-        first = np.cumsum(size) - size
-        part = np.repeat(np.arange(len(size)), size)
-        xy = nodes[live]
-        extent = np.maximum.reduceat(xy, first) - np.minimum.reduceat(xy, first)
-        axis = (extent[:, 1] > extent[:, 0]).astype(np.intp)[part]
-        live = live[np.argsort(part * n + rank[axis, live])]
-        upper = np.arange(len(live)) - first[part] >= (size // 2)[part]
-        side = np.zeros(n, dtype=np.int8)
-        side[live] = 1 + upper
-        separator = np.zeros(n, dtype=bool)
-        separator[a[(side[a] == 1) & (side[b] == 2)]] = True
-        sep = separator[live]
-        path *= 3
-        path[live] += np.where(sep, 2, upper)
-        live = live[~sep]
-    return np.argsort(path, kind="stable")
 
 
 def _csc_pattern(keys: np.ndarray, size: int):
@@ -103,13 +54,13 @@ def _csc_pattern(keys: np.ndarray, size: int):
 class CEMOperator:
     """The conductivity-independent part of the CEM system on one mesh.
 
-    `order` is the factor order: the nodes by `_dissection`, then
-    U_0 .. U_{J-2}, the multiplier and U_{J-1}, and `rank` its inverse.  The
-    (u, U) block is singular along (1, 1), so a multiplier after every
-    electrode would meet a round-off zero pivot; with this tail every pivot
-    before the multiplier is a Cholesky pivot of an SPD block and the
-    multiplier pivot is -1^T S^-1 1 < 0, S the Schur complement on
-    U_0 .. U_{J-2}.
+    `order` is the factor order: the nodes in SuperLU's `MMD_AT_PLUS_A`
+    column order of their coupling pattern, then U_0 .. U_{J-2}, the
+    multiplier and U_{J-1}, and `rank` its inverse.  The (u, U) block is
+    singular along (1, 1), so a multiplier after every electrode would
+    meet a round-off zero pivot; with this tail every pivot before the
+    multiplier is a Cholesky pivot of an SPD block and the multiplier pivot
+    is -1^T S^-1 1 < 0, S the Schur complement on U_0 .. U_{J-2}.
 
     The one CSC pattern (`indices`, `indptr`) is that of the bordered
     matrix permuted symmetrically to `order`, and its data array is
@@ -134,6 +85,27 @@ class CEMOperator:
         self.n_nodes, self.J = n, J
         size = self.size = n + J + 1
 
+        # the nodes in SuperLU's minimum-degree order of their couplings, read
+        # off one factor of a strictly diagonally dominant matrix with that
+        # pattern.  A contact term couples the two nodes of a triangle edge, so
+        # the couplings are the triangles' node pairs.  The order comes first
+        # so that the arrays below reuse the factor's freed memory.  This is
+        # scipy's splu, not the module's `splu`: the operator is built inside
+        # the first `assemble`, and perfbench wraps `fem.splu` as the factor of
+        # each conductivity.
+        i, j = np.nonzero(~np.eye(3, dtype=bool))
+        pairs = tri[:, i].ravel(), tri[:, j].ravel()
+        pattern = (sp.csc_matrix((np.full(6 * T, -1.0), pairs), shape=(n, n))
+                   + sp.identity(n, format="csc") * (6.0 * T + 1.0))
+        mmd = sp.linalg.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                             options=dict(SymmetricMode=True))
+        tail = n + np.arange(J + 1)
+        tail[-2:] = tail[-2:][::-1]  # U_0 .. U_{J-2}, multiplier, U_{J-1}
+        self.order = np.concatenate([np.argsort(mmd.perm_c), tail])
+        del pattern, mmd
+        rank = self.rank = np.empty(size, dtype=np.int64)
+        rank[self.order] = np.arange(size)
+
         # stiffness entry (i, j) of an element: (b_i b_j, b_i c_j + c_i b_j, c_i c_j) / (4 area)
         i, j = np.divmod(np.arange(9), 3)
         stiff = np.stack([b[:, i] * b[:, j], b[:, i] * c[:, j] + c[:, i] * b[:, j],
@@ -152,13 +124,6 @@ class CEMOperator:
                                  np.repeat(3 * T + ej, 9), np.full(2 * J, 3 * T + J)])
         coef = np.concatenate([stiff.ravel(), edge.ravel(), np.ones(2 * J)])
 
-        coupled = (rows < n) & (cols < n) & (rows != cols)
-        tail = n + np.arange(J + 1)
-        tail[-2:] = tail[-2:][::-1]  # U_0 .. U_{J-2}, multiplier, U_{J-1}
-        self.order = np.concatenate([_dissection(mesh.nodes, rows[coupled], cols[coupled]),
-                                     tail])
-        rank = self.rank = np.empty(size, dtype=np.int64)
-        rank[self.order] = np.arange(size)
         keys, position = np.unique(rank[cols] * size + rank[rows], return_inverse=True)
         self.indices, self.indptr = _csc_pattern(keys, size)
         self.data_map = sp.csr_matrix((coef, (position, inputs)),
@@ -225,8 +190,8 @@ def assemble(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout) -> CEMSystem
         raise ModelError("tensor field does not match mesh")
     if layout.J != op.J:
         raise ModelError(f"layout has {layout.J} electrodes but the mesh tags {op.J}")
-    if np.any(layout.contact_impedances <= 0):
-        raise ModelError("contact impedances must be positive")
+    if not np.all(np.isfinite(layout.contact_impedances) & (layout.contact_impedances > 0)):
+        raise ModelError("contact impedances must be finite and positive")
     mat = op.matrix(fld.g, 1.0 / layout.contact_impedances)
     return CEMSystem(matrix=mat, operator=op)
 
@@ -239,9 +204,9 @@ def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
 
 def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
     """Nodal (K, n) and electrode (K, J) potentials for stacked current
-    patterns (K, J), one factorization.  Each pattern must sum to zero
-    (Kirchhoff).  The patterns go straight into the electrode rows of the
-    factor order and the potentials are read back by `rank`.  With
+    patterns (K, J), one factorization.  Each pattern must be finite and
+    sum to zero (Kirchhoff).  The patterns go straight into the electrode
+    rows of the factor order and the potentials are read back by `rank`.  With
     `nodes=False` the nodal potentials are None and the electrode potentials
     come from the factor's trailing block alone (`CEMSystem._tail_lu`),
     with no sweep over the node rows."""
@@ -250,6 +215,9 @@ def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
     n, J = op.n_nodes, op.J
     if patterns.ndim != 2 or patterns.shape[1] != J:
         raise ModelError(f"patterns must have shape (K, {J}), got {patterns.shape}")
+    bad = np.flatnonzero(~np.isfinite(patterns).all(axis=1))
+    if len(bad):
+        raise ModelError(f"current pattern {bad[0]} has a non-finite entry")
     scale = np.maximum(np.abs(patterns).max(axis=1), 1.0)
     unbalanced = np.flatnonzero(np.abs(patterns.sum(axis=1)) > 1e-12 * scale)
     if len(unbalanced):

@@ -56,6 +56,8 @@ class TensorField:
     def isotropic(values: Union[float, np.ndarray], n_elements: int = None) -> "TensorField":
         v = np.asarray(values, dtype=float)
         if v.ndim == 0:
+            if n_elements is None:
+                raise TensorError("a scalar isotropic value needs n_elements")
             v = np.full(n_elements, float(v))
         g = np.column_stack([v, np.zeros_like(v), v])
         return TensorField(g=g)

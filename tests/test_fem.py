@@ -12,7 +12,7 @@ from anisoeit.fem import (CEMOperator, ModelError, add_noise, adjacent_protocol,
                           solve_current_drive, solve_many)
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, Mesh, build_boundary,
                                place_electrodes, triangulate)
-from anisoeit.harness import builtin_configs
+from anisoeit.harness import build_scene, builtin_configs
 from anisoeit.tensors import TensorError, TensorField
 
 
@@ -46,24 +46,30 @@ def test_reference_triangle_stiffness(node_order):
 
 
 def test_factor_order_without_electrodes(node_order):
-    """With J = 0 the order is the (single-leaf) nodes, then the multiplier."""
+    """With J = 0 the order is a permutation of the nodes, then the
+    multiplier; `rank` is its inverse and the factor-order matrix is the
+    node-order matrix permuted to it."""
     op = CEMOperator(reference_triangle())
-    assert np.array_equal(op.order, np.arange(4))
+    assert np.array_equal(np.sort(op.order[:3]), np.arange(3)) and op.order[3] == 3
+    assert np.array_equal(op.rank[op.order], np.arange(4))
     A = op.matrix(TensorField.isotropic(1.0, 1).g, np.zeros(0))
-    assert np.array_equal(A.toarray(), node_order(op, A).toarray())
+    assert np.array_equal(node_order(op, A).toarray()[np.ix_(op.order, op.order)], A.toarray())
 
 
 def test_ordered_factor_fills_less_than_colamd(node_order):
-    """On the 8k-element, 32-electrode case3 mesh the nested-dissection
-    factor has at most 0.8 times the L + U entries of SuperLU's own COLAMD
-    order on the same matrix in node order."""
+    """On the 8k-element, 32-electrode case3 mesh and on the case1 recon
+    mesh, which every Gauss-Newton iterate factors, the factor in the
+    operator's order has at most 0.8 times the L + U entries of SuperLU's
+    own COLAMD order on the same matrix in node order."""
     curve = build_boundary(builtin_configs()["case3_fourier"].true_domain, 2048)
     layout = place_electrodes(curve, 32, 0.5)
     mesh = triangulate(curve, layout, 8500)
     assert mesh.n_elements > 8000
-    system = assemble(mesh, TensorField.isotropic(1.0, mesh.n_elements), layout)
-    ordered, colamd = system.factor, splu(node_order(system.operator, system.matrix))
-    assert ordered.L.nnz + ordered.U.nnz <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
+    scene = build_scene(builtin_configs()["case1_ellipse"])
+    for mesh, layout in [(mesh, layout), (scene.mesh_recon, scene.layout_recon)]:
+        system = assemble(mesh, TensorField.isotropic(1.0, mesh.n_elements), layout)
+        ordered, colamd = system.factor, splu(node_order(system.operator, system.matrix))
+        assert ordered.L.nnz + ordered.U.nnz <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_stiffness_linear_in_tensor(small_disk_mesh, node_order):
@@ -139,6 +145,17 @@ def test_solve_many_checks_its_patterns(disk_system):
         solve_many(disk_system, adjacent_protocol(15).patterns)
     with pytest.raises(ModelError, match=r"got \(1, 2, 16\)"):
         solve_current_drive(disk_system, np.zeros((2, 16)))
+
+
+@pytest.mark.parametrize("nodes", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_many_rejects_non_finite_patterns(disk_system, bad, nodes):
+    """A NaN passes the Kirchhoff check and a +-inf pair cancels badly; both
+    are named before any solve."""
+    patterns = adjacent_protocol(16).patterns.copy()
+    patterns[3, [4, 9]] = [bad, -bad]
+    with pytest.raises(ModelError, match="pattern 3 has a non-finite entry"):
+        solve_many(disk_system, patterns, nodes=nodes)
 
 
 @pytest.mark.parametrize("moved", ["perm_r", "perm_c"])
@@ -448,8 +465,15 @@ def test_data_vector_csv_roundtrip(small_disk_mesh, disk_layout, protocol16):
     (lambda mesh, field, curve, layout: assemble(mesh, field, place_electrodes(curve, 8, 0.5)),
      "layout has 8 electrodes but the mesh tags 16"),
     (lambda mesh, field, curve, layout: assemble(mesh, field, dataclasses.replace(
-        layout, contact_impedances=np.zeros(16))), "contact impedances must be positive"),
-], ids=["field size", "electrode count", "impedances"])
+        layout, contact_impedances=np.zeros(16))),
+     "contact impedances must be finite and positive"),
+    (lambda mesh, field, curve, layout: assemble(mesh, field, dataclasses.replace(
+        layout, contact_impedances=np.full(16, np.nan))),
+     "contact impedances must be finite and positive"),
+    (lambda mesh, field, curve, layout: assemble(mesh, field, dataclasses.replace(
+        layout, contact_impedances=np.full(16, np.inf))),
+     "contact impedances must be finite and positive"),
+], ids=["field size", "electrode count", "impedances", "nan impedances", "inf impedances"])
 def test_assemble_checks_its_inputs(small_disk_mesh, disk_curve, disk_layout, check, message):
     field = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
     with pytest.raises(ModelError, match=message):

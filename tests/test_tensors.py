@@ -88,6 +88,11 @@ def test_tensor_field_rejects_non_finite_entries():
             TensorField(g=np.array([[1.0, np.nan, 1.0]]))
 
 
+def test_isotropic_scalar_needs_element_count():
+    with pytest.raises(TensorError, match="scalar isotropic value needs n_elements"):
+        TensorField.isotropic(2.0)
+
+
 def test_gamma_hat_injectivity_and_canonicalization(small_lattice):
     rng = np.random.default_rng(3)
     M = small_lattice.n_active

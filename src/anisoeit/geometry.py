@@ -106,7 +106,9 @@ class BoundaryCurve:
     total_length: float
 
     def point_at(self, s):
-        """Piecewise-linear point on the curve at arclength s (mod S)."""
+        """Piecewise-linear point on the curve at arclength s (mod S): one
+        point (2,) for a scalar s, one row per entry (P, 2) for an array."""
+        scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float)) % self.total_length
         pts = np.vstack([self.points, self.points[:1]])
         knots = np.append(self.s, self.total_length)
@@ -114,7 +116,7 @@ class BoundaryCurve:
         seg = knots[idx + 1] - knots[idx]
         t = (s - knots[idx]) / np.where(seg > 0, seg, 1.0)
         out = pts[idx] * (1 - t[:, None]) + pts[idx + 1] * t[:, None]
-        return out if out.shape[0] > 1 else out[0]
+        return out[0] if scalar else out
 
     def area(self) -> float:
         x, y = self.points[:, 0], self.points[:, 1]
@@ -383,27 +385,24 @@ def build_boundary(spec: DomainSpec, n_samples: int) -> BoundaryCurve:
         raise GeometryError("n_samples must be at least 64")
     kind, p = spec.kind, spec.params
 
-    if kind == "disk":
-        r = float(p.get("radius", 1.0))
+    if kind != "truncated_ellipse":  # (a cos t, b sin t), with a = b = r(t) if fourier
         t = np.linspace(0, 2 * np.pi, n_samples, endpoint=False)
-        pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    elif kind == "ellipse":
-        a, b = float(p["a"]), float(p["b"])
-        t = np.linspace(0, 2 * np.pi, n_samples, endpoint=False)
+        if kind == "disk":
+            a = b = float(p.get("radius", 1.0))
+        elif kind == "ellipse":
+            a, b = float(p["a"]), float(p["b"])
+        else:
+            cos_c = np.asarray(p.get("cos", []), dtype=float)
+            sin_c = np.asarray(p.get("sin", []), dtype=float)
+            a = b = _fourier_radius(cos_c, sin_c, t)
+            # positivity checked on a finer grid than the requested sampling
+            tf = np.linspace(0, 2 * np.pi, 8 * n_samples, endpoint=False)
+            rf = _fourier_radius(cos_c, sin_c, tf)
+            if rf.min() <= 0:
+                raise GeometryError(f"fourier radius is nonpositive "
+                                    f"(min {rf.min():.4g} at phi={tf[rf.argmin()]:.4g})")
         pts = np.column_stack([a * np.cos(t), b * np.sin(t)])
-    elif kind == "fourier":
-        cos_c = np.asarray(p.get("cos", []), dtype=float)
-        sin_c = np.asarray(p.get("sin", []), dtype=float)
-        t = np.linspace(0, 2 * np.pi, n_samples, endpoint=False)
-        r = _fourier_radius(cos_c, sin_c, t)
-        # positivity checked on a finer grid than the requested sampling
-        tf = np.linspace(0, 2 * np.pi, 8 * n_samples, endpoint=False)
-        rf = _fourier_radius(cos_c, sin_c, tf)
-        if rf.min() <= 0:
-            raise GeometryError(
-                f"fourier radius is nonpositive (min {rf.min():.4g} at phi={tf[rf.argmin()]:.4g})")
-        pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    else:  # truncated_ellipse
+    else:
         a, b = float(p["a"]), float(p["b"])
         cut = float(p.get("cut_frac", -0.65))
         round_frac = float(p.get("round_frac", 0.02))
@@ -471,8 +470,8 @@ def triangulate(curve: BoundaryCurve, layout: ElectrodeLayout, target_elements: 
     """Quasi-uniform Delaunay mesh with electrode endpoints resolved exactly.
 
     Interior nodes come from a hexagonal lattice clipped away from the
-    boundary; the element count lands within 25% of the target (one
-    corrective resize pass if the first guess is off).
+    boundary; the element count lands within 25% of the target (up to three
+    corrective resize passes if the first guess is off).
     """
     if not _integer(target_elements):
         raise GeometryError(f"target_elements must be an integer, got {target_elements!r}")
@@ -485,17 +484,14 @@ def triangulate(curve: BoundaryCurve, layout: ElectrodeLayout, target_elements: 
     # T ~ (4/sqrt(3)) A / h^2 + S / h  for hex-lattice interior + boundary ring
     h = (S + np.sqrt(S ** 2 + 16.0 * A * target_elements / np.sqrt(3.0))) / (2.0 * target_elements)
 
-    mesh = None
     for _ in range(4):
         mesh = _triangulate_at_h(curve, layout, h)
         ratio = mesh.n_elements / target_elements
         if 0.75 <= ratio <= 1.25:
-            break
+            return mesh
         h *= np.sqrt(ratio)
-    if mesh is None or not 0.75 <= mesh.n_elements / target_elements <= 1.25:
-        raise GeometryError(
-            f"mesh size control failed: got {mesh.n_elements} elements for target {target_elements}")
-    return mesh
+    raise GeometryError(
+        f"mesh size control failed: got {mesh.n_elements} elements for target {target_elements}")
 
 
 def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -> Mesh:

@@ -226,13 +226,6 @@ def penalty_hess(pairs: np.ndarray, M: int, w0: float, w1: float) -> scipy.spars
     return 2.0 * w0 * scipy.sparse.identity(M, format="csr") + 4.0 * w1 * laplacian
 
 
-def penalty_lambda(lam: float, beta2: float, nu: float = 1.0) -> float:
-    if not lam > 0:
-        raise ReconError("lam must be positive")
-    ln = np.log(lam)
-    return float(beta2 * (ln + ln ** 2 / nu ** 2))
-
-
 def barrier(eta: np.ndarray, xi: float) -> float:
     """Interior-point term xi * sum(1/eta_i); caller must keep eta > 0."""
     if np.any(eta <= 0):
@@ -434,9 +427,9 @@ class _Problem:
         blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
         self.blocks = blocks if mode == ANISOTROPIC else blocks[:1]
         self.n_free = self.blocks[-1].stop
-        pen_hess = [penalty_hess(self.pairs, M, weights.alpha0, weights.alpha1),
-                    penalty_hess(self.pairs, M, weights.beta0, weights.beta1)]
-        self._pen_bands = [_banded(h) for h in pen_hess[:len(self.blocks)]]
+        band_weights = [(weights.alpha0, weights.alpha1), (weights.beta0, weights.beta1)]
+        self._pen_bands = [_banded(penalty_hess(self.pairs, M, *w))
+                           for w in band_weights[:len(self.blocks)]]
         self._lam_curvature = 2.0 * weights.beta2 / weights.nu ** 2
         self.fold = _Fold(protocol)
         self.solves, self._last = 0, (None,)
@@ -464,7 +457,10 @@ class _Problem:
         """(objective, misfit, penalty, barrier) at a feasible x; the
         objective is the sum of the other three."""
         r = self.data.values - self._fields(x)[1]
-        misfit, pen, bar = float(r @ r), self.penalty(x), barrier(x[:self.M], xi)
+        # a term that overflows is inf: the line search rejects such a trial
+        # and `_run_gauss_newton` rejects such a stage start
+        with np.errstate(over="ignore"):
+            misfit, pen, bar = float(r @ r), self.penalty(x), barrier(x[:self.M], xi)
         return misfit + pen + bar, misfit, pen, bar
 
     def _fields(self, x):
@@ -517,17 +513,6 @@ class _Problem:
         eta_band[-1] += barrier_hess_diag(x[:self.M], xi)
         border = self._lam_curvature if self.mode == ANISOTROPIC else None
         return _StepSystem([eta_band] + self._pen_bands[1:], Jm, border)
-
-    def lam_of(self, x) -> float:
-        return float(np.exp(x[2 * self.M]))
-
-    def block_caps(self):
-        return list(zip(self.blocks, (_ETA_STEP_CAP, _THETA_STEP_CAP, _LOGLAM_STEP_CAP)))
-
-    def to_state(self, x, history, stages, trace, converged, obj, misfit,
-                 initial_misfit) -> ReconState:
-        return ReconState(self.mode, canonicalize(self.unpack(x)), history, stages, trace,
-                          converged, obj, misfit, initial_misfit)
 
 
 def objective(state: UniformAnisoParams, data: fem.DataVector,
@@ -684,24 +669,30 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
     `predicted_decrease` and `actual_decrease` are the objective decrease of
     the accepted step t delta under the GN model and in fact.  Each stage
     entry records why the stage stopped and is also logged at INFO, the
-    entry itself as the record's args."""
+    entry itself as the record's args.  Raises ReconError when the misfit,
+    penalty or barrier at a stage start is not finite."""
     x = problem.initial(x0)
     if not problem.feasible(x):
         raise ReconError("initial iterate is infeasible")
     n = problem.n_free
+    caps = list(zip(problem.blocks, (_ETA_STEP_CAP, _THETA_STEP_CAP, _LOGLAM_STEP_CAP)))
     history, stages = [], []
-    trace = [problem.lam_of(x)]
-    total = solves = 0
+    trace = [float(np.exp(x[-1]))]
+    solves = 0
     converged = True
 
     for stage, xi in enumerate(schedule.xi):
         xi = float(xi)
-        obj, misfit = problem.value(x, xi)[:2]
+        obj, misfit, pen, bar = problem.value(x, xi)
+        for name, term in (("misfit", misfit), ("penalty", pen), ("barrier", bar)):
+            if not np.isfinite(term):
+                raise ReconError(f"{name} is not finite ({term}) at the start of barrier "
+                                 f"stage {stage} (xi={xi:.3g})")
         if stage == 0:
             initial_misfit = misfit
-        first, stop_reason = total, None
+        first, stop_reason = len(history), None
         for _ in range(settings.max_inner):
-            if total >= settings.max_iterations:
+            if len(history) >= settings.max_iterations:
                 break
             g, Jm = problem.linearize(x, xi)
             system = problem.step_system(x, xi, Jm)
@@ -711,8 +702,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             base = _DAMPING * system.trace
             shifts = np.full(len(problem.blocks), base)
             for _esc in range(_DAMPING_RETRIES + 1):
-                delta, cap_escalations, step_shifts = _trust_capped_step(
-                    system, g, problem.block_caps(), shifts)
+                delta, cap_escalations, step_shifts = _trust_capped_step(system, g, caps, shifts)
                 escalations += cap_escalations
                 slope = float(g @ delta)
 
@@ -742,12 +732,12 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             curvature = -slope - sum(s_k * float(delta[b] @ delta[b])
                                      for s_k, b in zip(step_shifts, problem.blocks))
             x = xt
-            total += 1
+            lam = float(np.exp(x[-1]))
             history.append({
-                "iteration": total, "stage": stage, "xi": xi,
+                "iteration": len(history) + 1, "stage": stage, "xi": xi,
                 "objective": obj_t, "misfit": misfit_t,
                 "penalty": pen_t, "barrier": bar_t,
-                "lambda": problem.lam_of(x), "step": t,
+                "lambda": lam, "step": t,
                 "backtracks": backtracks, "escalations": escalations,
                 "solves": problem.solves - solves,
                 "grad_norm": float(np.linalg.norm(g)),
@@ -755,7 +745,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                 "actual_decrease": obj - obj_t,
             })
             solves = problem.solves
-            trace.append(problem.lam_of(x))
+            trace.append(lam)
             rel_drop = (obj - obj_t) / max(abs(obj), 1e-300)
             obj, misfit = obj_t, misfit_t
             if rel_drop < settings.obj_tol:
@@ -765,15 +755,17 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                 stop_reason = "step_tol"
                 break
         if stop_reason is None:  # a budget ran out; the global one also ends the run
-            stop_reason = "max_iterations" if total >= settings.max_iterations else "max_inner"
-        stages.append({"stage": stage, "xi": xi, "iterations": total - first,
+            stop_reason = ("max_iterations" if len(history) >= settings.max_iterations
+                           else "max_inner")
+        stages.append({"stage": stage, "xi": xi, "iterations": len(history) - first,
                        "stop_reason": stop_reason})
         _log.info("barrier stage %(stage)d (xi=%(xi).3g): %(iterations)d iterations, "
                   "stopped by %(stop_reason)s", stages[-1])
-        if not converged or total >= settings.max_iterations:
+        if not converged or len(history) >= settings.max_iterations:
             break
 
-    return problem.to_state(x, history, stages, trace, converged, obj, misfit, initial_misfit)
+    return ReconState(problem.mode, canonicalize(problem.unpack(x)), history, stages, trace,
+                      converged, obj, misfit, initial_misfit)
 
 
 def gauss_newton_reconstruct(data: fem.DataVector, protocol: fem.MeasurementProtocol,

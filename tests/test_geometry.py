@@ -50,6 +50,15 @@ def test_boundary_resolution_chords_track_arcs():
     assert np.all(np.abs(chords - arcs) <= 0.01 * arcs)
 
 
+def test_point_at_returns_one_point_only_for_a_scalar(disk_curve):
+    """A scalar arclength gives one point (2,); an array gives one row per
+    entry, a length-1 array included."""
+    assert disk_curve.point_at(0.5).shape == (2,)
+    assert disk_curve.point_at(np.array([0.5])).shape == (1, 2)
+    assert disk_curve.point_at([0.5, 1.0]).shape == (2, 2)
+    assert np.array_equal(disk_curve.point_at(np.array([0.5]))[0], disk_curve.point_at(0.5))
+
+
 def test_min_samples_rejected():
     with pytest.raises(GeometryError):
         build_boundary(DomainSpec("disk", {}), 32)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -348,6 +349,43 @@ def test_determinism_across_runs_and_threads(tiny_config, tmp_path):
         assert a == b, name
 
 
+# sha256 of every file but the report that run_experiment writes for case1,
+# by mode and by the name after the run tag; the same at one and at two BLAS
+# threads.  A change that moves an output updates these and records why.
+_SHARED_CASE1_FILES = {
+    "data.csv": "93c278858276cf2000e1b4b37c900c054bf5bae44adf3fa80075d2d04cdb66f6",
+    "mesh_sim.json": "081b5e0e98743c888c6bc92498b866daa7899f9115de53430e29bc6aff634283",
+    "mesh_recon.json": "492b4dcb54dd9b0f9cc5c59f2bdb29750b639527a25488b502fbcf473a3cdccc",
+}
+PINNED_CASE1_FILES = {
+    "uniformly-anisotropic": dict(
+        _SHARED_CASE1_FILES,
+        **{"recon.csv": "82717a4cb89ba6bb3f613d8b532fa6c10803413ccd4f32299e671713e52948db",
+           "run_log.json": "1c06ae28f9dfee029ec6e7dd3e5a37d9f97cec4f7317ff557b954c74cf5c8b62",
+           "eta.csv": "20605b2f4ac050987513d2473fc0b0836a570a1627d43da65c164e8888ec936b",
+           "eta.pgm": "16f7f10f376844374c869eea46bba0d68f9111f479f4706ff5d13acd1a6d287b",
+           "theta.csv": "8e9f96f00186afb0d8a51f8519276c5a1321dda8d47e01acc3a889e0246c7cd8",
+           "theta.pgm": "4dcf3dac7ad904b1162e1d1d2a7e7163f93fce964218f2ad496df5c0c7d3e587"}),
+    "isotropic-mismodeled": dict(
+        _SHARED_CASE1_FILES,
+        **{"recon.csv": "a799221806f9435979f97e3dd5168164bf1a1e6a35c80b3a62a2dc03d447a9f7",
+           "run_log.json": "a8d6a21c66f53897835f58fe8e637e51e91f1e8f9898c20c7737ee195e98f73d",
+           "gamma.csv": "9df281076507e0ba627ccb9af5263d56be15d7c27475499ea1a177bdfbf5f828",
+           "gamma.pgm": "8930a43ff30a2af655fdcd62d8177b4eeb433c077afd851c4d0c74eed1b928fa"}),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_CASE1_FILES))
+def test_case1_exports_match_pinned_digests(mode, tmp_path):
+    config = with_mode(builtin_configs()["case1_ellipse"], mode)
+    report = run_experiment(config, tmp_path)
+    assert report.success, report.message
+    tag = f"{config.name}-{mode}_"
+    digests = {p.name.removeprefix(tag): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if not p.name.startswith("report_")}
+    assert digests == PINNED_CASE1_FILES[mode]
+
+
 def test_seed_changes_noise_not_clean_data(tiny_config):
     s1 = harness.build_scene(tiny_config)
     s2 = harness.build_scene(dataclasses.replace(tiny_config, seed=tiny_config.seed + 1))
@@ -366,6 +404,17 @@ def test_failure_report_is_stage_tagged(tiny_config, tmp_path):
     assert "rank-deficient" in report.message
     path = tmp_path / "bad" / f"report_{report.run_id}.json"
     assert path.exists()
+
+
+def test_overflowing_misfit_fails_the_reconstruct_stage(tmp_path):
+    """Noise of 1e300 times the data leaves the data finite, but their
+    squared norm overflows: the run fails in its reconstruct stage, naming
+    the misfit, instead of ending as a success with an infinite misfit."""
+    config = dataclasses.replace(builtin_configs()["case1_ellipse"], sim_elements=600,
+                                 recon_elements=500, pixels=60, noise_fraction=1e300)
+    report = run_experiment(config, tmp_path)
+    assert not report.success and report.stage == "reconstruct"
+    assert "misfit is not finite" in report.message
 
 
 def test_inverse_crime_flag_requires_matching_domains(tmp_path):

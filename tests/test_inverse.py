@@ -14,7 +14,7 @@ from anisoeit.inverse import (BarrierSchedule, GNSettings, ReconError,
                               RegWeights, barrier, barrier_grad, forward_map,
                               forward_map_isotropic, gauss_newton_reconstruct,
                               isotropic_reconstruct, jacobian, jacobian_isotropic,
-                              objective, penalty_eta, penalty_eta_grad, penalty_lambda,
+                              objective, penalty_eta, penalty_eta_grad,
                               penalty_theta, penalty_theta_grad, recon_state_to_csv)
 from anisoeit.tensors import TensorField, UniformAnisoParams, gamma_hat
 
@@ -74,12 +74,25 @@ def test_penalty_theta_gradient_fd(small_lattice):
         assert abs(g[i] - fd) <= 1e-7 * max(abs(fd), 1.0)
 
 
-def test_penalty_lambda():
+def test_penalty_lambda(small_problem):
+    """The lam penalty beta2 (log lam + log^2 lam / nu^2), as the problem
+    evaluates it in log lam: `_Problem.penalty` with the eta and theta
+    weights at zero.  `UniformAnisoParams` rejects lam <= 0
+    (`test_gamma_hat_rejects_bad_params`)."""
+    mesh, lattice, layout, prot = small_problem
+    M = lattice.n_active
+    data = fem.simulate_measurements(mesh, TensorField.isotropic(1.0, mesh.n_elements),
+                                     layout, prot, 0.0, None)
+
+    def penalty_lambda(lam, beta2, nu=1.0):
+        problem = inverse._Problem(inverse.ANISOTROPIC, data, prot, mesh, lattice, layout,
+                                   RegWeights(0.0, 0.0, beta2=beta2, nu=nu))
+        free = np.concatenate([np.ones(M), np.zeros(M), [np.log(lam)]])
+        return problem.penalty(problem.initial(free))
+
     assert penalty_lambda(1.0, beta2=3.0, nu=0.5) == 0.0
     assert penalty_lambda(2.7, beta2=0.0) == 0.0
     assert penalty_lambda(np.e, beta2=1.0, nu=1.0) == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(ReconError):
-        penalty_lambda(0.0, beta2=1.0)
     # minimized where log(lam) = -nu^2 / 2
     nu = 0.8
     lam_star = np.exp(-nu ** 2 / 2)
@@ -674,6 +687,34 @@ def test_reconstruct_rejects_mismatched_inputs(small_problem, reconstruct):
         with pytest.raises(ReconError, match=message):
             reconstruct(bad_data, prot, mesh, lattice, layout, RegWeights(0, 0),
                         BarrierSchedule.inactive(1), GNSettings(max_iterations=1))
+
+
+@pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])
+def test_non_finite_objective_is_rejected_at_stage_start(small_problem, reconstruct):
+    """Data of 1e160 are finite, but their squared norm overflows: the run
+    raises a ReconError naming the misfit, instead of ending as converged
+    with an infinite misfit and NaN decreases.  A barrier (xi = 1e300 over
+    eta = 1e-10) or a penalty (theta = 1e200) that overflows at the start
+    is named the same way."""
+    mesh, lattice, layout, prot = small_problem
+    M = lattice.n_active
+    data = fem.simulate_measurements(mesh, TensorField.isotropic(1.0, mesh.n_elements),
+                                     layout, prot, 0.0, None)
+    huge = dataclasses.replace(data, values=data.values * 1e160)
+    schedule = BarrierSchedule.geometric(1e-5, 1e-8, 3)
+    eta = np.ones(M)
+    eta[0] = 1e-10
+    anisotropic = reconstruct is gauss_newton_reconstruct
+    runs = [(huge, None, schedule, "misfit"),
+            (data, np.concatenate([eta, np.zeros(M), [0.0]]) if anisotropic else eta,
+             BarrierSchedule.geometric(1e300, 1e290, 2), "barrier")]
+    if anisotropic:
+        runs.append((data, np.concatenate([np.ones(M), np.full(M, 1e200), [0.0]]), schedule,
+                     "penalty"))
+    for run_data, x0, run_schedule, term in runs:
+        with pytest.raises(ReconError, match=f"{term} is not finite"):
+            reconstruct(run_data, prot, mesh, lattice, layout, RegWeights(1e-8, 1e-4, 1e-8),
+                        run_schedule, GNSettings(max_iterations=4), x0=x0)
 
 
 @pytest.mark.parametrize("check, message", [

@@ -129,6 +129,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise HarnessError("config", f"unknown mode {self.mode!r}")
+        if not 0 <= self.noise_fraction < 1:
+            raise HarnessError("config", f"noise.fraction must lie in [0, 1), "
+                                         f"got {self.noise_fraction!r}")
         with _stage("config", "gn."):  # GNSettings names the field
             self.settings()
         with _stage("config", "schedule: "):

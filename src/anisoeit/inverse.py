@@ -142,6 +142,7 @@ _DAMPING_RETRIES = 2          # x1e4 damping retries after a failed line search
 _ETA_STEP_CAP = 1.0           # trust caps on the eta, theta and log-lam blocks
 _THETA_STEP_CAP = np.pi / 4
 _LOGLAM_STEP_CAP = 0.7
+_ETA_FLOOR = np.finfo(float).tiny ** (1 / 3)  # least feasible eta: its cube is a normal float
 
 
 ANISOTROPIC, ISOTROPIC = "uniformly-anisotropic", "isotropic"
@@ -451,7 +452,9 @@ class _Problem:
         return UniformAnisoParams(eta=x[:M], theta=x[M:2 * M], lam=float(np.exp(x[2 * M])))
 
     def feasible(self, x) -> bool:
-        return bool(np.all(x[:self.M] > 0))
+        """eta >= `_ETA_FLOOR`: below it the barrier curvature's eta^3 (and
+        further down the tensor determinant eta^2) is subnormal or zero."""
+        return bool(np.all(x[:self.M] >= _ETA_FLOOR))
 
     def value(self, x, xi: float):
         """(objective, misfit, penalty, barrier) at a feasible x; the
@@ -634,9 +637,10 @@ def _band_solve(U: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
 
 
 def _trust_capped_step(system: _StepSystem, g, block_caps, shifts):
-    """Newton step with per-block Levenberg shifts escalated until each
-    block respects its trust cap; returns (delta, escalations, the shifts
-    that delta solves with).
+    """Newton step with per-block Levenberg shifts, each escalation scaling
+    a block that breaks its trust cap by max(10, its overshoot), until each
+    block respects its cap; returns (delta, escalations, the shifts that
+    delta solves with).
 
     Damping a block inflates its diagonal, which keeps the system SPD, so
     the returned step is always a descent direction; near a minimizer the
@@ -647,14 +651,13 @@ def _trust_capped_step(system: _StepSystem, g, block_caps, shifts):
     shifts = shifts.copy()
     for escalations in range(40):
         delta = system.solve(g, shifts)
-        violated = False
+        binding = False
         for k, (sl, cap) in enumerate(block_caps):
-            if len(delta[sl]) and np.abs(delta[sl]).max() > cap:
-                scale = np.abs(delta[sl]).max() / cap
-                shifts[k] = max(shifts[k] * 10.0, shifts[k] * scale,
-                                1e-14 * system.trace)
-                violated = True
-        if not violated:
+            peak = np.abs(delta[sl]).max()
+            if peak > cap:
+                shifts[k] *= max(10.0, peak / cap)
+                binding = True
+        if not binding:
             return delta, escalations, shifts
     raise ReconError("GN step still breaks its trust caps after 40 damping escalations")
 
@@ -679,7 +682,6 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
     history, stages = [], []
     trace = [float(np.exp(x[-1]))]
     solves = 0
-    converged = True
 
     for stage, xi in enumerate(schedule.xi):
         xi = float(xi)
@@ -691,38 +693,33 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
         if stage == 0:
             initial_misfit = misfit
         first, stop_reason = len(history), None
-        for _ in range(settings.max_inner):
-            if len(history) >= settings.max_iterations:
-                break
+        for _ in range(min(settings.max_inner, settings.max_iterations - first)):
             g, Jm = problem.linearize(x, xi)
             system = problem.step_system(x, xi, Jm)
 
-            accepted = False
             backtracks = escalations = 0
-            base = _DAMPING * system.trace
-            shifts = np.full(len(problem.blocks), base)
-            for _esc in range(_DAMPING_RETRIES + 1):
-                delta, cap_escalations, step_shifts = _trust_capped_step(system, g, caps, shifts)
+            shifts = np.full(len(problem.blocks), _DAMPING * system.trace)
+            for _ in range(_DAMPING_RETRIES + 1):
+                delta, cap_escalations, shifts = _trust_capped_step(system, g, caps, shifts)
                 escalations += cap_escalations
                 slope = float(g @ delta)
-
                 t = 1.0
-                for _bt in range(_MAX_BACKTRACKS + 1):
+                for _ in range(_MAX_BACKTRACKS + 1):
                     xt = x.copy()
                     xt[:n] += t * delta
                     if problem.feasible(xt):
                         obj_t, misfit_t, pen_t, bar_t = problem.value(xt, xi)
                         if obj_t <= obj + _ARMIJO * t * slope:
-                            accepted = True
                             break
                     backtracks += 1
                     t *= _SHRINK
-                if accepted:
-                    break
-                escalations += 1
-                shifts = np.maximum(shifts, 1e-14 * system.trace) * 1e4
-            if not accepted:
-                converged, stop_reason = False, "line_search_failed"
+                else:  # rejected: re-solve with more damping than the step had
+                    escalations += 1
+                    shifts = 1e4 * shifts
+                    continue
+                break
+            else:
+                stop_reason = "line_search_failed"
                 break
 
             step_norm = float(np.linalg.norm(t * delta))
@@ -730,7 +727,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
             # = -g.delta - sum_k s_k |delta_k|^2 and the GN model predicts
             # the decrease -t g.delta - t^2/2 delta^T H delta
             curvature = -slope - sum(s_k * float(delta[b] @ delta[b])
-                                     for s_k, b in zip(step_shifts, problem.blocks))
+                                     for s_k, b in zip(shifts, problem.blocks))
             x = xt
             lam = float(np.exp(x[-1]))
             history.append({
@@ -761,11 +758,12 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                        "stop_reason": stop_reason})
         _log.info("barrier stage %(stage)d (xi=%(xi).3g): %(iterations)d iterations, "
                   "stopped by %(stop_reason)s", stages[-1])
-        if not converged or len(history) >= settings.max_iterations:
+        if stop_reason == "line_search_failed" or len(history) >= settings.max_iterations:
             break
 
+    # converged: no line-search failure, which could only end the last stage
     return ReconState(problem.mode, canonicalize(problem.unpack(x)), history, stages, trace,
-                      converged, obj, misfit, initial_misfit)
+                      stop_reason != "line_search_failed", obj, misfit, initial_misfit)
 
 
 def gauss_newton_reconstruct(data: fem.DataVector, protocol: fem.MeasurementProtocol,

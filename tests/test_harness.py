@@ -154,6 +154,12 @@ BAD_CONFIGS = {
                                "schedule: need start > end > 0"),
     "increasing barrier": (lambda d: d["schedule"].update(xi_start=d["schedule"]["xi_end"] / 10),
                            "schedule: need start > end > 0"),
+    "negative noise fraction": (lambda d: d["noise"].update(fraction=-0.1),
+                                "noise.fraction must lie in [0, 1), got -0.1"),
+    "noise fraction above one": (lambda d: d["noise"].update(fraction=1.5),
+                                 "noise.fraction must lie in [0, 1), got 1.5"),
+    "overflowing noise fraction": (lambda d: d["noise"].update(fraction=1e300),
+                                   "noise.fraction must lie in [0, 1), got 1e+300"),
 }
 
 
@@ -375,15 +381,35 @@ PINNED_CASE1_FILES = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(PINNED_CASE1_FILES))
-def test_case1_exports_match_pinned_digests(mode, tmp_path):
-    config = with_mode(builtin_configs()["case1_ellipse"], mode)
+# the same for case2 in the main mode, the built-in run that escalates the
+# GN damping most (224 escalations in 52 iterations)
+PINNED_CASE2_ANISO_FILES = {
+    "data.csv": "6617ec314cd86d0bd79c4ab350c2b30cfda8bcbcad67341db9bd99ded4d1cf1c",
+    "mesh_sim.json": "8fb9aa0c91e5ec31d23a6a0da90663d960a6a933d978d7088d22633857afa14a",
+    "mesh_recon.json": "cdc1ba2ccca281b7663d2d75d3550596e54fccfd3f98aaad082a78dff419077c",
+    "recon.csv": "54cff6183d67535234db18f66dfa6dd8da65fb7fe79d67fef3837a32e6c5c3df",
+    "run_log.json": "ff75738f94c9f6f5494eb5881f9adbdef4a9bc55ff23585a9ef8e3ff8bf1ad10",
+    "eta.csv": "a02a29f74dc5a2d04f61622562a1ffbc0f69eb826b32b5f631d039b5191eb9dd",
+    "eta.pgm": "73139a465512e4def62452c06e6ac8b9c7e62ba8acec8a0d9f9fb0a0de8c21d2",
+    "theta.csv": "587bfffa452f1ce6fcdb84db8cfc9ab6ba0bafc025167c847dee9a622695d471",
+    "theta.pgm": "081fb0e689e80b737623f7bfbc80e09c02525f311a6cf2d6bfe43a84f00baa78",
+}
+# run id -> (case, mode, pinned digests); a case1 run is named by its mode
+PINNED_RUNS = {mode: ("case1_ellipse", mode, files) for mode, files in PINNED_CASE1_FILES.items()}
+PINNED_RUNS["case2-uniformly-anisotropic"] = (
+    "case2_truncated_ellipse", "uniformly-anisotropic", PINNED_CASE2_ANISO_FILES)
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_case1_exports_match_pinned_digests(run, tmp_path):
+    case, mode, pinned = PINNED_RUNS[run]
+    config = with_mode(builtin_configs()[case], mode)
     report = run_experiment(config, tmp_path)
     assert report.success, report.message
     tag = f"{config.name}-{mode}_"
     digests = {p.name.removeprefix(tag): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir() if not p.name.startswith("report_")}
-    assert digests == PINNED_CASE1_FILES[mode]
+    assert digests == pinned
 
 
 def test_seed_changes_noise_not_clean_data(tiny_config):
@@ -407,11 +433,11 @@ def test_failure_report_is_stage_tagged(tiny_config, tmp_path):
 
 
 def test_overflowing_misfit_fails_the_reconstruct_stage(tmp_path):
-    """Noise of 1e300 times the data leaves the data finite, but their
+    """A contact impedance of 1e300 leaves the data finite, but their
     squared norm overflows: the run fails in its reconstruct stage, naming
     the misfit, instead of ending as a success with an infinite misfit."""
     config = dataclasses.replace(builtin_configs()["case1_ellipse"], sim_elements=600,
-                                 recon_elements=500, pixels=60, noise_fraction=1e300)
+                                 recon_elements=500, pixels=60, contact_impedance=1e300)
     report = run_experiment(config, tmp_path)
     assert not report.success and report.stage == "reconstruct"
     assert "misfit is not finite" in report.message

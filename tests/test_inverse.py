@@ -624,6 +624,116 @@ def test_line_search_failure_flags_nonconverged(small_problem, monkeypatch):
     assert [row["stop_reason"] for row in state.stages] == ["line_search_failed"]
 
 
+def test_rejected_step_is_resolved_with_more_damping(small_problem, monkeypatch):
+    """With backtracking disabled, the steps toward a much smaller
+    conductivity break the line search.  Each rejected step is re-solved
+    from 1e4 times the shifts it was solved with, trust-cap escalations
+    included, so a retry always damps more than the step that failed; the
+    history counts one escalation per rejected step on top of the trust-cap
+    escalations."""
+    mesh, lattice, layout, prot = small_problem
+    data = fem.simulate_measurements(mesh, TensorField.isotropic(0.05, mesh.n_elements),
+                                     layout, prot, 0.0, None)
+    monkeypatch.setattr(inverse, "_MAX_BACKTRACKS", 0)
+    calls = []  # per linearization, (shifts in, escalations, shifts out) of each step solve
+    linearize, capped_step = inverse._Problem.linearize, inverse._trust_capped_step
+
+    def recording_linearize(problem, x, xi):
+        calls.append([])
+        return linearize(problem, x, xi)
+
+    def recording_step(system, g, caps, shifts):
+        delta, escalations, shifts_out = capped_step(system, g, caps, shifts)
+        calls[-1].append((shifts.copy(), escalations, shifts_out))
+        return delta, escalations, shifts_out
+
+    monkeypatch.setattr(inverse._Problem, "linearize", recording_linearize)
+    monkeypatch.setattr(inverse, "_trust_capped_step", recording_step)
+    state = gauss_newton_reconstruct(data, prot, mesh, lattice, layout,
+                                     RegWeights(0, 0), BarrierSchedule.inactive(1))
+    retries = [(failed, retry) for steps in calls for failed, retry in zip(steps, steps[1:])]
+    assert retries
+    for (_, _, failed_shifts), (start, _, _) in retries:
+        assert np.all(start >= 1e4 * failed_shifts)
+    # here one retry rescues each rejected step, so no stage ends by a
+    # line-search failure
+    assert state.converged and all(len(steps) <= 2 for steps in calls)
+    for row, steps in zip(state.history, calls):
+        assert row["escalations"] == sum(esc for _, esc, _ in steps) + len(steps) - 1
+
+
+def test_trust_cap_escalation_contract(monkeypatch):
+    """Each escalation multiplies the shift of every block that breaks its
+    trust cap by at least ten, and by its overshoot of the cap when that is
+    larger, and leaves the other blocks alone; the step returned respects
+    every cap and solves with the shifts returned.  A cap that every step
+    breaks (a negative one) raises after 40 escalations."""
+    rng = np.random.default_rng(5)
+    M, N = 6, 9
+    J = rng.normal(size=(N, 2 * M + 1))
+    system = inverse._StepSystem([np.ones((1, M)), np.ones((1, M))], J, border=1.0)
+    g = 1e3 * rng.normal(size=2 * M + 1)
+    solves = []  # (shifts, delta) of every solve
+    solve = system.solve
+
+    def recording_solve(g, shifts):
+        solves.append((shifts.copy(), solve(g, shifts)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(system, "solve", recording_solve)
+    blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
+    caps = list(zip(blocks, (1e-3, np.inf, 0.05)))
+    delta, escalations, shifts = inverse._trust_capped_step(system, g, caps, np.full(3, 1e-6))
+    assert escalations == len(solves) - 1 >= 2
+    assert np.array_equal(solves[-1][0], shifts) and solves[-1][1] is delta
+    assert all(np.abs(delta[b]).max() <= cap for b, cap in caps)
+    overshoots = []
+    for (before, step), (after, _) in zip(solves, solves[1:]):
+        for k, (b, cap) in enumerate(caps):
+            peak = np.abs(step[b]).max()
+            if peak > cap:
+                assert after[k] >= before[k] * max(10.0, peak / cap)
+                overshoots.append(peak / cap)
+            else:
+                assert after[k] == before[k]
+    assert max(overshoots) > 10.0 > min(overshoots)  # both factors are exercised
+
+    solves.clear()
+    always_binding = [(blocks[0], -1.0), (blocks[1], np.inf), (blocks[2], np.inf)]
+    with pytest.raises(ReconError, match="after 40 damping escalations"):
+        inverse._trust_capped_step(system, g, always_binding, np.full(3, 1e-6))
+    assert len(solves) == 40
+    for (before, _), (after, _) in zip(solves, solves[1:]):
+        assert after[0] >= 10.0 * before[0]
+        assert np.array_equal(after[1:], before[1:])
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-5])
+def test_tiny_eta_start_is_infeasible(small_problem, xi):
+    """An eta whose cube underflows out of the normal floats would put inf
+    or NaN into the barrier curvature (and, further down, a zero tensor
+    determinant), so such a starting iterate is infeasible with or without
+    the barrier; `_ETA_FLOOR`, whose cube is normal, is feasible."""
+    mesh, lattice, layout, prot = small_problem
+    data = fem.simulate_measurements(mesh, TensorField.isotropic(1.0, mesh.n_elements),
+                                     layout, prot, 0.0, None)
+    schedule = BarrierSchedule(np.array([xi]))
+    x0 = np.ones(lattice.n_active)
+    x0[7] = 1e-110
+    with pytest.raises(ReconError, match="initial iterate is infeasible"):
+        isotropic_reconstruct(data, prot, mesh, lattice, layout, RegWeights(1e-8, 1e-4),
+                              schedule, GNSettings(max_iterations=1), x0=x0)
+    floor = inverse._ETA_FLOOR
+    tiny = np.finfo(float).tiny
+    assert tiny <= floor ** 3 < tiny * (1 + 1e-12)  # normal, and tight to round-off
+    problem = inverse._Problem(inverse.ISOTROPIC, data, prot, mesh, lattice, layout,
+                               RegWeights(1e-8, 1e-4))
+    x0[7] = floor
+    assert problem.feasible(problem.initial(x0))
+    x0[7] = np.nextafter(floor, 0)
+    assert not problem.feasible(problem.initial(x0))
+
+
 def test_step_solve_rejects_indefinite_system():
     """A step system that is not positive definite raises instead of
     falling back to a least-squares step: once through an indefinite band

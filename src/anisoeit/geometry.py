@@ -26,6 +26,9 @@ class GeometryError(ValueError):
 # domain specifications
 # ---------------------------------------------------------------------------
 
+# the magnitudes whose square is a normal float: a length squared is an area
+NORMAL_SQUARE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
+
 # the params each kind reads
 _KIND_PARAMS = {"disk": ("radius",), "ellipse": ("a", "b"),
                 "truncated_ellipse": ("a", "b", "cut_frac", "round_frac"),
@@ -88,6 +91,11 @@ class DomainSpec:
         if self.kind in ("ellipse", "truncated_ellipse"):
             if not (p.get("a", 0.0) > 0 and p.get("b", 0.0) > 0):
                 raise GeometryError("ellipse semi-axes a and b must be given and positive")
+        lo, hi = NORMAL_SQUARE
+        for key in ("radius", "a", "b"):
+            if key in p and not lo <= p[key] <= hi:
+                raise GeometryError(f"{self.kind} param {key!r} must lie in [{lo:.3g}, {hi:.3g}], "
+                                    f"where its square is a normal float, got {p[key]!r}")
         if not -1.0 < p.get("cut_frac", -0.65) < 1.0:
             raise GeometryError("cut_frac must lie in (-1, 1)")
 
@@ -250,37 +258,27 @@ def _cell_index(active_ij: np.ndarray, grid_n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
+    """Crossing-number test: a point is inside the closed polygon when the
+    ray to its right crosses an odd number of edges.  Edge (x1, y1) ->
+    (x2, y2) crosses the horizontal through y when min(y1, y2) <= y <
+    max(y1, y2), so over the points sorted by y each edge meets one range of
+    them, found by binary search, and only those (edge, point) pairs are
+    formed (y-binned crossings: Haines, "Point in Polygon Strategies",
+    Graphics Gems IV, 1994)."""
+    order = np.argsort(pts[:, 1], kind="stable")
+    x, y = pts[order, 0], pts[order, 1]
     x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    inside = np.zeros(len(pts), dtype=bool)
-    # chunk over polygon edges to bound memory on fine curves.  The 4e6-
-    # element chunk stays until the op loops stop allocating per call: with a
-    # smaller one, set-up no longer frees a block of 30 MiB or more, glibc
-    # then trims the heap after every operation, and each SuperLU
-    # factorization (ROADMAP item 4) and each GN iteration's Jacobian
-    # temporaries (drive gradients, Gram, column stack) fault their pages in
-    # afresh.
-    step = max(1, int(4e6 // max(len(pts), 1)))
-    # one float and two bool buffers per call; each chunk is formed in place
-    # with the operations of a1 + (y - b1) (a2 - a1) / (b2 - b1) in order
-    xi = np.empty((len(pts), min(step, len(poly))))
-    cond, left = np.empty(xi.shape, dtype=bool), np.empty(xi.shape, dtype=bool)
-    for k0 in range(0, len(poly), step):
-        sl = slice(k0, k0 + step)
-        a1, b1, a2, b2 = x1[sl], y1[sl], x2[sl], y2[sl]
-        t, c, lt = xi[:, :len(a1)], cond[:, :len(a1)], left[:, :len(a1)]
-        np.greater(b1, y[:, None], out=c)
-        np.greater(b2, y[:, None], out=lt)
-        np.not_equal(c, lt, out=c)
-        np.subtract(y[:, None], b1, out=t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t *= a2 - a1
-            t /= b2 - b1
-            t += a1
-        np.less(x[:, None], t, out=lt)
-        c &= lt
-        inside ^= np.count_nonzero(c, axis=1) % 2 == 1
+    y2 = np.roll(y1, -1)
+    dx, dy = np.roll(x1, -1) - x1, y2 - y1
+    first = np.searchsorted(y, np.minimum(y1, y2))
+    count = np.searchsorted(y, np.maximum(y1, y2)) - first
+    crossings = np.zeros(len(pts), dtype=np.intp)
+    for e, p in _range_pairs(first, count):
+        # the crossing x: x1 + (y - y1) (x2 - x1) / (y2 - y1)
+        hit = x[p] < (y[p] - y1[e]) * dx[e] / dy[e] + x1[e]
+        crossings += np.bincount(p[hit], minlength=len(pts))
+    inside = np.empty(len(pts), dtype=bool)
+    inside[order] = crossings % 2 == 1
     return inside
 
 
@@ -438,6 +436,10 @@ def place_electrodes(curve: BoundaryCurve, J: int, coverage: float,
     S = curve.total_length
     length = coverage * S / J
     starts = (np.arange(J) * S / J - length / 2) % S
+    if np.any(starts % S == (starts + length) % S):
+        raise GeometryError(f"coverage {coverage!r} gives electrodes of length {length:.3g}, "
+                            f"whose ends coincide in floating point on a boundary of "
+                            f"length {S:.6g}")
     arcs = np.column_stack([starts, np.full(J, length)])
     z = np.full(J, float(contact_impedance))
     if not np.all(np.isfinite(z) & (z > 0)):
@@ -643,10 +645,17 @@ def _candidate_pairs(cell: np.ndarray, box: np.ndarray, qcell: np.ndarray):
     binned in cell qcell[q] (none for a negative qcell)."""
     first = np.searchsorted(cell, qcell)
     count = np.searchsorted(cell, qcell, side="right") - first
+    for q, i in _range_pairs(first, count):
+        yield q, box[i]
+
+
+def _range_pairs(first: np.ndarray, count: np.ndarray):
+    """Yield (owner, index) pairs, about _PAIR_CHUNK at a time, pairing each
+    owner q with the indices first[q] .. first[q] + count[q] - 1."""
     bounds = np.searchsorted(np.cumsum(count), np.arange(_PAIR_CHUNK, count.sum(), _PAIR_CHUNK))
     for q in np.split(np.arange(len(count)), bounds):
         own, k = _runs(count[q])
-        yield q[own], box[first[q][own] + k]
+        yield q[own], first[q][own] + k
 
 
 def _runs(counts: np.ndarray) -> tuple:

@@ -25,7 +25,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from anisoeit import fem
-from anisoeit.geometry import (BoundaryCurve, DomainSpec, ElectrodeLayout, Mesh,
+from anisoeit.geometry import (NORMAL_SQUARE, BoundaryCurve, DomainSpec, ElectrodeLayout, Mesh,
                                PixelLattice, build_boundary, build_pixel_lattice,
                                locate_points, place_electrodes, triangulate)
 from anisoeit.inverse import (ANISOTROPIC, BarrierSchedule, GNSettings, ReconState,
@@ -68,6 +68,11 @@ class Inclusion:
         if len(self.center) != 2 or not self.radius > 0:
             raise HarnessError("config", f"an inclusion needs a 2-D center and a positive "
                                          f"radius, got {self.center} and {self.radius}")
+        lo, hi = NORMAL_SQUARE
+        if not lo <= self.radius <= hi:
+            raise HarnessError("config", f"phantom.inclusions.radius must lie in "
+                                         f"[{lo:.3g}, {hi:.3g}], where its square is a normal "
+                                         f"float, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -77,13 +82,25 @@ class Phantom:
     background: float = 1.0
     inclusions: tuple = ()
 
+    def __post_init__(self):
+        # bumps lie in [0, 1], so this bounds the conductivity, whose square
+        # the tensor determinant forms
+        bound = abs(self.background) + sum(abs(inc.amplitude) for inc in self.inclusions)
+        if not bound <= NORMAL_SQUARE[1]:
+            raise HarnessError("config", f"phantom.background and phantom.inclusions.amplitude "
+                                         f"bound the conductivity by {bound:.3g}, whose square "
+                                         f"overflows (the bound must not exceed "
+                                         f"{NORMAL_SQUARE[1]:.3g})")
+
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         v = np.full(len(pts), float(self.background))
         for inc in self.inclusions:
-            d2 = ((pts[:, 0] - inc.center[0]) ** 2
-                  + (pts[:, 1] - inc.center[1]) ** 2) / inc.radius ** 2
-            v += inc.amplitude * np.clip(1.0 - d2, 0.0, None) ** 3
+            r2 = inc.radius ** 2
+            d2 = (pts[:, 0] - inc.center[0]) ** 2 + (pts[:, 1] - inc.center[1]) ** 2
+            # only points inside the bump: d2 / r2 may overflow outside it
+            inside = d2 < r2
+            v[inside] += inc.amplitude * (1.0 - d2[inside] / r2) ** 3
         return v
 
 

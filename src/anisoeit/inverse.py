@@ -23,7 +23,9 @@ built once per problem (`_pixel_gradients`) takes the drive fields to
 their area-weighted element gradients grouped by pixel, and each free
 tensor family contracts them with its 2 x 2 derivative tensor in one
 batched matrix product over the pixels, so the isotropic mode forms the
-eta columns alone.
+eta columns alone.  The problem allocates these arrays, the Jacobian and
+the step's arrays once (`_Workspace`) and overwrites them on every
+iteration.
 
 The GN step is solved in data space (`_StepSystem`): the penalty Hessians
 stay sparse and are stored once per problem as LAPACK bands in lattice
@@ -46,6 +48,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice, _finite, _integer
 from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat, gamma_hat_entries
@@ -334,11 +337,48 @@ def forward_map(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     return _solve_drives(params, protocol, mesh, lattice, layout)[1]
 
 
+class _Workspace:
+    """The arrays of one problem's linearization, allocated once for its
+    shapes and overwritten by every call, so that a warm GN iteration
+    allocates no array of Jacobian size: the drive fields uT (n, K), their
+    pixel gradients A (2wM, K) and its per-pixel transpose At (M, K, 2w),
+    the tensor products TA, the per-pixel Gram (M, K, K), the Jacobian J
+    (N, n_free) and the arrays of `_StepSystem`.  J is F-ordered: each
+    unknown's column is contiguous, so J^T r is a dot product per column,
+    and a block's transpose (M, N) is C-ordered."""
+
+    def __init__(self, grad: scipy.sparse.csr_matrix, K: int, M: int, N: int, families: int):
+        rows, n_nodes = grad.shape
+        self.uT, self.A = np.empty((n_nodes, K)), np.empty((rows, K))
+        self.At, self.TA = np.empty((M, K, rows // M)), np.empty((M, 2, rows // (2 * M) * K))
+        self.gram = np.empty((M, K, K))
+        self.J = np.empty((N, min(families, 2) * M + (families > 2)), order="F")
+        self.step = _StepWork(self.J.shape, M, min(families, 2))
+
+
+class _StepWork:
+    """The arrays a `_StepSystem` over J of `shape` (N, n) with `blocks`
+    band blocks of M unknowns writes: J * J; per block J^T and its whitened
+    Z as F-ordered (M, N) arrays and the N x N Gram Z^T Z, whose lower
+    triangle alone is written, so its upper one stays zero; and the
+    Woodbury matrix C (N, N), F-ordered, factored in place."""
+
+    def __init__(self, shape: tuple, M: int, blocks: int):
+        N = shape[0]
+        self.square = np.empty(shape, order="F")
+        self.Jt = [np.empty((M, N), order="F") for _ in range(blocks)]
+        self.Z = [np.empty((M, N), order="F") for _ in range(blocks)]
+        self.gram = [np.zeros((N, N), order="F") for _ in range(blocks)]
+        self.C = np.empty((N, N), order="F")
+
+
 def _unique_jacobian(params: UniformAnisoParams, u_nodal: np.ndarray, fold: _Fold,
-                     grad: scipy.sparse.csr_matrix, families: int = 3) -> np.ndarray:
+                     grad: scipy.sparse.csr_matrix, families: int = 3,
+                     work: Optional[_Workspace] = None) -> np.ndarray:
     """The reciprocal-unique rows of `jacobian` over the first `families`
     unknown families of (eta, theta, lam), from the drive fields `u_nodal`
-    (K, n) at params and the map `grad` of `_pixel_gradients`.
+    (K, n) at params and the map `grad` of `_pixel_gradients`; written into
+    `work.J` (a fresh workspace by default), which is returned.
 
     With A_m the weighted gradients (2w, K) of the drive fields on pixel m
     and T_m the 2 x 2 derivative of pixel m's tensor along a family, the
@@ -347,18 +387,27 @@ def _unique_jacobian(params: UniformAnisoParams, u_nodal: np.ndarray, fold: _Fol
     The lam family moves every pixel, so its Gram is summed over them.
     """
     K, M = len(u_nodal), params.M
-    A = (grad @ u_nodal.T).reshape(M, 2, -1)  # per pixel: component, then (slot, drive)
+    w = work or _Workspace(grad, K, M, len(fold.drive), families)
+    # grad @ u_nodal.T, by the routine scipy's product calls, written into w.A
+    np.copyto(w.uT, u_nodal.T)
+    w.A.fill(0.0)
+    _sparsetools.csr_matvecs(*grad.shape, K, grad.indptr, grad.indices, grad.data,
+                             w.uT.reshape(-1), w.A.reshape(-1))
+    A = w.A.reshape(M, 2, -1)  # per pixel: component, then (slot, drive)
     # a contiguous copy: the batched product is about 3x slower on the view
-    At = np.ascontiguousarray(A.reshape(M, -1, K).transpose(0, 2, 1))
+    np.copyto(w.At, A.reshape(M, -1, K).transpose(0, 2, 1))
     pairs = fold.drive * K + fold.adjoint
-    columns = []
     for f, D in enumerate(_aniso_derivative_tensors(params, families)):
-        TA = np.matmul(-D[:, [0, 1, 1, 2]].reshape(M, 2, 2), A).reshape(M, -1, K)
+        np.matmul(-D[:, [0, 1, 1, 2]].reshape(M, 2, 2), A, out=w.TA)
+        TA = w.TA.reshape(M, -1, K)
         if f < 2:  # eta or theta: one column per pixel
-            columns.append(np.matmul(At, TA).reshape(M, K * K).take(pairs, axis=1).T)
+            np.matmul(w.At, TA, out=w.gram)
+            # the pairs are in range; mode "raise" would buffer the output
+            np.take(w.gram.reshape(M, K * K), pairs, axis=1, out=w.J[:, f * M:(f + 1) * M].T,
+                    mode="clip")
         else:  # lam: one column
-            columns.append((A.reshape(-1, K).T @ TA.reshape(-1, K)).take(pairs))
-    return np.column_stack(columns)
+            w.J[:, -1] = (w.A.T @ TA.reshape(-1, K)).take(pairs)
+    return w.J
 
 
 def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
@@ -431,7 +480,8 @@ class _Problem:
         band_weights = [(weights.alpha0, weights.alpha1), (weights.beta0, weights.beta1)]
         self._pen_bands = [_banded(penalty_hess(self.pairs, M, *w))
                            for w in band_weights[:len(self.blocks)]]
-        self._lam_curvature = 2.0 * weights.beta2 / weights.nu ** 2
+        # nu is never squared: nu ** 2 overflows for nu above about 1e154
+        self._lam_curvature = 2.0 * weights.beta2 / weights.nu / weights.nu
         self.fold = _Fold(protocol)
         self.solves, self._last = 0, (None,)
 
@@ -478,25 +528,33 @@ class _Problem:
         """`_pixel_gradients` of the model, built at the first linearization."""
         return _pixel_gradients(*self.model[1:3])
 
+    @cached_property
+    def _work(self) -> _Workspace:
+        """The workspace every linearization and step system reuses."""
+        return _Workspace(self._grad, self.model[0].K, self.M, len(self.fold.drive),
+                          len(self.blocks))
+
     def linearize(self, x, xi: float):
         """(g, Js) at x: the objective gradient over the free unknowns, and
         the reciprocal-unique Jacobian rows scaled by sqrt(multiplicity), so
-        that 2 Js^T Js is the Gauss-Newton term 2 J^T J."""
+        that 2 Js^T Js is the Gauss-Newton term 2 J^T J.  Js is the
+        workspace's J, overwritten by the next call."""
         params = self.unpack(x)
         u_nodal, U_pred = self._fields(x)
-        J = _unique_jacobian(params, u_nodal, self.fold, self._grad, len(self.blocks))
+        J = _unique_jacobian(params, u_nodal, self.fold, self._grad, len(self.blocks), self._work)
         if self.mode == ANISOTROPIC:
             J[:, -1] *= params.lam  # chain rule to the internal log-lam variable
         g = -2.0 * (J.T @ self.fold.residual_sums(self.data.values - U_pred)) + self.penalty_grad(x)
         g[:self.M] += barrier_grad(x[:self.M], xi)
-        return g, self.fold.root_weight[:, None] * J
+        J *= self.fold.root_weight[:, None]
+        return g, J
 
     def penalty(self, x) -> float:
         M, w = self.M, self.weights
         eta, theta, ll = x[:M], x[M:2 * M], x[2 * M]
         return (penalty_eta(eta, self.pairs, w.alpha0, w.alpha1)
                 + penalty_theta(theta, self.pairs, w.beta0, w.beta1)
-                + w.beta2 * (ll + ll ** 2 / w.nu ** 2))
+                + w.beta2 * (ll + (ll / w.nu) ** 2))
 
     def penalty_grad(self, x) -> np.ndarray:
         """The penalty gradient over the free unknowns."""
@@ -506,7 +564,7 @@ class _Problem:
             return grad
         ll = x[2 * M]
         return np.concatenate([grad, penalty_theta_grad(x[M:2 * M], self.pairs, w.beta0, w.beta1),
-                               [w.beta2 * (1.0 + 2.0 * ll / w.nu ** 2)]])
+                               [w.beta2 * (1.0 + 2.0 * (ll / w.nu) / w.nu)]])
 
     def step_system(self, x, xi: float, Jm) -> _StepSystem:
         """The GN step system at x: penalty bands plus the barrier curvature
@@ -515,7 +573,7 @@ class _Problem:
         eta_band = self._pen_bands[0].copy()
         eta_band[-1] += barrier_hess_diag(x[:self.M], xi)
         border = self._lam_curvature if self.mode == ANISOTROPIC else None
-        return _StepSystem([eta_band] + self._pen_bands[1:], Jm, border)
+        return _StepSystem([eta_band] + self._pen_bands[1:], Jm, border, self._work.step)
 
 
 def objective(state: UniformAnisoParams, data: fem.DataVector,
@@ -559,16 +617,18 @@ class _StepSystem:
     border + shift + j^T C^-1 j, which is positive whenever C is.
     """
 
-    def __init__(self, bands, J, border=None):
+    def __init__(self, bands, J, border=None, work: Optional[_StepWork] = None):
         self.bands, self.border = bands, border
         M = bands[0].shape[1]
+        self._work = work = work or _StepWork(J.shape, M, len(bands))
         self._blocks = [slice(k * M, (k + 1) * M) for k in range(len(bands))]
-        self._Jt = [np.asfortranarray(J[:, b].T) for b in self._blocks]
+        for Jt, b in zip(work.Jt, self._blocks):
+            np.copyto(Jt, J[:, b].T)
         self._j = J[:, -1] if border is not None else None
         n = J.shape[1]
         self.shape = (n, n)
-        self.trace = (2.0 * float(np.sum(J * J)) + sum(float(b[-1].sum()) for b in bands)
-                      + (border or 0.0))
+        self.trace = (2.0 * float(np.sum(np.square(J, out=work.square)))
+                      + sum(float(b[-1].sum()) for b in bands) + (border or 0.0))
         # per band block: (shift, U, Z, Z^T Z); the Gram holds only its lower
         # triangle, the one the lower Cholesky factor of C reads
         self._factors = [None] * len(bands)
@@ -582,8 +642,11 @@ class _StepSystem:
             if info != 0:
                 raise ReconError(f"GN step system is not positive definite "
                                  f"(block {k}, leading minor {info})")
-            Z = _band_solve(U, self._Jt[k], "T")
-            gram = scipy.linalg.blas.dsyrk(1.0, Z, trans=1, lower=1)
+            # in place: both outputs are F-ordered
+            Z, gram = self._work.Z[k], self._work.gram[k]
+            np.copyto(Z, self._work.Jt[k])
+            scipy.linalg.lapack.dtbtrs(U, Z, trans="T", overwrite_b=1)
+            scipy.linalg.blas.dsyrk(1.0, Z, trans=1, lower=1, c=gram, overwrite_c=1)
             self._factors[k] = cached = (shift, U, Z, gram)
         return cached[1:]
 
@@ -593,8 +656,12 @@ class _StepSystem:
         far worse conditioned than H and the Woodbury solve alone loses
         digits."""
         factors = [self._factor(k, shifts[k]) for k in range(len(self.bands))]
-        C = 0.5 * np.eye(self._Jt[0].shape[1]) + sum(G for _, _, G in factors)
-        C = scipy.linalg.cho_factor(C, lower=True)
+        C = self._work.C
+        np.copyto(C, factors[0][2])
+        for _, _, G in factors[1:]:
+            C += G
+        C[np.diag_indices(len(C))] += 0.5
+        C = scipy.linalg.cho_factor(C, lower=True, overwrite_a=True)
         delta = self._inverse(factors, C, shifts, -g)
         return delta + self._inverse(factors, C, shifts, -g - self._product(shifts, delta))
 
@@ -619,12 +686,12 @@ class _StepSystem:
     def _product(self, shifts, d: np.ndarray) -> np.ndarray:
         """(H + block shifts) d from the bands, the border and J, without H."""
         blocks = [d[b] for b in self._blocks]
-        Jd = sum(Jt.T @ dk for Jt, dk in zip(self._Jt, blocks))
+        Jd = sum(Jt.T @ dk for Jt, dk in zip(self._work.Jt, blocks))
         out = np.empty_like(d)
         if self._j is not None:
             Jd = Jd + self._j * d[-1]
             out[-1] = (self.border + shifts[-1]) * d[-1] + 2.0 * (self._j @ Jd)
-        for k, (b, band, Jt, dk) in enumerate(zip(self._blocks, self.bands, self._Jt, blocks)):
+        for k, (b, band, Jt, dk) in enumerate(zip(self._blocks, self.bands, self._work.Jt, blocks)):
             out[b] = (scipy.linalg.blas.dsbmv(len(band) - 1, 1.0, band, dk)
                       + shifts[k] * dk + 2.0 * (Jt @ Jd))
         return out

@@ -151,8 +151,8 @@ def test_check_simple_matches_all_pairs(seed, n, swaps, wiggle):
 
 
 def chunked_crossings(pts, poly):
-    """Reference: the crossing-number test with one temporary per operation,
-    chunked over polygon edges as `_points_in_polygon` is."""
+    """Reference: the crossing-number test over every (point, edge) pair,
+    with one temporary per operation, chunked over polygon edges."""
     x, y = pts[:, 0], pts[:, 1]
     x1, y1 = poly[:, 0], poly[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
@@ -168,8 +168,8 @@ def chunked_crossings(pts, poly):
     return inside
 
 
-# points x edges: one chunk; two chunks, the last of 167 edges; three
-# chunks, the last of 803 edges
+# points x edges: the reference forms one chunk; two chunks, the last of
+# 167 edges; three chunks, the last of 803 edges
 @pytest.mark.parametrize("n_pts, n_edges", [(300, 40), (3000, 1500), (2500, 4003)])
 def test_points_in_polygon_matches_reference(n_pts, n_edges):
     """Bitwise equal to the reference on a random star polygon with vertices
@@ -190,18 +190,25 @@ def test_points_in_polygon_matches_reference(n_pts, n_edges):
 
 
 def test_points_in_polygon_memory_bound():
-    """At points x edges = 8e6 the traced peak stays within one float and
-    two bool buffers of a 4e6-element chunk (40 MB) plus 8 MB."""
-    t = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
-    poly = np.column_stack([np.cos(t), np.sin(t)])
+    """At points x edges = 8e6 the traced peak stays within 8 MB: the
+    (edge, point) pairs are formed a bounded chunk at a time, both on a
+    circle, where about two edges meet each point's horizontal, and on a
+    zig-zag whose every edge spans the full height, so that every pair is
+    formed.  The results equal the reference."""
+    n = 4000
+    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    circle = np.column_stack([np.cos(t), np.sin(t)])
+    zigzag = np.column_stack([np.linspace(-1, 1, n), np.where(np.arange(n) % 2, 1.0, -1.0)])
     pts = np.random.default_rng(0).uniform(-1, 1, (2000, 2))
-    tracemalloc.start()
-    try:
-        _points_in_polygon(pts, poly)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 48e6, f"traced peak {peak / 1e6:.1f} MB"
+    for poly in (circle, zigzag):
+        tracemalloc.start()
+        try:
+            inside = _points_in_polygon(pts, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert np.array_equal(inside, chunked_crossings(pts, poly))
 
 
 def test_truncated_ellipse_shape():
@@ -260,6 +267,17 @@ def test_bad_coverage_rejected():
         place_electrodes(curve, 16, 1.0)
     with pytest.raises(GeometryError):
         place_electrodes(curve, 1, 0.5)
+
+
+@pytest.mark.parametrize("coverage", [1e-300, 1e-17])
+def test_vanishing_electrodes_rejected(coverage):
+    """A coverage so small that an electrode's two ends coincide in floating
+    point would leave the electrode without a boundary edge; it is rejected
+    by name instead."""
+    curve = build_boundary(DomainSpec("disk", {}), 512)
+    with pytest.raises(GeometryError, match=f"coverage {coverage!r} gives electrodes"):
+        place_electrodes(curve, 16, coverage)
+    place_electrodes(curve, 16, 1e-12)
 
 
 @pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])
@@ -555,8 +573,8 @@ def triangulated(curve, layout, target):
                       min_size=1, max_size=3),
        target=st.integers(300, 1500), J=st.sampled_from([8, 16]))
 def test_triangulate_matches_unbounded_search_and_xor_parity(terms, target, J):
-    """The bounded clearance query and the counted crossing parity give the
-    mesh of the unbounded query and the xor-reduced parity."""
+    """The bounded clearance query and the y-binned crossing test give the
+    mesh of the unbounded query and the all-pairs, xor-reduced reference."""
     cos, sin = (list(c) for c in zip(*terms))
     curve = build_boundary(DomainSpec("fourier", {"cos": cos, "sin": sin}), 1024)
     layout = place_electrodes(curve, J, 0.5)

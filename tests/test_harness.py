@@ -160,6 +160,14 @@ BAD_CONFIGS = {
                                  "noise.fraction must lie in [0, 1), got 1.5"),
     "overflowing noise fraction": (lambda d: d["noise"].update(fraction=1e300),
                                    "noise.fraction must lie in [0, 1), got 1e+300"),
+    "vanishing inclusion radius": (lambda d: d["phantom"]["inclusions"][0].update(radius=1e-300),
+                                   "phantom.inclusions.radius must lie in"),
+    "overflowing amplitude": (lambda d: d["phantom"]["inclusions"][0].update(amplitude=1e300),
+                              "phantom.inclusions.amplitude bound the conductivity by 1e+300"),
+    "overflowing semi-axis": (lambda d: d["true_domain"].update(
+        kind="ellipse", params={"a": 1e300, "b": 0.8}), "true_domain: ellipse param 'a' must lie"),
+    "vanishing semi-axis": (lambda d: d["true_domain"].update(
+        kind="ellipse", params={"a": 1e-300, "b": 0.8}), "true_domain: ellipse param 'a' must lie"),
 }
 
 
@@ -441,6 +449,14 @@ def test_overflowing_misfit_fails_the_reconstruct_stage(tmp_path):
     report = run_experiment(config, tmp_path)
     assert not report.success and report.stage == "reconstruct"
     assert "misfit is not finite" in report.message
+
+
+def test_huge_nu_reconstructs(tiny_config, tmp_path):
+    """nu = 1e300 makes the quadratic log-lam penalty vanish; it is formed
+    without squaring nu, whose square overflows, so the run succeeds."""
+    weights = dataclasses.replace(tiny_config.weights, beta2=0.1, nu=1e300)
+    report = run_experiment(dataclasses.replace(tiny_config, weights=weights), tmp_path)
+    assert report.success, report.message
 
 
 def test_inverse_crime_flag_requires_matching_domains(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
-from anisoeit import fem, inverse
+from anisoeit import fem, harness, inverse
 from anisoeit.geometry import build_pixel_lattice, triangulate
 from anisoeit.inverse import (BarrierSchedule, GNSettings, ReconError,
                               RegWeights, barrier, barrier_grad, forward_map,
@@ -475,6 +476,39 @@ def test_each_stage_records_why_it_stopped(small_problem, gn, reasons, caplog):
     records = [r for r in caplog.records if r.name.startswith("anisoeit")]
     assert [r.args for r in records] == state.stages
     assert [r.getMessage().rsplit(" ", 1)[1] for r in records] == reasons
+
+
+@pytest.mark.parametrize("mode", [inverse.ANISOTROPIC, inverse.ISOTROPIC])
+def test_warm_gauss_newton_iteration_allocates_no_jacobian(mode):
+    """On the case1 scene, a problem's second GN round (linearize, step
+    system and trust-capped step at a new iterate whose fields the line
+    search has solved) reuses the arrays of the first: its traced peak
+    stays below the size of one (N, n_free) array."""
+    cfg = harness.builtin_configs()["case1_ellipse"]
+    scene = harness.build_scene(cfg)
+    problem = inverse._Problem(mode, scene.data, scene.protocol, scene.mesh_recon,
+                               scene.lattice, scene.layout_recon, cfg.weights)
+    caps = list(zip(problem.blocks, (inverse._ETA_STEP_CAP, inverse._THETA_STEP_CAP,
+                                     inverse._LOGLAM_STEP_CAP)))
+    xi = 1e-5
+
+    def gn_round(x):
+        g, Jm = problem.linearize(x, xi)
+        system = problem.step_system(x, xi, Jm)
+        shifts = np.full(len(caps), inverse._DAMPING * system.trace)
+        return inverse._trust_capped_step(system, g, caps, shifts)[0]
+
+    x = problem.initial()
+    x[:problem.n_free] += 0.5 * gn_round(x)
+    problem.value(x, xi)
+    tracemalloc.start()
+    try:
+        gn_round(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    jacobian_bytes = len(problem.fold.drive) * problem.n_free * 8
+    assert peak < jacobian_bytes, f"traced peak {peak} B, Jacobian {jacobian_bytes} B"
 
 
 @pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])

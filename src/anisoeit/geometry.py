@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 
 class GeometryError(ValueError):
@@ -473,7 +473,12 @@ def triangulate(curve: BoundaryCurve, layout: ElectrodeLayout, target_elements: 
 
     Interior nodes come from a hexagonal lattice clipped away from the
     boundary; the element count lands within 25% of the target (up to three
-    corrective resize passes if the first guess is off).
+    corrective resize passes if the first guess is off).  The triangles are
+    those of the Delaunay triangulation of all the nodes, but Qhull sees only
+    the boundary band: the boundary nodes and the lattice nodes within
+    (_DEEP + _OVERLAP) h of the curve.  Deeper in, the triangles are the
+    lattice's own (`_triangulate_at_h` gives the argument).  A domain too
+    thin for Qhull to span raises GeometryError naming its width and h.
     """
     if not _integer(target_elements):
         raise GeometryError(f"target_elements must be an integer, got {target_elements!r}")
@@ -496,33 +501,72 @@ def triangulate(curve: BoundaryCurve, layout: ElectrodeLayout, target_elements: 
         f"mesh size control failed: got {mesh.n_elements} elements for target {target_elements}")
 
 
+# Qhull triangulates the boundary nodes and the lattice nodes of clearance
+# below (_DEEP + _OVERLAP) h; the lattice's own triangles fill the rest.  A
+# triangle is Delaunay exactly when its open circumdisk holds no node.  Let
+# c(x) be the distance from x to the dense boundary samples: c is 1-Lipschitz,
+# exceeds the distance to the curve by at most h/12, and every lattice node
+# inside the curve with c > 0.62 h is a node.  Any point inside the curve
+# with c > h has a lattice node within h/sqrt(3) < r = 0.6 h of it.
+# - A lattice triangle on nodes with c >= _DEEP h is Delaunay: its
+#   circumradius is h/sqrt(3), every other lattice node is 2h/sqrt(3) from its
+#   circumcentre, and every boundary node is farther than (2 - 1/12) h >
+#   2h/sqrt(3) from its vertices.  Conversely, a Delaunay triangle on such
+#   nodes has a circumradius of at most r: else the disk of radius r inside
+#   its circumdisk, tangent at a vertex, would hold a lattice node other than
+#   that vertex with c > (2 - 1.2) h > 0.62 h.  So its sides are at most 1.2 h,
+#   all equal to h, and it is a lattice triangle.
+# - The Delaunay triangles touching a node p with c(p) < _DEEP h are the same
+#   for the band as for the whole node set.  Suppose the open circumdisk
+#   (centre o, radius R) of one of them held a node q with c(q) >=
+#   (_DEEP + _OVERLAP) h.  Then 2R > |p - q| >= _OVERLAP h > 2r.  On the path
+#   q -> o -> p, pulled into the disk of radius R - r about o, c runs from
+#   above (_DEEP + _OVERLAP) h - r to below _DEEP h + r.  The first point y
+#   where c = _DEEP h + r lies inside the curve, and so does its r-disk, which
+#   lies in the circumdisk.  The lattice node nearest y lies in that r-disk
+#   with clearance in (_DEEP h, (_DEEP + _OVERLAP) h): it is a band node
+#   inside the circumdisk, a contradiction.
+_DEEP = 2.0
+_OVERLAP = 2.0
+
+
 def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -> Mesh:
+    """Delaunay mesh of the boundary nodes at spacing ~h and the hexagonal
+    lattice of spacing h kept > 0.62 h from the curve.  Qhull runs once, on
+    the boundary band only; deeper in, the lattice's own up and down
+    triangles are the Delaunay ones (the argument is at `_DEEP`)."""
     S = curve.total_length
     s_nodes = _boundary_node_positions(curve, layout, h)
     bpts = curve.point_at(s_nodes)
+    nb = len(bpts)
 
-    # hexagonal interior lattice, kept > 0.62 h away from the boundary
+    # hexagonal interior lattice: row r at y0 + r dy, odd rows shifted by h/2
     x0, y0 = curve.points.min(axis=0) - h
     x1, y1 = curve.points.max(axis=0) + h
-    dy = h * np.sqrt(3) / 2
-    rows = np.arange(y0, y1, dy)
-    pts = []
-    for r, yv in enumerate(rows):
-        xs = np.arange(x0 + (h / 2 if r % 2 else 0.0), x1, h)
-        pts.append(np.column_stack([xs, np.full(xs.shape, yv)]))
-    lattice = np.vstack(pts)
+    ys = np.arange(y0, y1, h * np.sqrt(3) / 2)
+    even, odd = np.arange(x0, x1, h), np.arange(x0 + h / 2, x1, h)
+    odd_row = np.arange(len(ys)) % 2 == 1
+    row, col = _runs(np.where(odd_row, len(odd), len(even)))
+    lattice = np.column_stack([np.concatenate([even, odd])[col + len(even) * odd_row[row]],
+                               ys[row]])
     inside = _points_in_polygon(lattice, curve.points)
-    lattice = lattice[inside]
+    lattice, row, col = lattice[inside], row[inside], col[inside]
     # distance to a densely resampled boundary bounds distance to the curve
     dense_s = np.arange(0, S, min(h / 6, S / 2048))
     dense = curve.point_at(dense_s)
-    # a point farther than h comes back at distance inf, which passes too
-    dist, _ = cKDTree(dense).query(lattice, k=1, distance_upper_bound=h)
-    lattice = lattice[dist > 0.62 * h]
-
+    # a point farther than the band comes back at distance inf
+    dist, _ = cKDTree(dense).query(lattice, k=1, distance_upper_bound=(_DEEP + _OVERLAP) * h)
+    clear = dist > 0.62 * h
+    lattice, row, col, dist = lattice[clear], row[clear], col[clear], dist[clear]
     nodes = np.vstack([bpts, lattice])
-    tri = Delaunay(nodes)
-    simplices = tri.simplices.copy()
+
+    band = np.concatenate([np.arange(nb), nb + np.flatnonzero(dist < (_DEEP + _OVERLAP) * h)])
+    try:
+        simplices = band[Delaunay(nodes[band]).simplices]
+    except QhullError:  # the nodes are flat to Qhull: no triangle
+        simplices = np.empty((0, 3), dtype=band.dtype)
+    shallow = np.concatenate([np.ones(nb, dtype=bool), dist < _DEEP * h])
+    simplices = simplices[shallow[simplices].any(axis=1)]
 
     twice_area = _twice_areas(nodes, simplices)
     flip = twice_area < 0
@@ -534,7 +578,21 @@ def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -
     p = nodes[simplices]
     longest = ((p - np.roll(p, 1, axis=1)) ** 2).sum(axis=2).max(axis=1)
     keep = _points_in_polygon(p.mean(axis=1), bpts) & (np.abs(twice_area) > 1e-9 * longest)
-    simplices = simplices[keep]
+    if not keep.any():
+        raise GeometryError(f"the domain is {_width(curve.points):.3g} wide, too thin to "
+                            f"triangulate at element size h = {h:.3g}")
+
+    # the lattice's CCW up and down triangles on nodes with clearance >= _DEEP h;
+    # grid[r, c + 1] is the node at row r, column c, padded by -1
+    deep = np.flatnonzero(dist >= _DEEP * h)
+    r, c = row[deep], col[deep]
+    grid = np.full((len(ys) + 1, len(even) + 2), -1)
+    grid[r, c + 1] = nb + deep
+    up = c + 1 + r % 2   # the upper-right neighbour's padded column
+    tris = np.vstack([np.column_stack([nb + deep, grid[r, c + 2], grid[r + 1, up]]),
+                      np.column_stack([nb + deep, grid[r + 1, up], grid[r + 1, up - 1]])])
+    # Mesh.triangles holds Qhull's index type
+    simplices = np.vstack([simplices[keep], tris[(tris >= 0).all(axis=1)]]).astype(np.intc)
 
     # deterministic triangle ordering: roll smallest index first, sort rows
     roll = np.argmin(simplices, axis=1)
@@ -542,8 +600,14 @@ def _triangulate_at_h(curve: BoundaryCurve, layout: ElectrodeLayout, h: float) -
     order = np.lexsort((simplices[:, 2], simplices[:, 1], simplices[:, 0]))
     simplices = simplices[order]
 
-    boundary_edges = _extract_boundary_loop(simplices, len(bpts), s_nodes, layout)
+    boundary_edges = _extract_boundary_loop(simplices, nb, s_nodes, layout)
     return Mesh(nodes=nodes, triangles=simplices, boundary_edges=boundary_edges)
+
+
+def _width(points: np.ndarray) -> float:
+    """Extent of `points` across their axis of least variance."""
+    d = points - points.mean(axis=0)
+    return float(np.ptp(d @ np.linalg.eigh(d.T @ d)[1][:, 0]))
 
 
 def _twice_areas(nodes: np.ndarray, simplices: np.ndarray) -> np.ndarray:

@@ -607,6 +607,12 @@ def build_scene(config: ExperimentConfig, inverse_crime: bool = False) -> Scene:
             curve_recon = build_boundary(config.model_domain, config.boundary_samples)
             elec_len = config.coverage * curve_true.total_length / config.n_electrodes
             model_cov = elec_len * config.n_electrodes / curve_recon.total_length
+            if not model_cov < 1.0:
+                raise ValueError(
+                    f"protocol.coverage {config.coverage!r} carries electrodes of total length "
+                    f"{elec_len * config.n_electrodes:.6g} over from the true perimeter "
+                    f"{curve_true.total_length:.6g}, which the model perimeter "
+                    f"{curve_recon.total_length:.6g} cannot hold")
             layout_recon = place_electrodes(curve_recon, config.n_electrodes, model_cov,
                                             contact_impedance=config.contact_impedance)
         mesh_recon = (mesh_sim if inverse_crime

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.spatial import Delaunay, cKDTree
 
 from anisoeit import geometry
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, GeometryError, _check_simple,
@@ -398,6 +399,19 @@ def test_straight_chord_meshes_without_slivers():
     assert abs(mesh.areas().sum() - enclosed) <= 1e-12 * enclosed
 
 
+@pytest.mark.parametrize("a", [1e-20, 1e-12])
+def test_thin_domain_is_a_geometry_error(a):
+    """An ellipse whose nodes are flat to Qhull (a = 1e-20) or whose every
+    triangle is a sliver (a = 1e-12) fails with a GeometryError naming its
+    width and h; a = 1e-3 still meshes."""
+    curve = build_boundary(DomainSpec("ellipse", {"a": a, "b": 0.8}), 2048)
+    with pytest.raises(GeometryError, match=rf"^the domain is {2 * a:.3g} wide, too thin to "
+                                            r"triangulate at element size h = 0\.0107$"):
+        triangulate(curve, place_electrodes(curve, 16, 0.5), 300)
+    curve = build_boundary(DomainSpec("ellipse", {"a": 1e-3, "b": 0.8}), 2048)
+    assert triangulate(curve, place_electrodes(curve, 16, 0.5), 300).n_elements == 254
+
+
 @pytest.mark.parametrize("spec", [
     DomainSpec("disk", {}), DomainSpec("ellipse", {"a": 1.25, "b": 0.8}),
     DomainSpec("truncated_ellipse", {"a": 1.4, "b": 0.7, "cut_frac": 0.3, "round_frac": 0.05}),
@@ -533,6 +547,10 @@ PINNED_MESH_DIGESTS = {
         "1666b549b6a81a93f43c8a132ac044889c59955daeea65216cec7338703ebbc6",
     ("case3_fourier", 2350, 32):
         "a0192de7c8213add1b516816a45fa22105ca252008d904db98606117223c541b",
+    # the forward-sweep benchmark mesh, where most lattice nodes lie deeper
+    # than the band Qhull sees
+    ("case3_fourier", 8500, 32):
+        "39ae97a87094a6ae47267d9042943d4d2205bb555cd1cf2434256d6582c9886b",
     ("disk", 300, 16):
         "3da6d117f3b7fb8e10a99818cc99355a545ca73a7153ae03d22a257adaa19229",
     ("disk", 300, 32):
@@ -547,17 +565,42 @@ PINNED_MESH_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(DIGEST_DOMAINS))
 def test_meshes_match_pinned_digests(name):
     curve = build_boundary(DIGEST_DOMAINS[name], 2048)
-    for target in (300, 2350):
-        for J in (16, 32):
+    for (domain, target, J), digest in PINNED_MESH_DIGESTS.items():
+        if domain == name:
             mesh = triangulate(curve, place_electrodes(curve, J, 0.5), target)
-            assert mesh_digest(mesh) == PINNED_MESH_DIGESTS[name, target, J], (target, J)
+            assert mesh_digest(mesh) == digest, (target, J)
 
 
-class UnboundedTree(geometry.cKDTree):
-    """A k-d tree whose nearest-neighbour query searches without a bound."""
-
-    def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
-        return super().query(x, k=k, **kwargs)
+def full_delaunay_at_h(curve, layout, h):
+    """Reference `_triangulate_at_h`: the lattice built row by row, the
+    unbounded clearance query, the all-pairs, xor-reduced crossing test and
+    one Qhull call on the whole node set."""
+    s_nodes = geometry._boundary_node_positions(curve, layout, h)
+    bpts = curve.point_at(s_nodes)
+    x0, y0 = curve.points.min(axis=0) - h
+    x1, y1 = curve.points.max(axis=0) + h
+    rows = []
+    for r, y in enumerate(np.arange(y0, y1, h * np.sqrt(3) / 2)):
+        xs = np.arange(x0 + (h / 2 if r % 2 else 0.0), x1, h)
+        rows.append(np.column_stack([xs, np.full(xs.shape, y)]))
+    lattice = np.vstack(rows)
+    lattice = lattice[chunked_crossings(lattice, curve.points)]
+    S = curve.total_length
+    dense = curve.point_at(np.arange(0, S, min(h / 6, S / 2048)))
+    lattice = lattice[cKDTree(dense).query(lattice)[0] > 0.62 * h]
+    nodes = np.vstack([bpts, lattice])
+    simplices = Delaunay(nodes).simplices
+    twice_area = geometry._twice_areas(nodes, simplices)
+    simplices = np.where((twice_area < 0)[:, None], simplices[:, [0, 2, 1]], simplices)
+    p = nodes[simplices]
+    longest = ((p - np.roll(p, 1, axis=1)) ** 2).sum(axis=2).max(axis=1)
+    simplices = simplices[chunked_crossings(p.mean(axis=1), bpts)
+                          & (np.abs(twice_area) > 1e-9 * longest)]
+    roll = np.argmin(simplices, axis=1)[:, None]
+    simplices = np.take_along_axis(simplices, (roll + np.arange(3)) % 3, axis=1)
+    simplices = simplices[np.lexsort(simplices.T[::-1])]
+    edges = _extract_boundary_loop(simplices, len(bpts), s_nodes, layout)
+    return geometry.Mesh(nodes=nodes, triangles=simplices, boundary_edges=edges)
 
 
 def triangulated(curve, layout, target):
@@ -568,20 +611,35 @@ def triangulated(curve, layout, target):
         return str(exc)
 
 
-@settings(max_examples=15, deadline=None)
-@given(terms=st.lists(st.tuples(st.floats(-0.12, 0.12), st.floats(-0.12, 0.12)),
-                      min_size=1, max_size=3),
-       target=st.integers(300, 1500), J=st.sampled_from([8, 16]))
-def test_triangulate_matches_unbounded_search_and_xor_parity(terms, target, J):
-    """The bounded clearance query and the y-binned crossing test give the
-    mesh of the unbounded query and the all-pairs, xor-reduced reference."""
-    cos, sin = (list(c) for c in zip(*terms))
-    curve = build_boundary(DomainSpec("fourier", {"cos": cos, "sin": sin}), 1024)
-    layout = place_electrodes(curve, J, 0.5)
+# the straight chord of the truncated ellipse and the cocircular boundary
+# nodes of the disk are the degenerate inputs
+MESH_DOMAINS = st.one_of(
+    st.builds(lambda r: DomainSpec("disk", {"radius": r}), st.floats(0.5, 2.0)),
+    st.builds(lambda a, b: DomainSpec("ellipse", {"a": a, "b": b}),
+              st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+    st.builds(lambda a, b, cut, r: DomainSpec("truncated_ellipse", {
+        "a": a, "b": b, "cut_frac": cut, "round_frac": r}),
+              st.floats(0.6, 1.5), st.floats(0.6, 1.5), st.floats(-0.8, 0.5),
+              st.floats(0.005, 0.08)),
+    st.builds(lambda terms: DomainSpec("fourier", {"cos": [c for c, _ in terms],
+                                                   "sin": [s for _, s in terms]}),
+              st.lists(st.tuples(st.floats(-0.12, 0.12), st.floats(-0.12, 0.12)),
+                       min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=MESH_DOMAINS, target=st.integers(300, 3000), J=st.sampled_from([4, 8, 16, 32]),
+       coverage=st.floats(0.2, 0.9))
+def test_triangulate_matches_unbounded_search_and_xor_parity(spec, target, J, coverage):
+    """Qhull on the boundary band plus the deep lattice's own triangles, the
+    bounded clearance query and the y-binned crossing test give the mesh of
+    one Qhull call on all the nodes, the unbounded query and the all-pairs,
+    xor-reduced crossing reference."""
+    curve = build_boundary(spec, 1024)
+    layout = place_electrodes(curve, J, coverage)
     mesh = triangulated(curve, layout, target)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "cKDTree", UnboundedTree)
-        mp.setattr(geometry, "_points_in_polygon", chunked_crossings)
+        mp.setattr(geometry, "_triangulate_at_h", full_delaunay_at_h)
         reference = triangulated(curve, layout, target)
     assert type(mesh) is type(reference)
     if isinstance(reference, str):
@@ -589,6 +647,7 @@ def test_triangulate_matches_unbounded_search_and_xor_parity(terms, target, J):
     else:
         assert np.array_equal(mesh.nodes, reference.nodes)
         assert np.array_equal(mesh.triangles, reference.triangles)
+        assert mesh.triangles.dtype == reference.triangles.dtype
         assert mesh.boundary_edges == reference.boundary_edges
 
 

@@ -459,6 +459,34 @@ def test_huge_nu_reconstructs(tiny_config, tmp_path):
     assert report.success, report.message
 
 
+def test_thin_true_domain_fails_the_geometry_stage(tiny_config, tmp_path):
+    """A true ellipse 2e-20 wide fails in the geometry stage with a message
+    naming its width, not with Qhull's "initial simplex is flat" dump."""
+    thin = dataclasses.replace(tiny_config,
+                               true_domain=DomainSpec("ellipse", {"a": 1e-20, "b": 0.8}))
+    report = run_experiment(thin, tmp_path)
+    assert not report.success and report.stage == "geometry"
+    assert "QH6154" not in report.message
+    assert "the domain is 2e-20 wide, too thin to triangulate" in report.message
+
+
+def test_model_coverage_error_names_the_config_key(tiny_config, tmp_path):
+    """Electrodes carried over from a true perimeter longer than the model's
+    over the coverage do not fit on the model domain: the geometry stage
+    names protocol.coverage and both perimeters, not a coverage the config
+    never set."""
+    from anisoeit.geometry import build_boundary
+    config = dataclasses.replace(tiny_config,
+                                 true_domain=DomainSpec("ellipse", {"a": 5.0, "b": 0.8}))
+    report = run_experiment(config, tmp_path)
+    assert not report.success and report.stage == "geometry"
+    assert "protocol.coverage 0.5 " in report.message
+    for domain in (config.true_domain, config.model_domain):
+        perimeter = build_boundary(domain, config.boundary_samples).total_length
+        assert f"{perimeter:.6g}" in report.message
+    assert "strictly between" not in report.message
+
+
 def test_inverse_crime_flag_requires_matching_domains(tmp_path):
     cfg = dataclasses.replace(builtin_configs()["case1_ellipse"], max_iterations=2)
     report = run_experiment(cfg, tmp_path / "ic", inverse_crime=True)

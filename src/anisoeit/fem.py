@@ -11,16 +11,18 @@ bordered matrix is linear in the per-element (g11, g12, g22) and the
 per-electrode 1/z_j; a `CEMOperator`, built once per mesh and kept as
 `Mesh.cem_operator`, holds all the geometry-only work, so assembling for a
 conductivity is one sparse mat-vec.  That work includes the factor order:
-the nodes in SuperLU's multiple-minimum-degree order (Liu 1985), then the
-electrode potentials with the multiplier before the last one.  The operator
-keeps one sparsity pattern, already in that order, so the mat-vec gives the
-matrix that is factored.  Under the order every pivot is diagonal, so one
-sparse LU factorization per conductivity, owned by its `CEMSystem`, runs in
-SuperLU's symmetric mode with no column ordering of its own, and serves
-every current pattern.  A drive is zero on every node row, so under that
-order its forward substitution leaves the node rows zero: callers that need
-only the electrode potentials (`predict`, `electrode_matrix`) solve with the
-factor's trailing (J + 1) x (J + 1) block alone.
+the nodes in SuperLU's multiple-minimum-degree order (Liu 1985), read from
+SuperLU's column ordering with no numeric factor, then the electrode
+potentials with the multiplier before the last one.  The operator keeps one
+sparsity pattern, already in that order and sorted from one key per matrix
+entry, so the mat-vec gives the matrix that is factored.  Under the order
+every pivot is diagonal, so one sparse LU factorization per conductivity,
+owned by its `CEMSystem`, runs in SuperLU's symmetric mode with no column
+ordering of its own, and serves every current pattern.  A drive is zero on
+every node row, so under that order its forward substitution leaves the
+node rows zero: callers that need only the electrode potentials (`predict`,
+`electrode_matrix`) solve with the factor's trailing (J + 1) x (J + 1)
+block alone.
 The measurement protocol is the adjacent pair drive, held as J alone; its
 measured pair rows are drive patterns, which the inverse solver relies on.
 """
@@ -35,7 +37,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrs as getrs
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from anisoeit.geometry import ElectrodeLayout, Mesh
 from anisoeit.tensors import TensorField
@@ -55,18 +57,20 @@ class CEMOperator:
     """The conductivity-independent part of the CEM system on one mesh.
 
     `order` is the factor order: the nodes in SuperLU's `MMD_AT_PLUS_A`
-    column order of their coupling pattern, then U_0 .. U_{J-2}, the
-    multiplier and U_{J-1}, and `rank` its inverse.  The (u, U) block is
-    singular along (1, 1), so a multiplier after every electrode would
-    meet a round-off zero pivot; with this tail every pivot before the
-    multiplier is a Cholesky pivot of an SPD block and the multiplier pivot
-    is -1^T S^-1 1 < 0, S the Schur complement on U_0 .. U_{J-2}.
+    column order of their coupling pattern (as `spilu` reports it, with
+    every entry dropped), then U_0 .. U_{J-2}, the multiplier and U_{J-1},
+    and `rank` its inverse.  The (u, U) block is singular along (1, 1), so
+    a multiplier after every electrode would meet a round-off zero pivot;
+    with this tail every pivot before the multiplier is a Cholesky pivot of
+    an SPD block and the multiplier pivot is -1^T S^-1 1 < 0, S the Schur
+    complement on U_0 .. U_{J-2}.
 
     The one CSC pattern (`indices`, `indptr`) is that of the bordered
     matrix permuted symmetrically to `order`, and its data array is
     `data_map @ [g.ravel(), 1/z, 1]`: element e's (g11, g12, g22) are inputs
     3e..3e+2, 1/z_j is input 3T + j and the constant last input carries the
-    gauge border.  On an element, grad(phi_i) = (b_i, c_i) / (2 area).
+    gauge border: an element's three inputs share the pattern slot of each
+    of its 9 entries.  On an element, grad(phi_i) = (b_i, c_i) / (2 area).
     """
 
     def __init__(self, mesh: Mesh):
@@ -85,47 +89,58 @@ class CEMOperator:
         self.n_nodes, self.J = n, J
         size = self.size = n + J + 1
 
-        # the nodes in SuperLU's minimum-degree order of their couplings, read
-        # off one factor of a strictly diagonally dominant matrix with that
-        # pattern.  A contact term couples the two nodes of a triangle edge, so
-        # the couplings are the triangles' node pairs.  The order comes first
-        # so that the arrays below reuse the factor's freed memory.  This is
-        # scipy's splu, not the module's `splu`: the operator is built inside
-        # the first `assemble`, and perfbench wraps `fem.splu` as the factor of
-        # each conductivity.
+        # the nodes in SuperLU's minimum-degree order of their couplings.  A
+        # contact term couples the two nodes of a triangle edge, so the
+        # couplings are the triangles' node pairs.  SuperLU picks its column
+        # order from the pattern before any numeric work and in symmetric mode
+        # does not postorder it, so an incomplete factor that drops every
+        # entry reports the order the full factor would use.  The module's
+        # `splu` stays the factor of each conductivity alone: the operator is
+        # built inside the first `assemble`, and perfbench wraps `fem.splu`.
         i, j = np.nonzero(~np.eye(3, dtype=bool))
-        pairs = tri[:, i].ravel(), tri[:, j].ravel()
-        pattern = (sp.csc_matrix((np.full(6 * T, -1.0), pairs), shape=(n, n))
+        pattern = (sp.csc_matrix((np.full(6 * T, -1.0), (tri[:, i].ravel(), tri[:, j].ravel())),
+                                 shape=(n, n))
                    + sp.identity(n, format="csc") * (6.0 * T + 1.0))
-        mmd = sp.linalg.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                             options=dict(SymmetricMode=True))
+        perm_c = spilu(pattern, drop_tol=np.inf, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)).perm_c
+        del pattern
         tail = n + np.arange(J + 1)
         tail[-2:] = tail[-2:][::-1]  # U_0 .. U_{J-2}, multiplier, U_{J-1}
-        self.order = np.concatenate([np.argsort(mmd.perm_c), tail])
-        del pattern, mmd
+        self.order = np.concatenate([np.argsort(perm_c), tail])
         rank = self.rank = np.empty(size, dtype=np.int64)
         rank[self.order] = np.arange(size)
 
-        # stiffness entry (i, j) of an element: (b_i b_j, b_i c_j + c_i b_j, c_i c_j) / (4 area)
+        # one key per matrix entry: an element's 9 (i, j), each electrode
+        # edge's 9, then the gauge border; position maps each to its slot in
+        # the sorted pattern, and an element entry's slot serves its three
+        # tensor components
         i, j = np.divmod(np.arange(9), 3)
+        U, Us, gauge = n + ej, n + np.arange(J), np.full(J, n + J)  # gauge: sum_j U_j = 0
+        rows = np.concatenate([tri[:, i].ravel(),
+                               np.stack([ea, ea, eb, eb, ea, eb, U, U, U], axis=1).ravel(),
+                               gauge, Us])
+        cols = np.concatenate([tri[:, j].ravel(),
+                               np.stack([ea, eb, ea, eb, U, U, ea, eb, U], axis=1).ravel(),
+                               Us, gauge])
+        keys, position = np.unique(rank[cols] * size + rank[rows], return_inverse=True)
+        del rows, cols
+        self.indices, self.indptr = _csc_pattern(keys, size)
+        # int32 indices, which the CSR conversion below keeps without a copy
+        position = np.concatenate([np.repeat(position[:9 * T], 3), position[9 * T:]],
+                                  dtype=np.int32)
+
+        # stiffness entry (i, j) of an element: (b_i b_j, b_i c_j + c_i b_j, c_i c_j) / (4 area)
         stiff = np.stack([b[:, i] * b[:, j], b[:, i] * c[:, j] + c[:, i] * b[:, j],
                           c[:, i] * c[:, j]], axis=2) / (4.0 * areas)[:, None, None]
         # edge mass (ell/6) [[2,1],[1,2]] and trace couplings, exact for P1
         ell = np.linalg.norm(mesh.nodes[ea] - mesh.nodes[eb], axis=1)
         edge = np.outer(ell, [1 / 3, 1 / 6, 1 / 6, 1 / 3, -1 / 2, -1 / 2, -1 / 2, -1 / 2, 1])
-        U, Us, gauge = n + ej, n + np.arange(J), np.full(J, n + J)  # gauge: sum_j U_j = 0
-        rows = np.concatenate([np.repeat(tri[:, i], 3, axis=1).ravel(),
-                               np.stack([ea, ea, eb, eb, ea, eb, U, U, U], axis=1).ravel(),
-                               gauge, Us])
-        cols = np.concatenate([np.repeat(tri[:, j], 3, axis=1).ravel(),
-                               np.stack([ea, eb, ea, eb, U, U, ea, eb, U], axis=1).ravel(),
-                               Us, gauge])
-        inputs = np.concatenate([np.arange(3 * T).reshape(T, 1, 3).repeat(9, axis=1).ravel(),
-                                 np.repeat(3 * T + ej, 9), np.full(2 * J, 3 * T + J)])
         coef = np.concatenate([stiff.ravel(), edge.ravel(), np.ones(2 * J)])
-
-        keys, position = np.unique(rank[cols] * size + rank[rows], return_inverse=True)
-        self.indices, self.indptr = _csc_pattern(keys, size)
+        del stiff
+        inputs = np.concatenate([np.arange(3 * T, dtype=np.int32).reshape(T, 1, 3)
+                                 .repeat(9, axis=1).ravel(),
+                                 np.repeat(3 * T + ej, 9), np.full(2 * J, 3 * T + J)],
+                                dtype=np.int32)
         self.data_map = sp.csr_matrix((coef, (position, inputs)),
                                       shape=(len(keys), 3 * T + J + 1))
 

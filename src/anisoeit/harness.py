@@ -96,11 +96,14 @@ class Phantom:
         pts = np.atleast_2d(pts)
         v = np.full(len(pts), float(self.background))
         for inc in self.inclusions:
-            r2 = inc.radius ** 2
-            d2 = (pts[:, 0] - inc.center[0]) ** 2 + (pts[:, 1] - inc.center[1]) ** 2
-            # only points inside the bump: d2 / r2 may overflow outside it
+            r, r2 = inc.radius, inc.radius ** 2
+            # only points inside the bump's bounding box: a far centre would
+            # overflow the squares, and a point outside the box has d2 >= r2
+            box = np.flatnonzero((np.abs(pts[:, 0] - inc.center[0]) < r)
+                                 & (np.abs(pts[:, 1] - inc.center[1]) < r))
+            d2 = (pts[box, 0] - inc.center[0]) ** 2 + (pts[box, 1] - inc.center[1]) ** 2
             inside = d2 < r2
-            v[inside] += inc.amplitude * (1.0 - d2[inside] / r2) ** 3
+            v[box[inside]] += inc.amplitude * (1.0 - d2[inside] / r2) ** 3
         return v
 
 
@@ -430,6 +433,14 @@ def normalization_map(curve_true: BoundaryCurve, curve_model: BoundaryCurve):
     return apply
 
 
+def _distance(a, b) -> float:
+    """np.linalg.norm(a - b), formed at a power-of-two scale, which is exact,
+    so that a far centre's square does not overflow."""
+    d = np.asarray(a, dtype=float) - b
+    _, e = np.frexp(np.abs(d).max())
+    return float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)), e))
+
+
 def centroid_errors(blobs: list, phantom: Phantom, mapping) -> dict:
     """Distance from each inclusion's mapped center to the matching blob."""
     errors = {}
@@ -440,8 +451,7 @@ def centroid_errors(blobs: list, phantom: Phantom, mapping) -> dict:
         if not cands:
             errors[f"{kind}@{inc.center}"] = float("inf")
             continue
-        best = min(np.linalg.norm(c - target) for _, c, _ in cands)
-        errors[f"{kind}@{inc.center}"] = float(best)
+        errors[f"{kind}@{inc.center}"] = min(_distance(c, target) for _, c, _ in cands)
     return errors
 
 

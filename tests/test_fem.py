@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import splu
 
 from anisoeit import fem
@@ -70,6 +72,28 @@ def test_ordered_factor_fills_less_than_colamd(node_order):
         system = assemble(mesh, TensorField.isotropic(1.0, mesh.n_elements), layout)
         ordered, colamd = system.factor, splu(node_order(system.operator, system.matrix))
         assert ordered.L.nnz + ordered.U.nnz <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_operator_build_peak_memory(monkeypatch):
+    """On the 8k-element, 32-electrode case3 mesh, building the operator
+    traces a peak below 16 MiB: one pattern key per matrix entry, not per
+    tensor component, and no full factor for the order."""
+    curve = build_boundary(builtin_configs()["case3_fourier"].true_domain, 2048)
+    mesh = triangulate(curve, place_electrodes(curve, 32, 0.5), 8500)
+    assert mesh.n_elements > 8000
+
+    def no_full_factor(*args, **kwargs):
+        raise AssertionError("the operator ran a full LU factorization")
+
+    monkeypatch.setattr(fem, "splu", no_full_factor)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_full_factor)
+    tracemalloc.start()
+    try:
+        CEMOperator(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_stiffness_linear_in_tensor(small_disk_mesh, node_order):

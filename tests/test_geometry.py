@@ -8,11 +8,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
 
 from anisoeit import geometry
+from anisoeit.fem import CEMOperator
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, GeometryError, _check_simple,
                                _extract_boundary_loop, _points_in_polygon, build_boundary,
                                build_pixel_lattice, locate_points, place_electrodes,
@@ -571,6 +574,67 @@ def test_meshes_match_pinned_digests(name):
             assert mesh_digest(mesh) == digest, (target, J)
 
 
+def operator_digest(op):
+    """sha256 of a CEM operator's factor order, its CSC pattern and the
+    data, indices and indptr of its data map."""
+    h = hashlib.sha256()
+    m = op.data_map
+    for a in (op.order.astype("<i8"), op.indices.astype("<i8"), op.indptr.astype("<i8"),
+              m.data.astype("<f8"), m.indices.astype("<i8"), m.indptr.astype("<i8")):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# (domain, elements, electrodes) -> operator_digest on the meshes of
+# PINNED_MESH_DIGESTS, pinned while the operator sorted one key per entry and
+# tensor component and read its order off a full SuperLU factor
+PINNED_OPERATOR_DIGESTS = {
+    ("case1_ellipse", 300, 16):
+        "9e38e1b17e37871237168664edce2bd6f0b2fb89880c919933a858ca4a46f7f9",
+    ("case1_ellipse", 300, 32):
+        "94b67ed35fb25dc5d49e5b22f4f753250e316c1e4f28545237c6d847391b67fa",
+    ("case1_ellipse", 2350, 16):
+        "ab7d0ed267fd3c14049b3c81cf1549d419bb12e0e3f0a8d3340be61c2432e2dc",
+    ("case1_ellipse", 2350, 32):
+        "041b6bbf57902416daad892e19841909496abd85043e66b0a94da29f014f3edf",
+    ("case2_truncated_ellipse", 300, 16):
+        "99d643ce500ff58a0f8b0d648f3fdf03fbf1ad2b92e13f075fbe0b004ddb638a",
+    ("case2_truncated_ellipse", 300, 32):
+        "d0edf2205169cdfda8f155f53d20e14608d2a7e94c1313027a4efa8f8bb11f87",
+    ("case2_truncated_ellipse", 2350, 16):
+        "fc392d65495109e6d59a66d3448147293a1a0cae64b59fa220fb84138002c219",
+    ("case2_truncated_ellipse", 2350, 32):
+        "1994dbddc1ea0c7b8acbdf25bacc639029c8023689b92929a6da1c8317b69eac",
+    ("case3_fourier", 300, 16):
+        "13c8b72bef69c2211bb52e60c91c2ee65979efdc1fdd7a2ca4c34884f3bc17eb",
+    ("case3_fourier", 300, 32):
+        "18cd1e60de80252ab12c00d15a68639e2ba0f9e895a68c8766e899ebc58b4eb9",
+    ("case3_fourier", 2350, 16):
+        "652f020a05a6b24aa15a77f8113ffc030b4a41ffa2d482a4a089c8ab6cc9b793",
+    ("case3_fourier", 2350, 32):
+        "535e1f58f7ecfb56f15e5d69cc18a35511ee3f95ad94f3491666d835e8f4d541",
+    ("case3_fourier", 8500, 32):
+        "90665eb835c2088bd588a50608cd2022ac1cb1063f881e03459c5c820ddfa6f4",
+    ("disk", 300, 16):
+        "5bb42495e11df34fca87046d63e91545a5db17c4eb76f6a0d91a32ad64c29289",
+    ("disk", 300, 32):
+        "258d80a16f0ca826f1c8dbc7b2e77d03144681a70f9fa93fbb74a63710da8401",
+    ("disk", 2350, 16):
+        "b338f3c6aac0d21e4f7eae0d20b355be3a1516360804df686a8d93a39c06599c",
+    ("disk", 2350, 32):
+        "b5a7982188e2e7a5297595f25be5322d943cfdf7e91e3b23f7aabc167a33e1b6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_DOMAINS))
+def test_operators_match_pinned_digests(name):
+    curve = build_boundary(DIGEST_DOMAINS[name], 2048)
+    for (domain, target, J), digest in PINNED_OPERATOR_DIGESTS.items():
+        if domain == name:
+            mesh = triangulate(curve, place_electrodes(curve, J, 0.5), target)
+            assert operator_digest(CEMOperator(mesh)) == digest, (target, J)
+
+
 def full_delaunay_at_h(curve, layout, h):
     """Reference `_triangulate_at_h`: the lattice built row by row, the
     unbounded clearance query, the all-pairs, xor-reduced crossing test and
@@ -649,6 +713,71 @@ def test_triangulate_matches_unbounded_search_and_xor_parity(spec, target, J, co
         assert np.array_equal(mesh.triangles, reference.triangles)
         assert mesh.triangles.dtype == reference.triangles.dtype
         assert mesh.boundary_edges == reference.boundary_edges
+
+
+def keyed_per_component_operator(mesh):
+    """(order, indices, indptr, data_map) of the CEM operator built with one
+    pattern key per (matrix entry, tensor component) and the node order read
+    off a full symmetric-mode SuperLU factor of the coupling pattern."""
+    tri = mesh.triangles
+    p = mesh.nodes[tri]
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    areas = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
+    ea, eb, ej = np.array([(*e.nodes, e.electrode) for e in mesh.boundary_edges
+                           if e.electrode is not None], dtype=int).reshape(-1, 3).T
+    n, T, J = mesh.n_nodes, mesh.n_elements, int(ej.max()) + 1
+    size = n + J + 1
+    i, j = np.nonzero(~np.eye(3, dtype=bool))
+    pattern = (sp.csc_matrix((np.full(6 * T, -1.0), (tri[:, i].ravel(), tri[:, j].ravel())),
+                             shape=(n, n))
+               + sp.identity(n, format="csc") * (6.0 * T + 1.0))
+    lu = splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    tail = n + np.arange(J + 1)
+    tail[-2:] = tail[-2:][::-1]
+    order = np.concatenate([np.argsort(lu.perm_c), tail])
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    i, j = np.divmod(np.arange(9), 3)
+    stiff = np.stack([b[:, i] * b[:, j], b[:, i] * c[:, j] + c[:, i] * b[:, j],
+                      c[:, i] * c[:, j]], axis=2) / (4.0 * areas)[:, None, None]
+    ell = np.linalg.norm(mesh.nodes[ea] - mesh.nodes[eb], axis=1)
+    edge = np.outer(ell, [1 / 3, 1 / 6, 1 / 6, 1 / 3, -1 / 2, -1 / 2, -1 / 2, -1 / 2, 1])
+    U, Us, gauge = n + ej, n + np.arange(J), np.full(J, n + J)
+    rows = np.concatenate([np.repeat(tri[:, i], 3, axis=1).ravel(),
+                           np.stack([ea, ea, eb, eb, ea, eb, U, U, U], axis=1).ravel(),
+                           gauge, Us])
+    cols = np.concatenate([np.repeat(tri[:, j], 3, axis=1).ravel(),
+                           np.stack([ea, eb, ea, eb, U, U, ea, eb, U], axis=1).ravel(),
+                           Us, gauge])
+    inputs = np.concatenate([np.arange(3 * T).reshape(T, 1, 3).repeat(9, axis=1).ravel(),
+                             np.repeat(3 * T + ej, 9), np.full(2 * J, 3 * T + J)])
+    coef = np.concatenate([stiff.ravel(), edge.ravel(), np.ones(2 * J)])
+    keys, position = np.unique(rank[cols] * size + rank[rows], return_inverse=True)
+    indptr = np.cumsum(np.bincount(keys // size + 1, minlength=size + 1))
+    data_map = sp.csr_matrix((coef, (position, inputs)), shape=(len(keys), 3 * T + J + 1))
+    return order, keys % size, indptr, data_map
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=MESH_DOMAINS, target=st.integers(100, 6000), J=st.sampled_from([4, 8, 16, 32]),
+       coverage=st.floats(0.2, 0.9))
+def test_operator_matches_the_per_component_construction(spec, target, J, coverage):
+    """One pattern key per matrix entry, expanded to the three tensor
+    components, and the order read off an incomplete factor that drops every
+    entry give the operator of 27 keys per element and a full factor."""
+    curve = build_boundary(spec, 1024)
+    mesh = triangulated(curve, place_electrodes(curve, J, coverage), target)
+    if isinstance(mesh, str):
+        return
+    op = CEMOperator(mesh)
+    order, indices, indptr, data_map = keyed_per_component_operator(mesh)
+    assert np.array_equal(op.order, order)
+    assert np.array_equal(op.indices, indices) and np.array_equal(op.indptr, indptr)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(op.data_map, part), getattr(data_map, part)), part
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,21 @@ def test_phantom_bumps_are_compactly_supported():
     assert v[0] == pytest.approx(3.0)
     assert v[1] > 2.0
     assert v[2] == 2.0 and v[3] == 2.0
+
+
+def test_phantom_box_test_keeps_every_value():
+    """Squaring only the offsets inside each bump's bounding box gives every
+    value bitwise as squaring them all does."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.5, 1.5, (4000, 2))
+    incs = tuple(Inclusion(tuple(rng.uniform(-1, 1, 2)), float(r), float(a))
+                 for r, a in zip(rng.uniform(0.05, 0.8, 6), rng.uniform(-0.5, 2.0, 6)))
+    expected = np.full(len(pts), 1.5)
+    for inc in incs:
+        d2 = (pts[:, 0] - inc.center[0]) ** 2 + (pts[:, 1] - inc.center[1]) ** 2
+        inside = d2 < inc.radius ** 2
+        expected[inside] += inc.amplitude * (1.0 - d2[inside] / inc.radius ** 2) ** 3
+    assert np.array_equal(Phantom(1.5, incs).evaluate(pts), expected)
 
 
 # --- metrics ---------------------------------------------------------------------
@@ -449,6 +465,32 @@ def test_overflowing_misfit_fails_the_reconstruct_stage(tmp_path):
     report = run_experiment(config, tmp_path)
     assert not report.success and report.stage == "reconstruct"
     assert "misfit is not finite" in report.message
+
+
+def numbers(value):
+    """Every number in a nested metrics record, booleans excluded."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in numbers(v)]
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in numbers(v)]
+    return [] if isinstance(value, (bool, str)) or value is None else [float(value)]
+
+
+def test_far_inclusion_centre_succeeds(tmp_path):
+    """An inclusion centred at (1e300, 0) adds nothing to the phantom: no
+    offset is squared unless it is below the radius, and the centroid error
+    is formed at a power-of-two scale.  So the run succeeds, with every
+    metric finite and no overflow warning."""
+    config = builtin_configs()["case1_ellipse"]
+    far = dataclasses.replace(config.phantom.inclusions[0], center=(1e300, 0.0))
+    config = dataclasses.replace(config, sim_elements=600, recon_elements=500, pixels=60,
+                                 phantom=Phantom(config.phantom.background,
+                                                 (far,) + config.phantom.inclusions[1:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_experiment(config, tmp_path)
+    assert report.success, report.message
+    assert np.all(np.isfinite(numbers(report.metrics)))
 
 
 def test_huge_nu_reconstructs(tiny_config, tmp_path):

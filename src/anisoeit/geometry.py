@@ -194,6 +194,16 @@ class Mesh:
         from anisoeit.fem import CEMOperator  # fem imports this module
         return CEMOperator(self)
 
+    def raster_map(self, resolution: int) -> np.ndarray:
+        """`paint_cells(self, resolution)`, painted on first use and kept,
+        read-only, for every later call at this resolution."""
+        # kept in the instance dict, as `cached_property` keeps its value
+        maps = self.__dict__.setdefault("_raster_maps", {})
+        if resolution not in maps:
+            maps[resolution] = paint_cells(self, resolution)
+            maps[resolution].flags.writeable = False
+        return maps[resolution]
+
     def to_json(self) -> str:
         doc = {
             "nodes": self.nodes.tolist(),
@@ -624,12 +634,13 @@ def _extract_boundary_loop(simplices, n_boundary, s_nodes, layout) -> tuple:
     lo, hi = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1).astype(np.int64).T
     keys, count = np.unique(lo * n + hi, return_counts=True)
     once = keys[count == 1]
-    loop_edges = set(zip((once // n).tolist(), (once % n).tolist()))
-    expected = {tuple(sorted((k, (k + 1) % n_boundary))) for k in range(n_boundary)}
-    if loop_edges != expected:
+    a = np.arange(n_boundary, dtype=np.int64)
+    b = np.roll(a, -1)
+    expected = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    if not np.array_equal(once, expected):
         raise GeometryError(
             "boundary of triangulation does not match the sampled curve "
-            f"({len(loop_edges ^ expected)} mismatched edges)")
+            f"({len(np.setxor1d(once, expected))} mismatched edges)")
     S = layout.total_length
     seg = (np.roll(s_nodes, -1) - s_nodes) % S
     seg[seg == 0] = S
@@ -656,32 +667,80 @@ def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if len(bad):
         raise GeometryError(f"query point {bad[0]} is not finite: {tuple(pts[bad[0]])}")
-    tri = mesh.nodes[mesh.triangles]
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    # l1 = k1 . (q - c) / d, l2 = k2 . (q - c) / d, l3 = 1 - l1 - l2
-    k1 = np.column_stack([b[:, 1] - c[:, 1], c[:, 0] - b[:, 0]])
-    k2 = np.column_stack([c[:, 1] - a[:, 1], a[:, 0] - c[:, 0]])
-    d = k1[:, 0] * (a[:, 0] - c[:, 0]) + k1[:, 1] * (a[:, 1] - c[:, 1])
-
-    # all l >= -tol keeps a point within 2 tol * extent of the element's box;
-    # the 1e-6 margin covers rounding in l
-    lo, hi = tri.min(axis=1), tri.max(axis=1)
-    extent = (hi - lo).max(axis=1)
-    pad = (2.0 * tol + 1e-6) * extent[:, None]
+    frame, lo, hi, extent = _element_frames(mesh, tol)
     h = float(np.median(extent))
-    cell, elem, origin, shape = _bin_boxes(lo - pad, hi + pad, h)
+    cell, elem, origin, shape = _bin_boxes(lo, hi, h)
 
     u = np.floor((pts - origin) / h)
     on_grid = np.all((u >= 0) & (u < shape), axis=1)
     qcell = np.where(on_grid, u[:, 0] * shape[1] + u[:, 1], -1).astype(int)
     out = np.full(len(pts), -1, dtype=int)
     for p, e in _candidate_pairs(cell, elem, qcell):
-        dx, dy = pts[p, 0] - c[e, 0], pts[p, 1] - c[e, 1]
-        l1 = (k1[e, 0] * dx + k1[e, 1] * dy) / d[e]
-        l2 = (k2[e, 0] * dx + k2[e, 1] * dy) / d[e]
-        hit = (l1 >= -tol) & (l2 >= -tol) & (1.0 - l1 - l2 >= -tol)
+        hit = _contains(frame, e, pts[p, 0], pts[p, 1], tol)
         np.maximum.at(out, p[hit], e[hit])
     return out
+
+
+def paint_cells(mesh: Mesh, resolution: int) -> np.ndarray:
+    """Containing element of each cell center of a resolution x resolution
+    grid over the mesh's bounding box, -1 outside, at flat index
+    iy * resolution + ix.
+
+    Cell (ix, iy) has its center at (x0 + (ix + 0.5) wx, y0 + (iy + 0.5) wy).
+    The map is the one `locate_points` gives for these centers at tol 1e-12,
+    built per triangle instead: each element tests only the centers inside
+    its padded bounding box, with the same barycentric test and the same
+    tie rule (half-space rasterization: Pineda, SIGGRAPH 1988).
+    """
+    tol = 1e-12
+    x0 = mesh.nodes.min(axis=0)
+    w = (mesh.nodes.max(axis=0) - x0) / resolution
+    center = x0[:, None] + (np.arange(resolution) + 0.5) * w[:, None]    # (2, resolution)
+    frame, lo, hi, _ = _element_frames(mesh, tol)
+    # the centers of cells first .. first + span - 1 lie in the padded box;
+    # its margin is far wider than the rounding of these indices
+    first = np.clip(np.ceil((lo - x0) / w - 0.5), 0, resolution).astype(int)
+    last = np.clip(np.floor((hi - x0) / w - 0.5), -1, resolution - 1).astype(int)
+    span = np.maximum(last - first + 1, 0)
+    box = np.vstack([first.T, span[:, 0]])      # (3, T): first ix, first iy, width
+    out = np.full(resolution * resolution, -1, dtype=int)
+    for e, k in _range_pairs(np.zeros(len(span), dtype=int), span[:, 0] * span[:, 1],
+                             _PAINT_CHUNK):
+        fx, fy, nx = np.take(box, e, axis=1)
+        dy, dx = np.divmod(k, nx)
+        ix, iy = fx + dx, fy + dy
+        hit = _contains(frame, e, center[0, ix], center[1, iy], tol)
+        np.maximum.at(out, iy[hit] * resolution + ix[hit], e[hit])
+    return out
+
+
+def _element_frames(mesh: Mesh, tol: float) -> tuple:
+    """(frame, lo, hi, extent) per element: the barycentric frame of
+    `_contains`, the bounding box padded so that no point passing the test
+    at `tol` lies outside it, and the box's larger side."""
+    tri = mesh.nodes[mesh.triangles]
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    # l1 = k1 . (q - c) / d, l2 = k2 . (q - c) / d, l3 = 1 - l1 - l2
+    k1 = (b[:, 1] - c[:, 1], c[:, 0] - b[:, 0])
+    k2 = (c[:, 1] - a[:, 1], a[:, 0] - c[:, 0])
+    d = k1[0] * (a[:, 0] - c[:, 0]) + k1[1] * (a[:, 1] - c[:, 1])
+    # all l >= -tol keeps a point within 2 tol * extent of the element's box;
+    # the 1e-6 margin covers rounding in l
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    extent = (hi - lo).max(axis=1)
+    pad = (2.0 * tol + 1e-6) * extent[:, None]
+    return np.vstack([c.T, k1, k2, d]), lo - pad, hi + pad, extent
+
+
+def _contains(frame: np.ndarray, e: np.ndarray, x: np.ndarray, y: np.ndarray,
+              tol: float) -> np.ndarray:
+    """Whether point (x[i], y[i]) has all barycentric coordinates >= -tol in
+    element e[i]; `frame` rows are c_x, c_y, k1_x, k1_y, k2_x, k2_y, d."""
+    cx, cy, k1x, k1y, k2x, k2y, d = np.take(frame, e, axis=1)
+    dx, dy = x - cx, y - cy
+    l1 = (k1x * dx + k1y * dy) / d
+    l2 = (k2x * dx + k2y * dy) / d
+    return (l1 >= -tol) & (l2 >= -tol) & (1.0 - l1 - l2 >= -tol)
 
 
 def _bin_boxes(lo: np.ndarray, hi: np.ndarray, h: float) -> tuple:
@@ -701,6 +760,8 @@ def _bin_boxes(lo: np.ndarray, hi: np.ndarray, h: float) -> tuple:
 
 
 _PAIR_CHUNK = 1 << 15   # candidate pairs tested at once
+_PAINT_CHUNK = 1 << 12  # (element, cell) pairs `paint_cells` tests at once; its
+                        # dozen per-pair arrays then stay in cache
 
 
 def _candidate_pairs(cell: np.ndarray, box: np.ndarray, qcell: np.ndarray):
@@ -713,10 +774,10 @@ def _candidate_pairs(cell: np.ndarray, box: np.ndarray, qcell: np.ndarray):
         yield q, box[i]
 
 
-def _range_pairs(first: np.ndarray, count: np.ndarray):
-    """Yield (owner, index) pairs, about _PAIR_CHUNK at a time, pairing each
+def _range_pairs(first: np.ndarray, count: np.ndarray, chunk: int = _PAIR_CHUNK):
+    """Yield (owner, index) pairs, about `chunk` at a time, pairing each
     owner q with the indices first[q] .. first[q] + count[q] - 1."""
-    bounds = np.searchsorted(np.cumsum(count), np.arange(_PAIR_CHUNK, count.sum(), _PAIR_CHUNK))
+    bounds = np.searchsorted(np.cumsum(count), np.arange(chunk, count.sum(), chunk))
     for q in np.split(np.arange(len(count)), bounds):
         own, k = _runs(count[q])
         yield q[own], first[q][own] + k

@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 from anisoeit import fem
 from anisoeit.geometry import (NORMAL_SQUARE, BoundaryCurve, DomainSpec, ElectrodeLayout, Mesh,
                                PixelLattice, build_boundary, build_pixel_lattice,
-                               locate_points, place_electrodes, triangulate)
+                               place_electrodes, triangulate)
 from anisoeit.inverse import (ANISOTROPIC, BarrierSchedule, GNSettings, ReconState,
                               RegWeights, gauss_newton_reconstruct, isotropic_reconstruct,
                               recon_state_to_csv, run_log_to_json)
@@ -364,7 +364,7 @@ def boundary_artifact_energy(values_per_pixel: np.ndarray, lattice: PixelLattice
     mean = float(np.sum(v * A) / A.sum())
     energy = A * (v - mean) ** 2
     dense = curve.point_at(np.linspace(0, curve.total_length, 4096, endpoint=False))
-    dist, _ = cKDTree(dense).query(cent)
+    dist, _ = cKDTree(dense).query(cent, distance_upper_bound=_ARTIFACT_WIDTH)
     total = energy.sum()
     if total <= 0:
         return 0.0
@@ -484,21 +484,29 @@ def locality_fraction(delta_per_element: np.ndarray, mesh: Mesh):
 def rasterize(values_per_element: np.ndarray, mesh: Mesh, resolution: int = 256) -> np.ndarray:
     """Paint per-element values onto a regular grid; NaN outside the domain.
 
-    Each cell takes the value of the element containing its center, found by
-    `locate_points` with tol 1e-12; on shared edges and vertices the
+    Each cell takes the value of the element containing its center, read
+    from `Mesh.raster_map`, which paints the cell -> element map per
+    triangle once per (mesh, resolution) with the barycentric test of
+    `locate_points` at tol 1e-12; on shared edges and vertices the
     highest-index element wins.  A `resolution` that is not a positive
-    integer raises HarnessError("export", ...).
+    integer, or values that are not one finite number per element, raise
+    HarnessError("export", ...).
     """
     is_int = isinstance(resolution, (int, np.integer)) and not isinstance(resolution, bool)
     if not is_int or resolution < 1:
         raise HarnessError("export", f"resolution must be a positive integer, got {resolution!r}")
-    x0, y0 = mesh.nodes.min(axis=0)
-    x1, y1 = mesh.nodes.max(axis=0)
-    wx, wy = (x1 - x0) / resolution, (y1 - y0) / resolution
-    cells = np.arange(resolution)
-    X, Y = np.meshgrid(x0 + (cells + 0.5) * wx, y0 + (cells + 0.5) * wy)
-    elem = locate_points(mesh, np.column_stack([X.ravel(), Y.ravel()]), tol=1e-12)
     values = np.asarray(values_per_element, dtype=float)
+    T = mesh.n_elements
+    if values.ndim != 1:
+        raise HarnessError("export", f"values must be one per element, got shape {values.shape}")
+    if len(values) != T:
+        first = (f"value {T} has no element" if len(values) > T
+                 else f"element {len(values)} has no value")
+        raise HarnessError("export", f"{len(values)} values for {T} elements: {first}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise HarnessError("export", f"element {bad[0]} has non-finite value {values[bad[0]]}")
+    elem = mesh.raster_map(resolution)
     return np.where(elem >= 0, values[elem], np.nan).reshape(resolution, resolution)
 
 
@@ -528,12 +536,15 @@ def read_pgm(path) -> np.ndarray:
 
 
 def export_field_image(values_per_element: np.ndarray, mesh: Mesh, base_path) -> tuple:
-    """Write <base>.csv (exact element values) and <base>.pgm (raster)."""
+    """Write <base>.csv (exact element values) and <base>.pgm (raster).
+    Values that are not one finite number per element raise
+    HarnessError("export", ...) before anything is written."""
+    img = rasterize(values_per_element, mesh)
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     pgm_path = base.with_suffix(".pgm")
     csv_path.write_text(scalar_field_to_csv(values_per_element))
-    write_pgm(rasterize(values_per_element, mesh), pgm_path)
+    write_pgm(img, pgm_path)
     return csv_path, pgm_path
 
 

@@ -18,8 +18,8 @@ from anisoeit import geometry
 from anisoeit.fem import CEMOperator
 from anisoeit.geometry import (BoundaryEdge, DomainSpec, GeometryError, _check_simple,
                                _extract_boundary_loop, _points_in_polygon, build_boundary,
-                               build_pixel_lattice, locate_points, place_electrodes,
-                               triangulate)
+                               build_pixel_lattice, locate_points, paint_cells,
+                               place_electrodes, triangulate)
 from anisoeit.harness import builtin_configs
 
 
@@ -338,9 +338,10 @@ def loop_boundary_edges(simplices, n_boundary, s_nodes, layout):
     for a, b, c in simplices:
         for e in ((a, b), (b, c), (c, a)):
             count[tuple(sorted(e))] += 1
-    if {e for e, c in count.items() if c == 1} != {
-            tuple(sorted((k, (k + 1) % n_boundary))) for k in range(n_boundary)}:
-        raise GeometryError("mismatched edges")
+    mismatched = {e for e, c in count.items() if c == 1} ^ {
+        tuple(sorted((k, (k + 1) % n_boundary))) for k in range(n_boundary)}
+    if mismatched:
+        raise GeometryError(f"({len(mismatched)} mismatched edges)")
     S = layout.total_length
     edges = []
     for k in range(n_boundary):
@@ -359,10 +360,14 @@ def test_boundary_loop_matches_per_edge_loop(disk_layout, disk_mesh):
     s_nodes = np.array([e.s_interval[0] for e in disk_mesh.boundary_edges])
     args = (disk_mesh.triangles, len(s_nodes), s_nodes, disk_layout)
     assert _extract_boundary_loop(*args) == loop_boundary_edges(*args)
-    holed = (disk_mesh.triangles[1:],) + args[1:]
-    for extract in (_extract_boundary_loop, loop_boundary_edges):
-        with pytest.raises(GeometryError, match="mismatched edges"):
-            extract(*holed)
+    for triangles in (disk_mesh.triangles[1:], disk_mesh.triangles[:-40]):
+        broken = (triangles,) + args[1:]
+        counts = []
+        for extract in (_extract_boundary_loop, loop_boundary_edges):
+            with pytest.raises(GeometryError, match=r"\((\d+) mismatched edges\)") as info:
+                extract(*broken)
+            counts.append(re.search(r"\((\d+) mismatched", str(info.value)).group(1))
+        assert counts[0] == counts[1] != "0"
 
 
 def test_electrode_arcs_resolved_by_edges(disk_curve, disk_layout, disk_mesh):
@@ -867,6 +872,64 @@ def test_locate_points_rejects_bad_queries(small_disk_mesh):
     pts[4, 0] = np.nan
     with pytest.raises(GeometryError, match="query point 3 is not finite"):
         locate_points(small_disk_mesh, pts)
+
+
+# --- cell painting -------------------------------------------------------
+
+def cell_centers(mesh, resolution):
+    """The cell centers of `paint_cells`, in its flat order iy * resolution + ix."""
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    w = (hi - lo) / resolution
+    cells = np.arange(resolution) + 0.5
+    X, Y = np.meshgrid(lo[0] + cells * w[0], lo[1] + cells * w[1])
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=MESH_DOMAINS, target=st.integers(100, 1500), J=st.sampled_from([4, 8, 16]),
+       resolution=st.sampled_from([1, 2, 37, 128, 256]))
+def test_paint_cells_matches_locate_points(spec, target, J, resolution):
+    """The per-triangle painter gives, cell for cell, the map of
+    `locate_points` at tol 1e-12 over the same cell centers."""
+    curve = build_boundary(spec, 512)
+    mesh = triangulated(curve, place_electrodes(curve, J, 0.5), target)
+    if isinstance(mesh, str):
+        return
+    painted = paint_cells(mesh, resolution)
+    assert np.array_equal(painted, locate_points(mesh, cell_centers(mesh, resolution), tol=1e-12))
+    assert painted.max() < mesh.n_elements
+
+
+def grid_mesh(nx, ny, rng):
+    """nx x ny unit squares, each split along its rising diagonal into two
+    CCW triangles, listed in a random order."""
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    a = (i * (ny + 1) + j).ravel()
+    b, c, d = a + ny + 1, a + ny + 2, a + 1      # (i+1, j), (i+1, j+1), (i, j+1)
+    tris = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+    X, Y = np.meshgrid(np.arange(nx + 1.0), np.arange(ny + 1.0), indexing="ij")
+    return geometry.Mesh(nodes=np.column_stack([X.ravel(), Y.ravel()]),
+                         triangles=tris[rng.permutation(len(tris))], boundary_edges=())
+
+
+@pytest.mark.parametrize("nx, ny, resolution, on", [
+    (8, 8, 4, 6),    # every center is an interior vertex of six triangles
+    (8, 8, 8, 2),    # every center is the midpoint of a diagonal
+    (8, 4, 4, 2),    # every center is the midpoint of a vertical edge
+])
+def test_paint_cells_ties_go_to_the_highest_element(nx, ny, resolution, on):
+    """Centers exactly on shared vertices and edges lie in every element
+    that touches them (all coordinates are exact in binary); the painter
+    gives each the highest-index one, as `locate_points` does."""
+    mesh = grid_mesh(nx, ny, np.random.default_rng(nx * ny + resolution))
+    pts = cell_centers(mesh, resolution)
+    touching = np.column_stack([brute_force_locate(
+        dataclasses.replace(mesh, triangles=mesh.triangles[[e]]), pts, 0.0) == 0
+        for e in range(mesh.n_elements)])
+    assert np.all(touching.sum(axis=1) == on)
+    painted = paint_cells(mesh, resolution)
+    assert np.array_equal(painted, mesh.n_elements - 1 - np.argmax(touching[:, ::-1], axis=1))
+    assert np.array_equal(painted, locate_points(mesh, pts, tol=1e-12))
 
 
 NOT_INTEGERS = (True, 2350.5, float("nan"), float("inf"), "40")

@@ -2,13 +2,15 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from anisoeit import cli, harness
+from anisoeit import cli, geometry, harness
 from anisoeit.geometry import DomainSpec
 from anisoeit.harness import (MODES, ExperimentConfig, Inclusion, Phantom, RunReport,
                               blob_analysis, boundary_artifact_energy, builtin_configs,
@@ -350,6 +352,81 @@ def test_rasterize_covers_domain(small_disk_mesh):
     inside = ~np.isnan(img)
     # disk fills ~ pi/4 of its bounding box
     assert abs(inside.mean() - np.pi / 4) < 0.05
+
+
+@pytest.mark.parametrize("extra", [7, -3])
+def test_export_rejects_values_not_one_per_element(small_disk_mesh, tmp_path, extra):
+    """Too many or too few values raise before any file is written,
+    naming the first element without exactly one value."""
+    T = small_disk_mesh.n_elements
+    vals = np.ones(T + extra)
+    bad = rf"\[stage:export\] {T + extra} values for {T} elements: " + (
+        f"value {T} has no element" if extra > 0 else f"element {T + extra} has no value")
+    with pytest.raises(harness.HarnessError, match=bad):
+        rasterize(vals, small_disk_mesh)
+    with pytest.raises(harness.HarnessError, match=bad):
+        export_field_image(vals, small_disk_mesh, tmp_path / "f")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_export_rejects_non_finite_values(small_disk_mesh, tmp_path, value):
+    vals = np.ones(small_disk_mesh.n_elements)
+    vals[[17, 40]] = value
+    bad = rf"\[stage:export\] element 17 has non-finite value {value}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(harness.HarnessError, match=bad):
+            rasterize(vals, small_disk_mesh)
+        with pytest.raises(harness.HarnessError, match=bad):
+            export_field_image(vals, small_disk_mesh, tmp_path / "f")
+    assert not list(tmp_path.iterdir())
+
+
+def test_raster_map_is_painted_once_per_resolution(small_disk_mesh, monkeypatch):
+    mesh = dataclasses.replace(small_disk_mesh)      # a mesh with nothing cached yet
+    painted = []
+    paint_cells = geometry.paint_cells
+    monkeypatch.setattr(geometry, "paint_cells",
+                        lambda m, r: painted.append(r) or paint_cells(m, r))
+    vals = np.arange(mesh.n_elements, dtype=float)
+    first = rasterize(vals, mesh)
+    for resolution in (256, np.int64(256), 37, 37):
+        rasterize(-vals, mesh, resolution)
+    assert painted == [256, 37]
+    assert np.array_equal(rasterize(vals, mesh), first, equal_nan=True)
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.raster_map(256)[0] = 0
+
+
+def test_rasterize_peak_memory():
+    """Painting the 256 x 256 map of the case1 recon mesh traces a peak
+    below 5 MiB: pairs are tested in small blocks, not all cell centers
+    against their binned candidates at once."""
+    mesh = dataclasses.replace(harness.build_scene(builtin_configs()["case1_ellipse"]).mesh_recon)
+    vals = np.ones(mesh.n_elements)
+    tracemalloc.start()
+    try:
+        rasterize(vals, mesh, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_boundary_artifact_energy_matches_the_unbounded_query(disk_curve, disk_mesh):
+    """The KD-tree query bounded at the band width selects the band of the
+    unbounded query, so the energy fraction is bitwise the same."""
+    lat = geometry.build_pixel_lattice(disk_mesh, 200)
+    vals = np.random.default_rng(5).uniform(0.5, 2.0, lat.n_active)
+    v = vals[lat.element_to_pixel]
+    A = disk_mesh.areas()
+    energy = A * (v - float(np.sum(v * A) / A.sum())) ** 2
+    dense = disk_curve.point_at(np.linspace(0, disk_curve.total_length, 4096, endpoint=False))
+    dist = cKDTree(dense).query(disk_mesh.centroids())[0]
+    band = energy[dist < harness._ARTIFACT_WIDTH].sum() / energy.sum()
+    assert 0 < band < 1
+    assert boundary_artifact_energy(vals, lat, disk_mesh, disk_curve) == band
 
 
 # --- experiment driver --------------------------------------------------------------

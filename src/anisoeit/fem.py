@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrs as getrs
 from scipy.sparse.linalg import spilu, splu
 
-from anisoeit.geometry import ElectrodeLayout, Mesh
+from anisoeit.geometry import ElectrodeLayout, Mesh, _integer
 from anisoeit.tensors import TensorField
 
 
@@ -280,7 +280,7 @@ class MeasurementProtocol:
     J: int
 
     def __post_init__(self):
-        if not (isinstance(self.J, (int, np.integer)) and self.J >= 4):
+        if not (_integer(self.J) and self.J >= 4):
             raise ModelError(f"adjacent protocol needs an integer J >= 4, got {self.J!r}")
 
     @property

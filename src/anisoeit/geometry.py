@@ -302,22 +302,24 @@ def _cumulative_arclength(points: np.ndarray) -> tuple:
 def _check_simple(points: np.ndarray) -> None:
     """Exact segment-intersection test of the closed polyline.
 
-    Segment bounding boxes are binned on a uniform grid (cell size = median
-    box extent); every pair of non-adjacent segments sharing a cell is
-    tested for a proper crossing, so no pair whose boxes overlap is missed.
+    Over the segments sorted by lower y, each one meets the later ones whose
+    lower y is at most its upper y, one range found by binary search; every
+    such pair of non-adjacent segments is tested for a proper crossing, so
+    no pair whose y ranges overlap is missed.
     """
     n = len(points)
     p, q = points, np.roll(points, -1, axis=0)
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
-    cell, seg, _, _ = _bin_boxes(lo, hi, float(np.median((hi - lo).max(axis=1))))
+    y_lo, y_hi = np.minimum(p[:, 1], q[:, 1]), np.maximum(p[:, 1], q[:, 1])
+    order = np.argsort(y_lo, kind="stable")
+    after = np.arange(1, n + 1)
+    count = np.searchsorted(y_lo[order], y_hi[order], side="right") - after
 
     def cross(o, a, b):
         return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
 
     crossings = []
-    # each binned segment meets every segment binned in its cell
-    for entry, j in _candidate_pairs(cell, seg, cell):
-        i = seg[entry]
+    for s, t in _range_pairs(after, count):
+        i, j = np.minimum(order[s], order[t]), np.maximum(order[s], order[t])
         keep = (j - i > 1) & ~((i == 0) & (j == n - 1))
         i, j = i[keep], j[keep]
         d1 = cross(p[i], q[i], p[j])
@@ -656,26 +658,27 @@ def locate_points(mesh: Mesh, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
     A point lies in element e when its barycentric coordinates in e are all
     >= -tol.  Tie rule: where several elements contain a point (shared edges
-    and vertices), the highest element index wins.  Candidates come from the
-    element bounding boxes binned on a uniform grid, padded so that no
-    element passing the test is missed.  Raises GeometryError unless ``pts``
-    is one point or a (P, 2) array of finite coordinates.
+    and vertices), the highest element index wins.  Over the points sorted by
+    y, each element tests the range of them whose y lies in its bounding
+    box, padded so that no point passing the test is missed, found by binary
+    search.  Raises GeometryError unless ``tol`` is a finite number >= 0 and
+    ``pts`` is one point or a (P, 2) array of finite coordinates.
     """
+    if not (_finite(tol) and tol >= 0):
+        raise GeometryError(f"tol must be a finite number >= 0, got {tol!r}")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError(f"query points must have shape (P, 2), got {pts.shape}")
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if len(bad):
         raise GeometryError(f"query point {bad[0]} is not finite: {tuple(pts[bad[0]])}")
-    frame, lo, hi, extent = _element_frames(mesh, tol)
-    h = float(np.median(extent))
-    cell, elem, origin, shape = _bin_boxes(lo, hi, h)
-
-    u = np.floor((pts - origin) / h)
-    on_grid = np.all((u >= 0) & (u < shape), axis=1)
-    qcell = np.where(on_grid, u[:, 0] * shape[1] + u[:, 1], -1).astype(int)
+    frame, lo, hi = _element_frames(mesh, tol)
+    order = np.argsort(pts[:, 1], kind="stable")
+    y = pts[order, 1]
+    first = np.searchsorted(y, lo[:, 1])
     out = np.full(len(pts), -1, dtype=int)
-    for p, e in _candidate_pairs(cell, elem, qcell):
+    for e, k in _range_pairs(first, np.searchsorted(y, hi[:, 1]) - first):
+        p = order[k]
         hit = _contains(frame, e, pts[p, 0], pts[p, 1], tol)
         np.maximum.at(out, p[hit], e[hit])
     return out
@@ -696,7 +699,7 @@ def paint_cells(mesh: Mesh, resolution: int) -> np.ndarray:
     x0 = mesh.nodes.min(axis=0)
     w = (mesh.nodes.max(axis=0) - x0) / resolution
     center = x0[:, None] + (np.arange(resolution) + 0.5) * w[:, None]    # (2, resolution)
-    frame, lo, hi, _ = _element_frames(mesh, tol)
+    frame, lo, hi = _element_frames(mesh, tol)
     # the centers of cells first .. first + span - 1 lie in the padded box;
     # its margin is far wider than the rounding of these indices
     first = np.clip(np.ceil((lo - x0) / w - 0.5), 0, resolution).astype(int)
@@ -715,21 +718,20 @@ def paint_cells(mesh: Mesh, resolution: int) -> np.ndarray:
 
 
 def _element_frames(mesh: Mesh, tol: float) -> tuple:
-    """(frame, lo, hi, extent) per element: the barycentric frame of
-    `_contains`, the bounding box padded so that no point passing the test
-    at `tol` lies outside it, and the box's larger side."""
+    """(frame, lo, hi) per element: the barycentric frame of `_contains` and
+    the bounding box padded so that no point passing the test at `tol` lies
+    outside it."""
     tri = mesh.nodes[mesh.triangles]
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     # l1 = k1 . (q - c) / d, l2 = k2 . (q - c) / d, l3 = 1 - l1 - l2
     k1 = (b[:, 1] - c[:, 1], c[:, 0] - b[:, 0])
     k2 = (c[:, 1] - a[:, 1], a[:, 0] - c[:, 0])
     d = k1[0] * (a[:, 0] - c[:, 0]) + k1[1] * (a[:, 1] - c[:, 1])
-    # all l >= -tol keeps a point within 2 tol * extent of the element's box;
-    # the 1e-6 margin covers rounding in l
+    # all l >= -tol keeps a point within 2 tol * (the larger side) of the
+    # element's box; the 1e-6 margin covers rounding in l
     lo, hi = tri.min(axis=1), tri.max(axis=1)
-    extent = (hi - lo).max(axis=1)
-    pad = (2.0 * tol + 1e-6) * extent[:, None]
-    return np.vstack([c.T, k1, k2, d]), lo - pad, hi + pad, extent
+    pad = (2.0 * tol + 1e-6) * (hi - lo).max(axis=1)[:, None]
+    return np.vstack([c.T, k1, k2, d]), lo - pad, hi + pad
 
 
 def _contains(frame: np.ndarray, e: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -743,35 +745,9 @@ def _contains(frame: np.ndarray, e: np.ndarray, x: np.ndarray, y: np.ndarray,
     return (l1 >= -tol) & (l2 >= -tol) & (1.0 - l1 - l2 >= -tol)
 
 
-def _bin_boxes(lo: np.ndarray, hi: np.ndarray, h: float) -> tuple:
-    """Boxes [lo, hi] binned on a uniform grid of cell size h whose origin
-    is their lowest corner: (cell, box, origin, shape) with one entry per
-    cell a box overlaps, stably sorted by cell, where cell = ix * shape[1]
-    + iy for (ix, iy) = floor((x - origin) / h)."""
-    origin = lo.min(axis=0)
-    cell_lo = np.floor((lo - origin) / h).astype(int)
-    span = np.floor((hi - origin) / h).astype(int) - cell_lo + 1
-    shape = (cell_lo + span).max(axis=0)
-    box, k = _runs(span[:, 0] * span[:, 1])
-    cell = ((cell_lo[box, 0] + k % span[box, 0]) * shape[1]
-            + cell_lo[box, 1] + k // span[box, 0])
-    order = np.argsort(cell, kind="stable")
-    return cell[order], box[order], origin, shape
-
-
 _PAIR_CHUNK = 1 << 15   # candidate pairs tested at once
 _PAINT_CHUNK = 1 << 12  # (element, cell) pairs `paint_cells` tests at once; its
                         # dozen per-pair arrays then stay in cache
-
-
-def _candidate_pairs(cell: np.ndarray, box: np.ndarray, qcell: np.ndarray):
-    """Yield (query, box) candidate pairs, about _PAIR_CHUNK at a time, for
-    the sorted (cell, box) entries of `_bin_boxes`: query q meets every box
-    binned in cell qcell[q] (none for a negative qcell)."""
-    first = np.searchsorted(cell, qcell)
-    count = np.searchsorted(cell, qcell, side="right") - first
-    for q, i in _range_pairs(first, count):
-        yield q, box[i]
 
 
 def _range_pairs(first: np.ndarray, count: np.ndarray, chunk: int = _PAIR_CHUNK):

@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 from anisoeit import fem
 from anisoeit.geometry import (NORMAL_SQUARE, BoundaryCurve, DomainSpec, ElectrodeLayout, Mesh,
                                PixelLattice, build_boundary, build_pixel_lattice,
-                               place_electrodes, triangulate)
+                               place_electrodes, triangulate, _integer)
 from anisoeit.inverse import (ANISOTROPIC, BarrierSchedule, GNSettings, ReconState,
                               RegWeights, gauss_newton_reconstruct, isotropic_reconstruct,
                               recon_state_to_csv, run_log_to_json)
@@ -492,8 +492,7 @@ def rasterize(values_per_element: np.ndarray, mesh: Mesh, resolution: int = 256)
     integer, or values that are not one finite number per element, raise
     HarnessError("export", ...).
     """
-    is_int = isinstance(resolution, (int, np.integer)) and not isinstance(resolution, bool)
-    if not is_int or resolution < 1:
+    if not _integer(resolution) or resolution < 1:
         raise HarnessError("export", f"resolution must be a positive integer, got {resolution!r}")
     values = np.asarray(values_per_element, dtype=float)
     T = mesh.n_elements
@@ -837,10 +836,29 @@ def verify_locality(config: ExperimentConfig, perturbation: Inclusion, out_dir) 
 
 
 def aggregate_reports(directory) -> dict:
-    """Collect report_*.json files under a directory into one summary."""
+    """Collect report_*.json files under a directory into one summary.
+
+    A directory that does not exist, or a report that is not a JSON object
+    with ``run_id``, ``mode``, a boolean ``success`` and, if any, an object
+    ``metrics``, raises HarnessError("report", ...) naming it."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise HarnessError("report", f"no directory {directory}")
     rows = []
-    for path in sorted(Path(directory).glob("**/report_*.json")):
-        doc = json.loads(path.read_text())
+    for path in sorted(directory.glob("**/report_*.json")):
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:
+            raise HarnessError("report", f"{path} is not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise HarnessError("report", f"{path} is not a JSON object")
+        missing = [key for key in ("run_id", "mode", "success") if key not in doc]
+        if missing:
+            raise HarnessError("report", f"{path} has no {missing[0]!r}")
+        if not isinstance(doc["success"], bool):
+            raise HarnessError("report", f"{path} has 'success' {doc['success']!r}, not a boolean")
+        if not isinstance(doc.get("metrics", {}), dict):
+            raise HarnessError("report", f"{path} has 'metrics' that is not a JSON object")
         rows.append({
             "run_id": doc["run_id"], "mode": doc["mode"], "success": doc["success"],
             "stage": doc.get("stage"),

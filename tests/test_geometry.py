@@ -137,12 +137,18 @@ def all_pairs_crossings(points):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(8, 120), swaps=st.integers(0, 2),
-       wiggle=st.sampled_from([0.0, 0.2, 0.6]))
-def test_check_simple_matches_all_pairs(seed, n, swaps, wiggle):
+       wiggle=st.sampled_from([0.0, 0.2, 0.6]), grid=st.sampled_from([0, 3, 6]))
+def test_check_simple_matches_all_pairs(seed, n, swaps, wiggle, grid):
+    """Perturbed circles, and for grid > 0 polylines on a grid x grid integer
+    lattice: these bring tied lower y, horizontal and vertical segments and
+    collinear overlaps."""
     rng = np.random.default_rng(seed)
-    t = np.sort(rng.uniform(0, 2 * np.pi, n))
-    r = 1.0 + wiggle * rng.uniform(-1, 1, n)
-    points = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    if grid:
+        points = rng.integers(0, grid, (n, 2)).astype(float)
+    else:
+        t = np.sort(rng.uniform(0, 2 * np.pi, n))
+        r = 1.0 + wiggle * rng.uniform(-1, 1, n)
+        points = np.column_stack([r * np.cos(t), r * np.sin(t)])
     for _ in range(swaps):
         k = rng.integers(0, n - 1)
         points[[k, k + 1]] = points[[k + 1, k]]
@@ -845,12 +851,16 @@ def test_locate_points_matches_brute_force(kind, seed, tol):
     tri = mesh.nodes[mesh.triangles[rng.integers(0, mesh.n_elements, 40)]]
     t = rng.uniform(0, 1, (40, 1))
     vertices = rng.choice(mesh.n_nodes, 40, replace=False)
+    heights, count = np.unique(mesh.nodes[:, 1], return_counts=True)
+    level = rng.choice(heights[count > 1])
     pts = np.vstack([
         rng.uniform(lo - 0.3, hi + 0.3, (200, 2)),     # inside and outside
         mesh.nodes[vertices],                           # shared vertices
         (tri[:, 0] + tri[:, 1]) / 2,                    # edge midpoints
         t * tri[:, 1] + (1 - t) * tri[:, 2],            # points along edges
         mesh.nodes[vertices] + rng.uniform(-0.1, 0.1, (40, 2)) * tol,  # within tol
+        cell_centers(mesh, 16),                         # rows of a raster
+        mesh.nodes[mesh.nodes[:, 1] == level],          # vertices at one height
         rng.uniform(hi + 0.01, hi + 1.0, (10, 2)),      # beyond the mesh
     ])
     got = locate_points(mesh, pts, tol)
@@ -872,6 +882,12 @@ def test_locate_points_rejects_bad_queries(small_disk_mesh):
     pts[4, 0] = np.nan
     with pytest.raises(GeometryError, match="query point 3 is not finite"):
         locate_points(small_disk_mesh, pts)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", True])
+def test_locate_points_rejects_bad_tol(small_disk_mesh, tol):
+    with pytest.raises(GeometryError, match="tol must be a finite number >= 0"):
+        locate_points(small_disk_mesh, [[0.0, 0.0], [0.5, 0.1]], tol)
 
 
 # --- cell painting -------------------------------------------------------

@@ -644,6 +644,40 @@ def test_aggregate_reports(tiny_config, tmp_path):
     assert summary["count"] == 1 and summary["succeeded"] == 1
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("{not json", "is not JSON"),
+    ("[1, 2]", "is not a JSON object"),
+    ('{"mode": "uniformly-anisotropic", "success": true}', "has no 'run_id'"),
+    ('{"run_id": "b", "mode": "uniformly-anisotropic", "success": "no"}',
+     "has 'success' 'no', not a boolean"),
+    ('{"run_id": "b", "mode": "uniformly-anisotropic", "success": true, "metrics": []}',
+     "has 'metrics' that is not a JSON object"),
+])
+def test_report_rejects_bad_report_files(tmp_path, capsys, text, problem):
+    """A bad report file is named in one [stage:report] line and exit 2."""
+    (tmp_path / "ok").mkdir()
+    (tmp_path / "ok" / "report_a.json").write_text(
+        '{"run_id": "a", "mode": "uniformly-anisotropic", "success": true}')
+    bad = tmp_path / "report_b.json"
+    bad.write_text(text)
+    with pytest.raises(harness.HarnessError, match=problem) as exc:
+        harness.aggregate_reports(tmp_path)
+    assert exc.value.stage == "report" and str(bad) in str(exc.value)
+    assert cli.main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("[stage:report]") and str(bad) in err[0]
+
+
+def test_report_rejects_a_missing_directory(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert cli.main(["report", "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"[stage:report] no directory {missing}\n"
+    (tmp_path / "empty").mkdir()
+    assert cli.main(["report", "--out", str(tmp_path / "empty")]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 0
+
+
 # --- CLI -----------------------------------------------------------------------------
 
 def test_cli_mesh_and_simulate(tiny_config, tmp_path):

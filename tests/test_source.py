@@ -44,3 +44,40 @@ def test_unread_parameter_scan_finds_one():
                      "    def m(self, y):\n"
                      "        return self\n")
     assert _unread_parameters(tree) == ["f.b", "f.c", "m.y"]
+
+
+def _unused_private_helpers(trees: dict) -> list:
+    """`module.name` for every module-level private function or class that
+    no code names, as an AST `Name` or `Attribute`, outside its own
+    definition.  Docstrings and comments do not count."""
+    defined, used = [], set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append((module, stmt.name))
+                names.discard(stmt.name)
+            used |= names
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_every_private_helper_is_used():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert _unused_private_helpers(trees) == []
+
+
+def test_unused_private_helper_scan_finds_one():
+    trees = {"a": ast.parse("def _used():\n"
+                            "    '''Not _dead.'''\n"
+                            "def _dead():\n"
+                            "    return _dead()\n"
+                            "class _Kept:\n"
+                            "    pass\n"
+                            "def __dunder__():\n"
+                            "    pass\n"
+                            "x = _used\n"),
+             "b": ast.parse("import a\n"
+                            "y = a._Kept\n")}
+    assert _unused_private_helpers(trees) == ["a._dead"]

@@ -10,18 +10,23 @@ a Lagrange multiplier so all electrodes are treated identically.  The
 bordered matrix is linear in the per-element (g11, g12, g22) and the
 per-electrode 1/z_j; a `CEMOperator`, built once per mesh and kept as
 `Mesh.cem_operator`, holds all the geometry-only work, so assembling for a
-conductivity is one sparse mat-vec.  That work includes the factor order:
-the nodes in SuperLU's multiple-minimum-degree order (Liu 1985), read from
-SuperLU's column ordering with no numeric factor, then the electrode
-potentials with the multiplier before the last one.  The operator keeps one
-sparsity pattern, already in that order and sorted from one key per matrix
-entry, so the mat-vec gives the matrix that is factored.  Under the order
-every pivot is diagonal, so one sparse LU factorization per conductivity,
-owned by its `CEMSystem`, runs in SuperLU's symmetric mode with no column
-ordering of its own, and serves every current pattern.  A drive is zero on
-every node row, so under that order its forward substitution leaves the
-node rows zero: callers that need only the electrode potentials (`predict`,
-`electrode_matrix`) solve with the factor's trailing (J + 1) x (J + 1)
+conductivity is one sparse mat-vec.  The operator keeps one sparsity
+pattern, in SuperLU's factor order and sorted from one key per matrix
+entry, so the mat-vec gives the matrix that is factored.
+
+A drive is zero on every node row, so the node block can be eliminated
+in electrode space.  Callers that need the nodal potentials (`solve_many`
+with `nodes=True`, behind every Gauss-Newton trial) factor the SPD node
+block A_uu by a LAPACK band Cholesky in reverse Cuthill-McKee order
+(`NodeBand`, planned once per mesh), form the J x J Schur complement
+S = A_UU - A_uU^T A_uu^-1 A_uU, solve for U with the gauge border, and
+back-substitute u = -A_uu^-1 A_uU U.  Callers that need only the
+electrode potentials (`predict`, `electrode_matrix`) factor the bordered
+matrix by SuperLU in the operator's order: the nodes in
+multiple-minimum-degree order (Liu 1985), then the electrode potentials
+with the multiplier before the last one.  Under that order every pivot is
+diagonal and a drive's forward substitution leaves the node rows zero, so
+the electrode potentials solve with the factor's trailing (J + 1) x (J + 1)
 block alone.
 The measurement protocol is the adjacent pair drive, held as J alone; its
 measured pair rows are drive patterns, which the inverse solver relies on.
@@ -37,6 +42,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrs as getrs
+from scipy.linalg.lapack import dpbtrf as pbtrf
+from scipy.linalg.lapack import dtbtrs as tbtrs
 from scipy.sparse.linalg import spilu, splu
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, _integer
@@ -71,6 +78,9 @@ class CEMOperator:
     3e..3e+2, 1/z_j is input 3T + j and the constant last input carries the
     gauge border: an element's three inputs share the pattern slot of each
     of its 9 entries.  On an element, grad(phi_i) = (b_i, c_i) / (2 area).
+
+    `node_band`, the plan of the full-field solve, is built at the first
+    solve with `nodes=True` and kept for every later conductivity.
     """
 
     def __init__(self, mesh: Mesh):
@@ -150,20 +160,103 @@ class CEMOperator:
         data = self.data_map @ np.concatenate([g.ravel(), inv_z, [1.0]])
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
 
+    @cached_property
+    def node_band(self) -> NodeBand:
+        return NodeBand(self)
+
+
+class NodeBand:
+    """The plan of the full-field solve on one mesh: where each entry of the
+    operator's CSC data goes in the node block A_uu, stored as the LAPACK
+    upper band of its reverse Cuthill-McKee order (Cuthill and McKee 1969)
+    with half-bandwidth `kd`, in the coupling A_uU (n x J, rows in that
+    order) and in A_UU (J x J).  Every stored entry is unique, so each
+    scatter is a plain assignment.  `rank` maps a node to its band row.
+
+    `band` and `coupling` are F-ordered buffers that every `solve` overwrites
+    in place; nothing it returns aliases them, and one plan serves one solve
+    at a time.
+    """
+
+    def __init__(self, op: CEMOperator):
+        # csgraph is imported here, so a process that only simulates never loads it
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        n, J = self.n_nodes, self.J = op.n_nodes, op.J
+        rows = op.order[op.indices]
+        cols = op.order[np.repeat(np.arange(op.size), np.diff(op.indptr))]
+        node = (rows < n) & (cols < n)
+        rcm = reverse_cuthill_mckee(
+            sp.csr_matrix((np.ones(np.count_nonzero(node)), (rows[node], cols[node])),
+                          shape=(n, n)), symmetric_mode=True)
+        rank = self.rank = np.empty(n, dtype=np.intp)
+        rank[rcm] = np.arange(n)
+        slots, r, c = np.flatnonzero(node), rank[rows[node]], rank[cols[node]]
+        kd = self.kd = int(np.abs(r - c).max(initial=0))
+        upper = r <= c  # ab[kd + r - c, c] = A[r, c], F order
+        self.band_src = slots[upper]
+        self.band_dst = (kd + r - c + (kd + 1) * c)[upper]
+        self.diagonal = np.empty(n, dtype=np.intp)  # the slot of A_uu[k, k], band order
+        self.diagonal[r[r == c]] = slots[r == c]
+        electrode = (n <= rows) & (rows < n + J)
+        coupling = (cols < n) & electrode
+        self.coupling_src = np.flatnonzero(coupling)
+        self.coupling_dst = rank[cols[coupling]] + n * (rows[coupling] - n)
+        block = (n <= cols) & (cols < n + J) & electrode
+        self.block_src = np.flatnonzero(block)
+        self.block_dst = (rows[block] - n) * (J + 1) + cols[block] - n
+        self.band = np.zeros((kd + 1, n), order="F")
+        self.coupling = np.zeros((n, J), order="F")
+
+    def solve(self, data: np.ndarray, patterns: np.ndarray):
+        """Nodal (K, n) and electrode (K, J) potentials of the zero-sum
+        patterns (K, J) for the operator matrix with CSC data `data`.
+
+        With A_uu = R^T R: W = R^-T A_uU, S = A_UU - W^T W, then U from the
+        (J + 1) x (J + 1) system of S bordered by the gauge multiplier, by LU
+        with partial pivoting, and u = -R^-1 W U."""
+        n, J = self.n_nodes, self.J
+        band, coupling = self.band, self.coupling
+        band.fill(0.0)
+        band.reshape(-1, order="F")[self.band_dst] = data[self.band_src]
+        factor, info = pbtrf(band, overwrite_ab=1)
+        if info == 0:  # a pivot at round-off level of its diagonal is no pivot either
+            small = np.flatnonzero(factor[-1] ** 2 <= n * np.finfo(float).eps
+                                   * data[self.diagonal])
+            info = small[0] + 1 if len(small) else 0
+        if info > 0:
+            raise ModelError(f"the node block is singular to working precision: band "
+                             f"Cholesky pivot {info} of {n} (node "
+                             f"{np.flatnonzero(self.rank == info - 1)[0]}) is not positive")
+        coupling.fill(0.0)
+        coupling.reshape(-1, order="F")[self.coupling_dst] = data[self.coupling_src]
+        W, _ = tbtrs(factor, coupling, trans="T", overwrite_b=1)
+        bordered = np.zeros((J + 1, J + 1))
+        bordered.reshape(-1)[self.block_dst] = data[self.block_src]
+        bordered[:J, :J] -= W.T @ W
+        bordered[:J, J] = bordered[J, :J] = 1.0
+        rhs = np.zeros((J + 1, len(patterns)))
+        rhs[:J] = patterns.T
+        U = np.linalg.solve(bordered, rhs)[:J]
+        u, _ = tbtrs(factor, (-U.T @ W.T).T, overwrite_b=1)
+        return u[self.rank].T, U.T
+
 
 @dataclass
 class CEMSystem:
     """Assembled gauge-constrained CEM system over (u, U, multiplier), its
     `matrix` in the operator's factor order.
 
-    `factor` is formed at the first solve, once per system, with diagonal
-    pivots: SuperLU in symmetric mode, with no column ordering of its own
-    and a zero pivot threshold, so it leaves a diagonal only when it is an
-    exact zero (the order makes every diagonal pivot sound).  A right-hand
-    side that is zero on every node row then leaves the forward
-    substitution zero there, so the electrode potentials of a drive solve
-    with the trailing (J + 1) x (J + 1) blocks of L and U alone
-    (`_tail_lu`)."""
+    `factor` serves the electrode-only solves (`solve_many` with
+    `nodes=False`); a full-field solve goes through the operator's band
+    plan and does not form it.  It is formed at the first electrode-only
+    solve, once per system, with diagonal pivots: SuperLU in symmetric
+    mode, with no column ordering of its own and a zero pivot threshold, so
+    it leaves a diagonal only when it is an exact zero (the order makes
+    every diagonal pivot sound).  A right-hand side that is zero on every
+    node row then leaves the forward substitution zero there, so the
+    electrode potentials of a drive solve with the trailing (J + 1) x
+    (J + 1) blocks of L and U alone (`_tail_lu`)."""
 
     matrix: sp.csc_matrix
     operator: CEMOperator
@@ -219,12 +312,14 @@ def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
 
 def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
     """Nodal (K, n) and electrode (K, J) potentials for stacked current
-    patterns (K, J), one factorization.  Each pattern must be finite and
-    sum to zero (Kirchhoff).  The patterns go straight into the electrode
-    rows of the factor order and the potentials are read back by `rank`.  With
-    `nodes=False` the nodal potentials are None and the electrode potentials
-    come from the factor's trailing block alone (`CEMSystem._tail_lu`),
-    with no sweep over the node rows."""
+    patterns (K, J).  Each pattern must be finite and sum to zero
+    (Kirchhoff).  With `nodes=True` the node block is eliminated in
+    electrode space by the operator's band Cholesky plan
+    (`CEMOperator.node_band`), one factorization per call.  With
+    `nodes=False` the nodal potentials are None and the electrode
+    potentials come from the SuperLU factor's trailing block alone
+    (`CEMSystem._tail_lu`): the patterns go straight into its electrode rows,
+    read back by `rank`, with no sweep over the node rows."""
     patterns = np.atleast_2d(np.asarray(patterns, dtype=float))
     op = system.operator
     n, J = op.n_nodes, op.J
@@ -237,17 +332,13 @@ def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
     unbalanced = np.flatnonzero(np.abs(patterns.sum(axis=1)) > 1e-12 * scale)
     if len(unbalanced):
         raise ModelError(f"current pattern {unbalanced[0]} must sum to zero (Kirchhoff)")
-    electrodes = op.rank[n:n + J]
-    if not nodes:
-        electrodes = electrodes - n  # rows of the trailing block
-        rhs = np.zeros((J + 1, len(patterns)))
-        rhs[electrodes] = patterns.T
-        y, _ = getrs(system._tail_lu, np.arange(J + 1, dtype=np.int32), rhs)
-        return None, y[electrodes].T
-    rhs = np.zeros((op.size, len(patterns)))
+    if nodes:
+        return op.node_band.solve(system.matrix.data, patterns)
+    electrodes = op.rank[n:n + J] - n  # rows of the trailing block
+    rhs = np.zeros((J + 1, len(patterns)))
     rhs[electrodes] = patterns.T
-    sol = system.factor.solve(rhs)
-    return sol[op.rank[:n]].T, sol[electrodes].T
+    y, _ = getrs(system._tail_lu, np.arange(J + 1, dtype=np.int32), rhs)
+    return None, y[electrodes].T
 
 
 def electrode_matrix(system: CEMSystem):
@@ -344,13 +435,16 @@ def predict(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout,
 
 
 def add_noise(clean: np.ndarray, noise_fraction: float, seed: Optional[int]) -> np.ndarray:
-    """Gaussian noise scaled to the clean max, from one seeded RNG stream.
+    """Gaussian noise scaled to the clean max, from one RNG stream seeded
+    by None or an integer >= 0.
 
     noise std = noise_fraction * max_m |clean V_m|; noise_fraction 0 skips
     the draw entirely so repeated calls are bitwise identical.
     """
     if not (np.isfinite(noise_fraction) and noise_fraction >= 0):
         raise ModelError(f"noise_fraction must be finite and nonnegative, got {noise_fraction}")
+    if not (seed is None or (_integer(seed) and seed >= 0)):
+        raise ModelError(f"noise seed must be None or an integer >= 0, got {seed!r}")
     if noise_fraction == 0:
         return clean
     sigma = noise_fraction * np.abs(clean).max()

@@ -152,6 +152,8 @@ class ExperimentConfig:
         if not 0 <= self.noise_fraction < 1:
             raise HarnessError("config", f"noise.fraction must lie in [0, 1), "
                                          f"got {self.noise_fraction!r}")
+        if not (_integer(self.seed) and self.seed >= 0):
+            raise HarnessError("config", f"noise.seed must be an integer >= 0, got {self.seed!r}")
         with _stage("config", "gn."):  # GNSettings names the field
             self.settings()
         with _stage("config", "schedule: "):

@@ -196,6 +196,38 @@ def test_electrode_solve_needs_diagonal_pivots(monkeypatch, moved):
         solve_many(system, np.array([[1.0, -1.0]]), nodes=False)
 
 
+def test_full_solves_share_the_plan_not_their_results(small_disk_mesh, disk_layout):
+    """Every full-field solve on a mesh overwrites the same band and coupling
+    buffers: a solve for another field leaves earlier results untouched, no
+    result aliases a buffer, and solving the first field again gives the
+    same potentials bit for bit."""
+    T, patterns = small_disk_mesh.n_elements, adjacent_protocol(16).patterns
+    rng = np.random.default_rng(3)
+    first, second = (assemble(small_disk_mesh, TensorField.isotropic(rng.uniform(0.5, 2.0, T)),
+                              disk_layout) for _ in range(2))
+    u1, U1 = solve_many(first, patterns)
+    kept = u1.copy(), U1.copy()
+    u2, U2 = solve_many(second, patterns)
+    plan = small_disk_mesh.cem_operator.node_band
+    for result in (u1, U1, u2, U2):
+        assert not any(np.shares_memory(result, buf) for buf in (plan.band, plan.coupling))
+    assert np.array_equal(u1, kept[0]) and np.array_equal(U1, kept[1])
+    assert not np.allclose(U2, U1)
+    again = solve_many(first, patterns)
+    assert np.array_equal(again[0], kept[0]) and np.array_equal(again[1], kept[1])
+
+
+def test_singular_node_block_names_its_pivot(small_disk_mesh, disk_layout):
+    """With contact impedance 1e300 the node block is the bare stiffness,
+    singular along the constants to working precision: the full-field solve
+    names the band Cholesky pivot instead of returning meaningless values."""
+    layout = dataclasses.replace(disk_layout, contact_impedances=np.full(16, 1e300))
+    system = assemble(small_disk_mesh, TensorField.isotropic(1.0, small_disk_mesh.n_elements),
+                      layout)
+    with pytest.raises(ModelError, match=r"band Cholesky pivot \d+ of \d+"):
+        solve_many(system, adjacent_protocol(16).patterns)
+
+
 def test_solution_residual_small(disk_system, node_order):
     pattern = np.zeros(16)
     pattern[0], pattern[3] = 1.0, -1.0
@@ -412,6 +444,15 @@ def test_simulate_is_predict_plus_noise(small_disk_mesh, disk_layout, protocol16
 def test_add_noise_rejects_invalid_fraction(fraction):
     with pytest.raises(ModelError, match="noise_fraction"):
         add_noise(np.ones(5), fraction, 1)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.01])
+@pytest.mark.parametrize("seed", [-3, 1.5, True, "7"])
+def test_add_noise_rejects_invalid_seed(fraction, seed):
+    """A seed that is neither None nor an integer >= 0 is named, also when
+    the zero fraction draws nothing."""
+    with pytest.raises(ModelError, match="noise seed"):
+        add_noise(np.ones(5), fraction, seed)
 
 
 def test_rotational_symmetry_cyclic_shifts(disk_curve):

@@ -130,6 +130,10 @@ BAD_CONFIGS = {
     "not an object": (lambda d: d.update(noise=[0.01]), "noise"),
     "fractional integer": (lambda d: d["mesh"].update(pixels=437.9), "mesh.pixels"),
     "fractional seed": (lambda d: d["noise"].update(seed=7.5), "noise.seed"),
+    "negative seed": (lambda d: d["noise"].update(seed=-3),
+                      "noise.seed must be an integer >= 0, got -3"),
+    "negative seed without noise": (lambda d: d["noise"].update(seed=-3, fraction=0.0),
+                                    "noise.seed must be an integer >= 0, got -3"),
     "boolean integer": (lambda d: d["protocol"].update(n_electrodes=True),
                         "protocol.n_electrodes"),
     "non-finite float": (lambda d: d["protocol"].update(contact_impedance=float("nan")),
@@ -187,6 +191,16 @@ def test_cli_rejects_bad_config(tiny_config, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert rc == 2
     assert "[stage:config]" in err and named in err
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    """`--seed -1` fails at the config stage, naming the key, before any
+    simulation."""
+    argv = ["simulate", "--case", "case1_ellipse", "--seed", "-1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "[stage:config]" in err and "noise.seed" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_invalid_mode_rejected():
@@ -467,17 +481,17 @@ _SHARED_CASE1_FILES = {
 PINNED_CASE1_FILES = {
     "uniformly-anisotropic": dict(
         _SHARED_CASE1_FILES,
-        **{"recon.csv": "82717a4cb89ba6bb3f613d8b532fa6c10803413ccd4f32299e671713e52948db",
-           "run_log.json": "1c06ae28f9dfee029ec6e7dd3e5a37d9f97cec4f7317ff557b954c74cf5c8b62",
-           "eta.csv": "20605b2f4ac050987513d2473fc0b0836a570a1627d43da65c164e8888ec936b",
+        **{"recon.csv": "6344ef8ec21bf7ba656f489c0f49f5cb524aed93ec5ccdb9f152c1795c5dffdd",
+           "run_log.json": "5c1c41692aa3874ca2d4c4e98e667664c4c2be972e05c9ca7beedf041720fa7d",
+           "eta.csv": "2c9464b78286c683194aa10b42cb9267788016a282c64a85c8eff42c175d2e08",
            "eta.pgm": "16f7f10f376844374c869eea46bba0d68f9111f479f4706ff5d13acd1a6d287b",
-           "theta.csv": "8e9f96f00186afb0d8a51f8519276c5a1321dda8d47e01acc3a889e0246c7cd8",
+           "theta.csv": "da987a172c8a4cb1bf5ba6111af5cb7a4dc37ba92563ce15a53f3fe35e17c33e",
            "theta.pgm": "4dcf3dac7ad904b1162e1d1d2a7e7163f93fce964218f2ad496df5c0c7d3e587"}),
     "isotropic-mismodeled": dict(
         _SHARED_CASE1_FILES,
-        **{"recon.csv": "a799221806f9435979f97e3dd5168164bf1a1e6a35c80b3a62a2dc03d447a9f7",
-           "run_log.json": "a8d6a21c66f53897835f58fe8e637e51e91f1e8f9898c20c7737ee195e98f73d",
-           "gamma.csv": "9df281076507e0ba627ccb9af5263d56be15d7c27475499ea1a177bdfbf5f828",
+        **{"recon.csv": "283e7b05116555d3d56b1d4b2bdd00b74825c2e1817242589fe852611a047e6a",
+           "run_log.json": "64fca54114a7301260b83e22b652f170bd7a7c78bda0afea136970eb21f69d41",
+           "gamma.csv": "2807a67b76a60b5d6a8723cddd8c3c52f0f9504ab6c926cac977ac9ee0a2c7e9",
            "gamma.pgm": "8930a43ff30a2af655fdcd62d8177b4eeb433c077afd851c4d0c74eed1b928fa"}),
 }
 
@@ -488,11 +502,11 @@ PINNED_CASE2_ANISO_FILES = {
     "data.csv": "6617ec314cd86d0bd79c4ab350c2b30cfda8bcbcad67341db9bd99ded4d1cf1c",
     "mesh_sim.json": "8fb9aa0c91e5ec31d23a6a0da90663d960a6a933d978d7088d22633857afa14a",
     "mesh_recon.json": "cdc1ba2ccca281b7663d2d75d3550596e54fccfd3f98aaad082a78dff419077c",
-    "recon.csv": "54cff6183d67535234db18f66dfa6dd8da65fb7fe79d67fef3837a32e6c5c3df",
-    "run_log.json": "ff75738f94c9f6f5494eb5881f9adbdef4a9bc55ff23585a9ef8e3ff8bf1ad10",
-    "eta.csv": "a02a29f74dc5a2d04f61622562a1ffbc0f69eb826b32b5f631d039b5191eb9dd",
+    "recon.csv": "426098ab61358f5356d1449847f5ca7f27f1902db5a4d296b6dc271a031cb9e4",
+    "run_log.json": "c2d96e32a6b588f0359a3d257be352818b1e0d5c53d175dd6e2515ad2ae7d93a",
+    "eta.csv": "98ce0a4a0c0ae9dcd5c73c87b8595cc095defd48829d4e0259534bf735e544a0",
     "eta.pgm": "73139a465512e4def62452c06e6ac8b9c7e62ba8acec8a0d9f9fb0a0de8c21d2",
-    "theta.csv": "587bfffa452f1ce6fcdb84db8cfc9ab6ba0bafc025167c847dee9a622695d471",
+    "theta.csv": "a54f714deeeba7d671296572ac8b98f037971bda3dd726177f91568f1e790db8",
     "theta.pgm": "081fb0e689e80b737623f7bfbc80e09c02525f311a6cf2d6bfe43a84f00baa78",
 }
 # run id -> (case, mode, pinned digests); a case1 run is named by its mode
@@ -534,14 +548,15 @@ def test_failure_report_is_stage_tagged(tiny_config, tmp_path):
 
 
 def test_overflowing_misfit_fails_the_reconstruct_stage(tmp_path):
-    """A contact impedance of 1e300 leaves the data finite, but their
-    squared norm overflows: the run fails in its reconstruct stage, naming
-    the misfit, instead of ending as a success with an infinite misfit."""
+    """A contact impedance of 1e300 leaves the data finite, but the node
+    block of the reconstruction's CEM system is then singular to working
+    precision: the run fails in its reconstruct stage, naming the band
+    Cholesky pivot, instead of ending as a success with an infinite misfit."""
     config = dataclasses.replace(builtin_configs()["case1_ellipse"], sim_elements=600,
                                  recon_elements=500, pixels=60, contact_impedance=1e300)
     report = run_experiment(config, tmp_path)
     assert not report.success and report.stage == "reconstruct"
-    assert "misfit is not finite" in report.message
+    assert "band Cholesky pivot" in report.message
 
 
 def numbers(value):

@@ -561,17 +561,17 @@ def test_one_factorization_per_feasible_point(small_problem, reconstruct, monkey
         mesh, TensorField.isotropic(gtruth[lattice.element_to_pixel]), layout, prot, 0.01, 11)
     w = RegWeights(alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6)
     factorizations, feasible = [], []
-    splu, is_feasible = fem.splu, inverse._Problem.feasible
+    pbtrf, is_feasible = fem.pbtrf, inverse._Problem.feasible
 
-    def counting_splu(matrix, **options):
-        factorizations.append(matrix.shape)
-        return splu(matrix, **options)
+    def counting_pbtrf(band, **options):
+        factorizations.append(band.shape)
+        return pbtrf(band, **options)
 
     def counting_feasible(problem, x):
         feasible.append(is_feasible(problem, x))
         return feasible[-1]
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "pbtrf", counting_pbtrf)
     monkeypatch.setattr(inverse._Problem, "feasible", counting_feasible)
     state = reconstruct(data, prot, mesh, lattice, layout, w,
                         BarrierSchedule.geometric(1e-5, 1e-8, 3),

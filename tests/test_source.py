@@ -81,3 +81,38 @@ def test_unused_private_helper_scan_finds_one():
              "b": ast.parse("import a\n"
                             "y = a._Kept\n")}
     assert _unused_private_helpers(trees) == ["a._dead"]
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Every name a module-level import binds that the module never reads
+    as an AST `Name` (an attribute's base included) and does not list in
+    `__all__`.  `from __future__` imports bind nothing."""
+    bound = [alias.asname or alias.name.split(".")[0] for stmt in tree.body
+             if isinstance(stmt, (ast.Import, ast.ImportFrom))
+             and not (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__")
+             for alias in stmt.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                for elt in ast.walk(stmt.value) if isinstance(elt, ast.Constant)}
+    return [name for name in bound if name not in read | exported]
+
+
+def test_every_import_is_used():
+    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
+              for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_scan_finds_one():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "import numpy as np\n"
+                     "from scipy.sparse.linalg import spilu, splu\n"
+                     "from a import b\n"
+                     "__all__ = ['b']\n"
+                     "def f(x: np.ndarray):\n"
+                     "    '''Not spilu.'''\n"
+                     "    return splu(x), os\n")
+    assert _unused_imports(tree) == ["spilu"]

@@ -305,7 +305,11 @@ def assemble(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout) -> CEMSystem
 
 
 def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
-    """Nodal and electrode potentials for one zero-sum current pattern."""
+    """Nodal and electrode potentials for one zero-sum current pattern.
+
+    Each call factors the node block afresh, since a `CEMSystem` keeps no
+    full-field factor: solve several patterns on one system in one
+    `solve_many` call, which factors once for all of them."""
     u, U = solve_many(system, np.asarray(pattern, dtype=float)[None])
     return u[0], U[0]
 

@@ -31,9 +31,10 @@ The GN step is solved in data space (`_StepSystem`): the penalty Hessians
 stay sparse and are stored once per problem as LAPACK bands in lattice
 order (pixels are numbered ix-major, so the bandwidth is at most `grid_n`);
 with the barrier curvature and a per-block shift they factor by banded
-Cholesky, and the Woodbury identity leaves one N x N Cholesky factorization
-over the N reciprocal-unique measurements.  The lam column enters as a
-scalar border.
+Cholesky, each factor whitens its block of Jacobian columns in BLAS-3
+panels read straight from J (`_Panels`), and the Woodbury identity leaves
+one N x N Cholesky factorization over the N reciprocal-unique
+measurements.  The lam column enters as a scalar border.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dpbtrf as pbtrf
 from scipy.sparse import _sparsetools
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice, _finite, _integer
@@ -343,33 +345,84 @@ class _Workspace:
     allocates no array of Jacobian size: the drive fields uT (n, K), their
     pixel gradients A (2wM, K) and its per-pixel transpose At (M, K, 2w),
     the tensor products TA, the per-pixel Gram (M, K, K), the Jacobian J
-    (N, n_free) and the arrays of `_StepSystem`.  J is F-ordered: each
-    unknown's column is contiguous, so J^T r is a dot product per column,
-    and a block's transpose (M, N) is C-ordered."""
+    (N, n_free) and the arrays of a `_StepSystem` over the penalty `bands`.
+    J is F-ordered: each unknown's column is contiguous, so J^T r is a dot
+    product per column and each band block's columns J_k are one
+    contiguous (N, M) array."""
 
-    def __init__(self, grad: scipy.sparse.csr_matrix, K: int, M: int, N: int, families: int):
+    def __init__(self, grad: scipy.sparse.csr_matrix, K: int, M: int, N: int, families: int,
+                 bands=()):
         rows, n_nodes = grad.shape
         self.uT, self.A = np.empty((n_nodes, K)), np.empty((rows, K))
         self.At, self.TA = np.empty((M, K, rows // M)), np.empty((M, 2, rows // (2 * M) * K))
         self.gram = np.empty((M, K, K))
         self.J = np.empty((N, min(families, 2) * M + (families > 2)), order="F")
-        self.step = _StepWork(self.J.shape, M, min(families, 2))
+        self.step = _StepWork(N, bands)
 
 
 class _StepWork:
-    """The arrays a `_StepSystem` over J of `shape` (N, n) with `blocks`
-    band blocks of M unknowns writes: J * J; per block J^T and its whitened
-    Z as F-ordered (M, N) arrays and the N x N Gram Z^T Z, whose lower
-    triangle alone is written, so its upper one stays zero; and the
-    Woodbury matrix C (N, N), F-ordered, factored in place."""
+    """The arrays a `_StepSystem` over N measurements and the band blocks
+    of `bands` (LAPACK upper band storage, (kd + 1, M) each) writes: per
+    block the band of its factor U_k, as the flat F-ordered storage plus
+    one last entry that stays zero; its whitened Zt_k = J_k U_k^-1 as an
+    F-ordered (N, M) array; and the N x N Gram Zt_k Zt_k^T, whose lower
+    triangle alone is written, so its upper one stays zero.  Per distinct
+    band shape, the `_Panels` that whiten through it; and the Woodbury
+    matrix C (N, N), F-ordered, factored in place."""
 
-    def __init__(self, shape: tuple, M: int, blocks: int):
-        N = shape[0]
-        self.square = np.empty(shape, order="F")
-        self.Jt = [np.empty((M, N), order="F") for _ in range(blocks)]
-        self.Z = [np.empty((M, N), order="F") for _ in range(blocks)]
-        self.gram = [np.zeros((N, N), order="F") for _ in range(blocks)]
+    def __init__(self, N: int, bands):
+        self.factor = [np.zeros(band.size + 1) for band in bands]
+        self.Zt = [np.empty((N, band.shape[1]), order="F") for band in bands]
+        self.gram = [np.zeros((N, N), order="F") for _ in bands]
+        self.panels = {band.shape: _Panels(*band.shape) for band in bands}
         self.C = np.empty((N, N), order="F")
+
+
+class _Panels:
+    """The right-hand triangular solve X <- X U^-1 for an upper band factor
+    U of order M and half-bandwidth kd, blocked into panels of
+    max(2 kd, 16) columns so that it runs at BLAS level 3 (Dongarra, Du
+    Croz, Duff and Hammarling, ACM TOMS 16, 1990).
+
+    Panel [p0, p1) of X first subtracts X[:, p0 - kd:p0] G, where G holds
+    the entries of U[p0 - kd:p0, p0:p0 + kd] (all of U above the panel
+    that lies in the band), with one dgemm, then solves against its upper
+    triangle T = U[p0:p1, p0:p1] with one dtrsm.  Every G and T is read
+    from the flat storage of the band through one index planned here into
+    one buffer; an entry outside the band reads the storage's last entry,
+    which is zero."""
+
+    def __init__(self, rows: int, M: int):
+        kd, width = rows - 1, max(2 * (rows - 1), 16)
+
+        def flat(i, j):
+            """Flat F-order positions of U[i, j] in the band storage."""
+            i, j = np.meshgrid(i, j, indexing="ij")
+            inside = (i <= j) & (j - i <= kd)
+            return np.where(inside, j * rows + kd + i - j, rows * M).ravel(order="F")
+
+        starts, index, shapes = range(0, M, width), [], []
+        for p0 in starts:
+            panel = np.arange(p0, min(p0 + width, M))
+            for i, j in ((np.arange(max(p0 - kd, 0), p0), panel[:kd]), (panel, panel)):
+                index.append(flat(i, j))
+                shapes.append((len(i), len(j)))
+        self._index = np.concatenate(index)
+        self._buffer = np.empty(len(self._index))
+        parts = np.split(self._buffer, np.cumsum([len(part) for part in index[:-1]]))
+        blocks = [part.reshape(shape, order="F") for part, shape in zip(parts, shapes)]
+        self._panels = list(zip(starts, blocks[::2], blocks[1::2]))
+
+    def solve(self, storage: np.ndarray, X: np.ndarray):
+        """X <- X U^-1 in place, for an F-ordered (N, M) X and the factor U
+        in `storage`, the flat band storage with its zero last entry."""
+        # the index is in range; mode "raise" would buffer the output
+        np.take(storage, self._index, out=self._buffer, mode="clip")
+        for p0, G, T in self._panels:
+            if G.size:
+                scipy.linalg.blas.dgemm(-1.0, X[:, p0 - len(G):p0], G, 1.0,
+                                        X[:, p0:p0 + G.shape[1]], overwrite_c=1)
+            scipy.linalg.blas.dtrsm(1.0, T, X[:, p0:p0 + len(T)], side=1, overwrite_b=1)
 
 
 def _unique_jacobian(params: UniformAnisoParams, u_nodal: np.ndarray, fold: _Fold,
@@ -532,7 +585,7 @@ class _Problem:
     def _work(self) -> _Workspace:
         """The workspace every linearization and step system reuses."""
         return _Workspace(self._grad, self.model[0].K, self.M, len(self.fold.drive),
-                          len(self.blocks))
+                          len(self.blocks), self._pen_bands)
 
     def linearize(self, x, xi: float):
         """(g, Js) at x: the objective gradient over the free unknowns, and
@@ -608,46 +661,58 @@ class _StepSystem:
     R is block diagonal: one M x M band per eta/theta block (LAPACK upper
     band storage) plus a per-block shift,
     and, in the anisotropic mode, the lam curvature `border` plus its shift.
-    Each band block factors as R_k = U_k^T U_k and whitens its Jacobian
-    columns, Z_k = U_k^-T J_k^T, so the band part B = R_z + 2 J_z^T J_z of H
-    inverts through the N x N matrix C = I/2 + sum_k Z_k^T Z_k (Woodbury):
-    B^-1 v = U^-1 (w - Z C^-1 Z^T w) with w = U^-T v.  The lam column j is a
-    scalar border rather than part of R, because its curvature is often
-    only the tiny damping shift; its Schur complement is
-    border + shift + j^T C^-1 j, which is positive whenever C is.
+    Each band block factors as R_k = U_k^T U_k (`pbtrf`) and whitens its
+    Jacobian columns, Zt_k = J_k U_k^-1, in BLAS-3 panels (`_Panels`)
+    straight from J's contiguous column block, so the band part
+    B = R_z + 2 J_z^T J_z of H inverts through the N x N matrix
+    C = I/2 + sum_k Zt_k Zt_k^T (Woodbury):
+    B^-1 v = U^-1 (w - Zt^T C^-1 Zt w) with w = U^-T v.  A block is
+    factored again only when its shift changes; `factorizations` counts
+    the band factorizations made.  The lam column j is a scalar border
+    rather than part of R, because its curvature is often only the tiny
+    damping shift; its Schur complement is border + shift + j^T C^-1 j,
+    which is positive whenever C is.
     """
 
     def __init__(self, bands, J, border=None, work: Optional[_StepWork] = None):
         self.bands, self.border = bands, border
         M = bands[0].shape[1]
-        self._work = work = work or _StepWork(J.shape, M, len(bands))
+        self._work = work or _StepWork(J.shape[0], bands)
+        self._J = J
         self._blocks = [slice(k * M, (k + 1) * M) for k in range(len(bands))]
-        for Jt, b in zip(work.Jt, self._blocks):
-            np.copyto(Jt, J[:, b].T)
         self._j = J[:, -1] if border is not None else None
         n = J.shape[1]
         self.shape = (n, n)
-        self.trace = (2.0 * float(np.sum(np.square(J, out=work.square)))
+        # ||J||_F^2 over a view of the contiguous J, by einsum: BLAS's dot
+        # splits the sum over its threads, so its rounding hangs on their count
+        flat = J.ravel(order="K")
+        self.trace = (2.0 * float(np.einsum("i,i->", flat, flat))
                       + sum(float(b[-1].sum()) for b in bands) + (border or 0.0))
-        # per band block: (shift, U, Z, Z^T Z); the Gram holds only its lower
-        # triangle, the one the lower Cholesky factor of C reads
+        # per band block: (shift, U, Zt, Zt Zt^T); the Gram holds only its
+        # lower triangle, the one the lower Cholesky factor of C reads
         self._factors = [None] * len(bands)
+        self.factorizations = 0
 
     def _factor(self, k: int, shift: float):
         cached = self._factors[k]
         if cached is None or cached[0] != shift:
-            band = self.bands[k].copy()
-            band[-1] += shift
-            U, info = scipy.linalg.lapack.dpbtrf(band)
+            self._factors[k] = None  # its storage is overwritten below
+            work, band = self._work, self.bands[k]
+            storage = work.factor[k]
+            # F-ordered and contiguous, so the factor overwrites it in place
+            U = storage[:-1].reshape(band.shape, order="F")
+            np.copyto(U, band)
+            U[-1] += shift
+            _, info = pbtrf(U, overwrite_ab=1)
+            self.factorizations += 1
             if info != 0:
                 raise ReconError(f"GN step system is not positive definite "
                                  f"(block {k}, leading minor {info})")
-            # in place: both outputs are F-ordered
-            Z, gram = self._work.Z[k], self._work.gram[k]
-            np.copyto(Z, self._work.Jt[k])
-            scipy.linalg.lapack.dtbtrs(U, Z, trans="T", overwrite_b=1)
-            scipy.linalg.blas.dsyrk(1.0, Z, trans=1, lower=1, c=gram, overwrite_c=1)
-            self._factors[k] = cached = (shift, U, Z, gram)
+            Zt, gram = work.Zt[k], work.gram[k]
+            np.copyto(Zt, self._J[:, self._blocks[k]])
+            work.panels[band.shape].solve(storage, Zt)
+            scipy.linalg.blas.dsyrk(1.0, Zt, lower=1, c=gram, overwrite_c=1)
+            self._factors[k] = cached = (shift, U, Zt, gram)
         return cached[1:]
 
     def solve(self, g: np.ndarray, shifts) -> np.ndarray:
@@ -662,38 +727,42 @@ class _StepSystem:
             C += G
         C[np.diag_indices(len(C))] += 0.5
         C = scipy.linalg.cho_factor(C, lower=True, overwrite_a=True)
-        delta = self._inverse(factors, C, shifts, -g)
-        return delta + self._inverse(factors, C, shifts, -g - self._product(shifts, delta))
-
-    def _inverse(self, factors, C, shifts, v: np.ndarray) -> np.ndarray:
-        """x solving (H + block shifts) x = v through the Woodbury factors."""
-        w = [_band_solve(U, v[b], "T") for b, (U, _, _) in zip(self._blocks, factors)]
-        Ztw = sum(Z.T @ wk for (_, Z, _), wk in zip(factors, w))
-        x = np.empty_like(v)
+        lam = None  # (C^-1 j, Schur complement) of the lam border
         if self._j is not None:
             Cj = scipy.linalg.cho_solve(C, self._j)
             schur = self.border + shifts[-1] + self._j @ Cj
             if not schur > 0:
                 raise ReconError(f"GN step system is not positive definite "
                                  f"(lam Schur complement {schur:.3e})")
+            lam = (Cj, schur)
+        delta = self._inverse(factors, C, lam, -g)
+        return delta + self._inverse(factors, C, lam, -g - self._product(shifts, delta))
+
+    def _inverse(self, factors, C, lam, v: np.ndarray) -> np.ndarray:
+        """x solving (H + block shifts) x = v through the Woodbury factors."""
+        w = [_band_solve(U, v[b], "T") for b, (U, _, _) in zip(self._blocks, factors)]
+        Ztw = sum(Zt @ wk for (_, Zt, _), wk in zip(factors, w))
+        x = np.empty_like(v)
+        if lam is not None:
+            Cj, schur = lam
             x[-1] = (v[-1] - Cj @ Ztw) / schur
             Ztw = Ztw + x[-1] * self._j
         p = scipy.linalg.cho_solve(C, Ztw)
-        for b, (U, Z, _), wk in zip(self._blocks, factors, w):
-            x[b] = _band_solve(U, wk - Z @ p, "N")
+        for b, (U, Zt, _), wk in zip(self._blocks, factors, w):
+            x[b] = _band_solve(U, wk - Zt.T @ p, "N")
         return x
 
     def _product(self, shifts, d: np.ndarray) -> np.ndarray:
         """(H + block shifts) d from the bands, the border and J, without H."""
-        blocks = [d[b] for b in self._blocks]
-        Jd = sum(Jt.T @ dk for Jt, dk in zip(self._work.Jt, blocks))
+        J, blocks = self._J, [d[b] for b in self._blocks]
+        Jd = sum(J[:, b] @ dk for b, dk in zip(self._blocks, blocks))
         out = np.empty_like(d)
         if self._j is not None:
             Jd = Jd + self._j * d[-1]
             out[-1] = (self.border + shifts[-1]) * d[-1] + 2.0 * (self._j @ Jd)
-        for k, (b, band, Jt, dk) in enumerate(zip(self._blocks, self.bands, self._work.Jt, blocks)):
+        for k, (b, band, dk) in enumerate(zip(self._blocks, self.bands, blocks)):
             out[b] = (scipy.linalg.blas.dsbmv(len(band) - 1, 1.0, band, dk)
-                      + shifts[k] * dk + 2.0 * (Jt @ Jd))
+                      + shifts[k] * dk + 2.0 * (J[:, b].T @ Jd))
         return out
 
 
@@ -734,7 +803,9 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
     """Barrier-staged damped GN over the free unknowns; `x0` holds their
     starting values (default: unit isotropic conductivity).  Each history
     entry's `solves` counts the factorizations since the previous entry
-    (the first includes the starting point's); `grad_norm` is the norm of
+    (the first includes the starting point's) and `step_factors` the band
+    block factorizations of its step system, escalations and line-search
+    retries included; `grad_norm` is the norm of
     the objective gradient g at the iterate the step left, and
     `predicted_decrease` and `actual_decrease` are the objective decrease of
     the accepted step t delta under the GN model and in fact.  Each stage
@@ -804,6 +875,7 @@ def _run_gauss_newton(problem: _Problem, schedule: BarrierSchedule,
                 "lambda": lam, "step": t,
                 "backtracks": backtracks, "escalations": escalations,
                 "solves": problem.solves - solves,
+                "step_factors": system.factorizations,
                 "grad_norm": float(np.linalg.norm(g)),
                 "predicted_decrease": -t * slope - 0.5 * t * t * curvature,
                 "actual_decrease": obj - obj_t,

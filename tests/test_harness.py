@@ -481,17 +481,17 @@ _SHARED_CASE1_FILES = {
 PINNED_CASE1_FILES = {
     "uniformly-anisotropic": dict(
         _SHARED_CASE1_FILES,
-        **{"recon.csv": "6344ef8ec21bf7ba656f489c0f49f5cb524aed93ec5ccdb9f152c1795c5dffdd",
-           "run_log.json": "5c1c41692aa3874ca2d4c4e98e667664c4c2be972e05c9ca7beedf041720fa7d",
-           "eta.csv": "2c9464b78286c683194aa10b42cb9267788016a282c64a85c8eff42c175d2e08",
+        **{"recon.csv": "085801dd8ab2325ada13515d37661bf797252a153bd0f77539fc3c051e7fe88c",
+           "run_log.json": "afe5a35aa2bd5fd6f95fa3b3f1af101a5c776a59b3f1c1253fef92d0ff766004",
+           "eta.csv": "ab07cc9ae5ed2b336ca586f3b0d82aa8327b4f73494b13b96d9213ce7e89f8fc",
            "eta.pgm": "16f7f10f376844374c869eea46bba0d68f9111f479f4706ff5d13acd1a6d287b",
-           "theta.csv": "da987a172c8a4cb1bf5ba6111af5cb7a4dc37ba92563ce15a53f3fe35e17c33e",
+           "theta.csv": "0227cbf24744f93a8583c6def64130880302be7af8a1b7e004964590c13a993c",
            "theta.pgm": "4dcf3dac7ad904b1162e1d1d2a7e7163f93fce964218f2ad496df5c0c7d3e587"}),
     "isotropic-mismodeled": dict(
         _SHARED_CASE1_FILES,
-        **{"recon.csv": "283e7b05116555d3d56b1d4b2bdd00b74825c2e1817242589fe852611a047e6a",
-           "run_log.json": "64fca54114a7301260b83e22b652f170bd7a7c78bda0afea136970eb21f69d41",
-           "gamma.csv": "2807a67b76a60b5d6a8723cddd8c3c52f0f9504ab6c926cac977ac9ee0a2c7e9",
+        **{"recon.csv": "c4e5ce77f99d5959491c2384f57356ea8bcd0a29dd4595914c01c4bcc0cc9216",
+           "run_log.json": "d1b236b354e6c46d0a817eb77c963a4fb3a4aab5659e56a98f96b979c852a7fd",
+           "gamma.csv": "d4b1c43919c84ff60e5666186a24099cb4c7f9a4df6c4c212fa5b5b9084bbae2",
            "gamma.pgm": "8930a43ff30a2af655fdcd62d8177b4eeb433c077afd851c4d0c74eed1b928fa"}),
 }
 
@@ -502,11 +502,11 @@ PINNED_CASE2_ANISO_FILES = {
     "data.csv": "6617ec314cd86d0bd79c4ab350c2b30cfda8bcbcad67341db9bd99ded4d1cf1c",
     "mesh_sim.json": "8fb9aa0c91e5ec31d23a6a0da90663d960a6a933d978d7088d22633857afa14a",
     "mesh_recon.json": "cdc1ba2ccca281b7663d2d75d3550596e54fccfd3f98aaad082a78dff419077c",
-    "recon.csv": "426098ab61358f5356d1449847f5ca7f27f1902db5a4d296b6dc271a031cb9e4",
-    "run_log.json": "c2d96e32a6b588f0359a3d257be352818b1e0d5c53d175dd6e2515ad2ae7d93a",
-    "eta.csv": "98ce0a4a0c0ae9dcd5c73c87b8595cc095defd48829d4e0259534bf735e544a0",
+    "recon.csv": "3853024929c1f2fa846878c2b5eaf72f09f0dadd2e91805d81ec8f7ae56d8d69",
+    "run_log.json": "4b51d8311ab63c81ff32fa260bd25e5c2f86053272d561c345d011304b1076ae",
+    "eta.csv": "49c029171638e1b2b0e45fb9b58eb6fabaf2b662f315eeec7a32d15696cd59f3",
     "eta.pgm": "73139a465512e4def62452c06e6ac8b9c7e62ba8acec8a0d9f9fb0a0de8c21d2",
-    "theta.csv": "a54f714deeeba7d671296572ac8b98f037971bda3dd726177f91568f1e790db8",
+    "theta.csv": "54d9046f637cb449b976606b9f5f4fe38f56159d4fe3c558b40dfcf7574366f5",
     "theta.pgm": "081fb0e689e80b737623f7bfbc80e09c02525f311a6cf2d6bfe43a84f00baa78",
 }
 # run id -> (case, mode, pinned digests); a case1 run is named by its mode

@@ -582,6 +582,43 @@ def test_one_factorization_per_feasible_point(small_problem, reconstruct, monkey
     assert sum(row["solves"] for row in state.history) == len(factorizations)
 
 
+@pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])
+def test_run_log_counts_step_factorizations(small_problem, reconstruct, monkeypatch):
+    """Each history entry's `step_factors` is the number of band-block
+    factorizations its step made, escalations and line-search retries
+    included: each solve factors at most every band block, and the first
+    factors all of them.  Tight trust caps make the steps escalate."""
+    mesh, lattice, layout, prot = small_problem
+    cent = lattice.centers
+    gtruth = 1.0 + 0.8 * np.exp(-((cent[:, 0] - 0.3) ** 2 + cent[:, 1] ** 2) / 0.15)
+    data = fem.simulate_measurements(
+        mesh, TensorField.isotropic(gtruth[lattice.element_to_pixel]), layout, prot, 0.01, 11)
+    w = RegWeights(alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6)
+    counts = []  # per linearization, the step's band factorizations
+    pbtrf, linearize = inverse.pbtrf, inverse._Problem.linearize
+
+    def counting_pbtrf(band, **options):
+        counts[-1] += 1
+        return pbtrf(band, **options)
+
+    def counting_linearize(problem, x, xi):
+        counts.append(0)
+        return linearize(problem, x, xi)
+
+    monkeypatch.setattr(inverse, "pbtrf", counting_pbtrf)
+    monkeypatch.setattr(inverse._Problem, "linearize", counting_linearize)
+    monkeypatch.setattr(inverse, "_ETA_STEP_CAP", 0.02)
+    monkeypatch.setattr(inverse, "_THETA_STEP_CAP", 0.02)
+    state = reconstruct(data, prot, mesh, lattice, layout, w,
+                        BarrierSchedule.geometric(1e-5, 1e-8, 3), GNSettings(max_iterations=8))
+    blocks = 2 if reconstruct is gauss_newton_reconstruct else 1
+    assert [row["step_factors"] for row in state.history] == counts
+    assert all(blocks <= row["step_factors"] <= blocks * (1 + row["escalations"])
+               for row in state.history)
+    assert all(row["step_factors"] > blocks for row in state.history)
+    assert json.loads(inverse.run_log_to_json(state))["iterations"] == state.history
+
+
 def test_micro_problem_global_minimum(disk_curve, disk_layout, protocol16):
     """9-pixel micro problem, zero weights and noise: the objective is zero at
     the generating parameters, positive on a coarse parameter grid away from
@@ -813,6 +850,77 @@ def test_step_system_matches_dense_solve(random_step_penalty, seed, M, N, anisot
         expected = scipy.linalg.solve(shifted, -g, assume_a="pos")
         delta = system.solve(g, block_shifts)
         assert np.linalg.norm(delta - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(1, 200), kd=st.integers(0, 40),
+       N=st.integers(1, 130))
+@example(seed=1, M=9, kd=3, N=5)  # M below one panel width
+@example(seed=2, M=130, kd=24, N=104)  # M not a multiple of the width 48
+@example(seed=3, M=50, kd=0, N=17)  # a diagonal factor: panels of the floor width
+def test_blocked_whitening_matches_band_triangular_solve(seed, M, kd, N):
+    """`_Panels` gives X U^-1 for the band Cholesky factor U of a random
+    SPD band, the transpose of LAPACK's unblocked band solve U^-T X^T
+    (`dtbtrs`), to a fixed relative tolerance.  The bands are diagonally
+    dominant, so U is well conditioned and both backward-stable solves stay
+    within a small multiple of (kd + 1) eps of the exact one."""
+    kd = min(kd, M - 1)
+    rng = np.random.default_rng(seed)
+    band = np.zeros((kd + 1, M))
+    for d in range(1, kd + 1):
+        band[kd - d, d:] = rng.uniform(-1, 1, M - d)
+    rows = np.abs(band[:-1]).sum(axis=0)  # entries above each diagonal entry
+    for d in range(1, kd + 1):  # and the entries to its right
+        rows[:M - d] += np.abs(band[kd - d, d:])
+    band[-1] = rows + rng.uniform(0.1, 2.0, M)
+    U, info = scipy.linalg.lapack.dpbtrf(band)
+    assert info == 0
+    storage = np.append(U.ravel(order="F"), 0.0)
+    X = np.asfortranarray(rng.normal(size=(N, M)))
+    expected, info = scipy.linalg.lapack.dtbtrs(U, X.T, trans="T")
+    assert info == 0
+    inverse._Panels(kd + 1, M).solve(storage, X)
+    assert np.abs(X - expected.T).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_escalation_refactors_only_the_escalated_blocks(monkeypatch):
+    """In the setting of `test_trust_cap_escalation_contract`, the first
+    solve factors every band block and each later solve exactly the blocks
+    whose shift the escalation changed, with that shift on the diagonal;
+    the system counts the factorizations it made."""
+    rng = np.random.default_rng(5)
+    M, N = 6, 9
+    J = rng.normal(size=(N, 2 * M + 1))
+    system = inverse._StepSystem([np.ones((1, M)), np.ones((1, M))], J, border=1.0)
+    g = 1e3 * rng.normal(size=2 * M + 1)
+    factored, solves = [], []  # diagonals factored; per solve, (shifts, diagonals factored)
+    pbtrf, solve = inverse.pbtrf, system.solve
+
+    def counting_pbtrf(band, **options):
+        factored.append(band[-1].copy())
+        return pbtrf(band, **options)
+
+    def recording_solve(g, shifts):
+        before = len(factored)
+        delta = solve(g, shifts)
+        solves.append((shifts.copy(), factored[before:]))
+        return delta
+
+    monkeypatch.setattr(inverse, "pbtrf", counting_pbtrf)
+    monkeypatch.setattr(system, "solve", recording_solve)
+    blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
+    caps = list(zip(blocks, (1e-3, np.inf, 0.05)))
+    inverse._trust_capped_step(system, g, caps, np.full(3, 1e-6))
+    assert len(solves) >= 3
+    previous = np.full(3, np.nan)  # the first solve factors every block
+    for shifts, diagonals in solves:
+        changed = [k for k in range(2) if shifts[k] != previous[k]]
+        assert len(diagonals) == len(changed)
+        assert all(np.array_equal(d, np.full(M, 1.0 + shifts[k]))
+                   for d, k in zip(diagonals, changed))
+        previous = shifts
+    assert any(len(diagonals) == 1 for _, diagonals in solves[1:])  # theta's cap never binds
+    assert system.factorizations == len(factored)
 
 
 @pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])

@@ -15,19 +15,23 @@ pattern, in SuperLU's factor order and sorted from one key per matrix
 entry, so the mat-vec gives the matrix that is factored.
 
 A drive is zero on every node row, so the node block can be eliminated
-in electrode space.  Callers that need the nodal potentials (`solve_many`
-with `nodes=True`, behind every Gauss-Newton trial) factor the SPD node
-block A_uu by a LAPACK band Cholesky in reverse Cuthill-McKee order
+in electrode space.  Callers that need the nodal potentials factor the SPD
+node block A_uu by a LAPACK band Cholesky in reverse Cuthill-McKee order
 (`NodeBand`, planned once per mesh), form the J x J Schur complement
 S = A_UU - A_uU^T A_uu^-1 A_uU, solve for U with the gauge border, and
-back-substitute u = -A_uu^-1 A_uU U.  Callers that need only the
-electrode potentials (`predict`, `electrode_matrix`) factor the bordered
-matrix by SuperLU in the operator's order: the nodes in
-multiple-minimum-degree order (Liu 1985), then the electrode potentials
-with the multiplier before the last one.  Under that order every pivot is
-diagonal and a drive's forward substitution leaves the node rows zero, so
-the electrode potentials solve with the factor's trailing (J + 1) x (J + 1)
-block alone.
+back-substitute u = -A_uu^-1 A_uU U.  The plan's buffers are filled by one
+sparse mat-vec, either from the per-element inputs of an assembled system
+(`solve_many` with `nodes=True`) or straight from per-pixel tensors
+(`solve_pixels`, behind every Gauss-Newton trial), through a map that
+composes `data_map` with the expansion of each pixel to its elements.
+
+Callers that need only the electrode potentials (`predict`,
+`electrode_matrix`) factor the bordered matrix by SuperLU in the
+operator's order: the nodes in multiple-minimum-degree order (Liu 1985),
+then the electrode potentials with the multiplier before the last one.
+Under that order every pivot is diagonal and a drive's forward
+substitution leaves the node rows zero, so the electrode potentials solve
+with the factor's trailing (J + 1) x (J + 1) block alone.
 The measurement protocol is the adjacent pair drive, held as J alone; its
 measured pair rows are drive patterns, which the inverse solver relies on.
 """
@@ -41,12 +45,15 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgesv as gesv
 from scipy.linalg.lapack import dgetrs as getrs
 from scipy.linalg.lapack import dpbtrf as pbtrf
 from scipy.linalg.lapack import dtbtrs as tbtrs
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import spilu, splu
 
-from anisoeit.geometry import ElectrodeLayout, Mesh, _integer
+from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice, _integer
 from anisoeit.tensors import TensorField
 
 
@@ -80,7 +87,8 @@ class CEMOperator:
     of its 9 entries.  On an element, grad(phi_i) = (b_i, c_i) / (2 area).
 
     `node_band`, the plan of the full-field solve, is built at the first
-    solve with `nodes=True` and kept for every later conductivity.
+    full-field solve (`solve_many` with `nodes=True` or `solve_pixels`)
+    and kept for every later conductivity.
     """
 
     def __init__(self, mesh: Mesh):
@@ -106,7 +114,7 @@ class CEMOperator:
         # does not postorder it, so an incomplete factor that drops every
         # entry reports the order the full factor would use.  The module's
         # `splu` stays the factor of each conductivity alone: the operator is
-        # built inside the first `assemble`, and perfbench wraps `fem.splu`.
+        # built at the mesh's first solve, and perfbench wraps `fem.splu`.
         i, j = np.nonzero(~np.eye(3, dtype=bool))
         pattern = (sp.csc_matrix((np.full(6 * T, -1.0), (tri[:, i].ravel(), tri[:, j].ravel())),
                                  shape=(n, n))
@@ -157,7 +165,7 @@ class CEMOperator:
     def matrix(self, g: np.ndarray, inv_z: np.ndarray) -> sp.csc_matrix:
         """The bordered CEM matrix, in factor order, for per-element tensors
         g (T, 3) and per-electrode 1/z (J,)."""
-        data = self.data_map @ np.concatenate([g.ravel(), inv_z, [1.0]])
+        data = self.data_map @ _inputs(g, inv_z)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
 
     @cached_property
@@ -166,15 +174,24 @@ class CEMOperator:
 
 
 class NodeBand:
-    """The plan of the full-field solve on one mesh: where each entry of the
-    operator's CSC data goes in the node block A_uu, stored as the LAPACK
-    upper band of its reverse Cuthill-McKee order (Cuthill and McKee 1969)
-    with half-bandwidth `kd`, in the coupling A_uU (n x J, rows in that
-    order) and in A_UU (J x J).  Every stored entry is unique, so each
-    scatter is a plain assignment.  `rank` maps a node to its band row.
+    """The plan of the full-field solve on one mesh, in one F-ordered
+    buffer: the node block A_uu as the LAPACK upper band of its reverse
+    Cuthill-McKee order (Cuthill and McKee 1969) with half-bandwidth `kd`
+    (`band`), the coupling A_uU (n x J, rows in that order; `coupling`),
+    the electrode block A_UU bordered by the gauge multiplier ((J + 1) x
+    (J + 1); `bordered`) and the band's diagonal, which the pivot test
+    reads after the factor has overwritten the band (`diagonal`).  `rank`
+    maps a node to its band row.
 
-    `band` and `coupling` are F-ordered buffers that every `solve` overwrites
-    in place; nothing it returns aliases them, and one plan serves one solve
+    A solve fills the buffer with one sparse mat-vec of a fill map: a row
+    per buffer entry and a column per input, stored by column, so the map
+    holds an index per entry and none per buffer row.  `element_map` takes
+    the operator's inputs [g.ravel(), 1/z, 1], as `data_map` does;
+    `pixel_map(lattice)` takes [g11, g12, g22 per pixel, 1/z, 1] and is
+    `element_map` composed with the expansion of each pixel to its
+    elements.  Both are built at first use; the pixel map is kept for the
+    last lattice, checked by identity.  Every solve overwrites the buffer
+    in place; nothing it returns aliases it, and one plan serves one solve
     at a time.
     """
 
@@ -193,73 +210,124 @@ class NodeBand:
         rank[rcm] = np.arange(n)
         slots, r, c = np.flatnonzero(node), rank[rows[node]], rank[cols[node]]
         kd = self.kd = int(np.abs(r - c).max(initial=0))
-        upper = r <= c  # ab[kd + r - c, c] = A[r, c], F order
-        self.band_src = slots[upper]
-        self.band_dst = (kd + r - c + (kd + 1) * c)[upper]
-        self.diagonal = np.empty(n, dtype=np.intp)  # the slot of A_uu[k, k], band order
-        self.diagonal[r[r == c]] = slots[r == c]
-        electrode = (n <= rows) & (rows < n + J)
-        coupling = (cols < n) & electrode
-        self.coupling_src = np.flatnonzero(coupling)
-        self.coupling_dst = rank[cols[coupling]] + n * (rows[coupling] - n)
-        block = (n <= cols) & (cols < n + J) & electrode
-        self.block_src = np.flatnonzero(block)
-        self.block_dst = (rows[block] - n) * (J + 1) + cols[block] - n
-        self.band = np.zeros((kd + 1, n), order="F")
-        self.coupling = np.zeros((n, J), order="F")
+        start = np.cumsum([0, (kd + 1) * n, n * J, (J + 1) ** 2, n])
+        buffer = self._buffer = np.zeros(start[-1])
+        self.band = buffer[:start[1]].reshape((kd + 1, n), order="F")
+        self.coupling = buffer[start[1]:start[2]].reshape((n, J), order="F")
+        self.bordered = buffer[start[2]:start[3]].reshape((J + 1, J + 1), order="F")
+        self.diagonal = buffer[start[3]:]
+        # the buffer entry each CSC slot goes to: A_uu[r, c], r <= c, at
+        # band[kd + r - c, c]; its diagonal again in `diagonal`; A_Uu[j, c]
+        # at coupling[c, j]; and every entry of the electrode and gauge rows
+        # and columns in `bordered`
+        upper, diagonal = r <= c, r == c
+        coupling = (cols < n) & (n <= rows) & (rows < n + J)
+        block = (n <= rows) & (n <= cols)
+        src = np.concatenate([slots[upper], slots[diagonal], np.flatnonzero(coupling),
+                              np.flatnonzero(block)])
+        dst = np.concatenate([(kd + r - c + (kd + 1) * c)[upper], start[3] + r[diagonal],
+                              start[1] + rank[cols[coupling]] + n * (rows[coupling] - n),
+                              start[2] + rows[block] - n + (J + 1) * (cols[block] - n)])
+        self._select = sp.coo_matrix((np.ones(len(src)), (dst, src)),
+                                     shape=(len(buffer), len(op.indices)))
+        self._data_map = op.data_map
+        self._pixels = (None, None)  # (lattice, its fill map)
 
-    def solve(self, data: np.ndarray, patterns: np.ndarray):
+    @cached_property
+    def element_map(self) -> sp.csc_matrix:
+        return (self._select @ self._data_map).tocsc()
+
+    def pixel_map(self, lattice: PixelLattice) -> sp.csc_matrix:
+        if self._pixels[0] is not lattice:
+            e2p, M, J = lattice.element_to_pixel, lattice.n_active, self.J
+            T = (self._data_map.shape[1] - J - 1) // 3
+            if len(e2p) != T:
+                raise ModelError(f"lattice maps {len(e2p)} elements but the mesh has {T}")
+            cols = np.concatenate([(3 * e2p[:, None] + np.arange(3)).ravel(),
+                                   3 * M + np.arange(J + 1)])
+            expand = sp.csr_matrix((np.ones(len(cols)), (np.arange(len(cols)), cols)),
+                                   shape=(len(cols), 3 * M + J + 1))
+            self._pixels = (lattice, (self._select @ (self._data_map @ expand)).tocsc())
+        return self._pixels[1]
+
+    def fill(self, fill_map: sp.csc_matrix, inputs: np.ndarray):
+        """Overwrite the buffer with `fill_map @ inputs`."""
+        if inputs.shape != (fill_map.shape[1],):
+            raise ModelError(f"the fill map takes {fill_map.shape[1]} inputs, "
+                             f"got shape {inputs.shape}")
+        self._buffer.fill(0.0)
+        _sparsetools.csc_matvec(*fill_map.shape, fill_map.indptr, fill_map.indices,
+                                fill_map.data, inputs, self._buffer)
+
+    def solve(self, fill_map: sp.csc_matrix, inputs: np.ndarray, patterns: np.ndarray):
         """Nodal (K, n) and electrode (K, J) potentials of the zero-sum
-        patterns (K, J) for the operator matrix with CSC data `data`.
+        patterns (K, J) for the system that `fill_map` makes of `inputs`.
 
         With A_uu = R^T R: W = R^-T A_uU, S = A_UU - W^T W, then U from the
         (J + 1) x (J + 1) system of S bordered by the gauge multiplier, by LU
-        with partial pivoting, and u = -R^-1 W U."""
+        with partial pivoting (`dgesv`), and u = -R^-1 W U."""
         n, J = self.n_nodes, self.J
-        band, coupling = self.band, self.coupling
-        band.fill(0.0)
-        band.reshape(-1, order="F")[self.band_dst] = data[self.band_src]
-        factor, info = pbtrf(band, overwrite_ab=1)
+        self.fill(fill_map, inputs)
+        factor, info = pbtrf(self.band, overwrite_ab=1)
         if info == 0:  # a pivot at round-off level of its diagonal is no pivot either
-            small = np.flatnonzero(factor[-1] ** 2 <= n * np.finfo(float).eps
-                                   * data[self.diagonal])
+            small = np.flatnonzero(factor[-1] ** 2 <= n * np.finfo(float).eps * self.diagonal)
             info = small[0] + 1 if len(small) else 0
         if info > 0:
             raise ModelError(f"the node block is singular to working precision: band "
                              f"Cholesky pivot {info} of {n} (node "
                              f"{np.flatnonzero(self.rank == info - 1)[0]}) is not positive")
-        coupling.fill(0.0)
-        coupling.reshape(-1, order="F")[self.coupling_dst] = data[self.coupling_src]
-        W, _ = tbtrs(factor, coupling, trans="T", overwrite_b=1)
-        bordered = np.zeros((J + 1, J + 1))
-        bordered.reshape(-1)[self.block_dst] = data[self.block_src]
-        bordered[:J, :J] -= W.T @ W
-        bordered[:J, J] = bordered[J, :J] = 1.0
-        rhs = np.zeros((J + 1, len(patterns)))
+        W, _ = tbtrs(factor, self.coupling, trans="T", overwrite_b=1)
+        self.bordered[:J, :J] -= W.T @ W
+        rhs = np.zeros((J + 1, len(patterns)), order="F")
         rhs[:J] = patterns.T
-        U = np.linalg.solve(bordered, rhs)[:J]
-        u, _ = tbtrs(factor, (-U.T @ W.T).T, overwrite_b=1)
+        _, _, x, info = gesv(self.bordered, rhs, overwrite_a=1, overwrite_b=1)
+        if info > 0:
+            raise ModelError(f"the bordered electrode system is singular: LU pivot {info} "
+                             f"of {J + 1} is zero")
+        U = x[:J]
+        u, _ = tbtrs(factor, dgemm(-1.0, W, U), overwrite_b=1)
         return u[self.rank].T, U.T
+
+
+def _inputs(g: np.ndarray, inv_z: np.ndarray) -> np.ndarray:
+    """The operator's input vector [g.ravel(), 1/z, 1]: tensor triples, then
+    the per-electrode 1/z, then the constant of the gauge border."""
+    return np.concatenate([g.ravel(), inv_z, [1.0]])
+
+
+def _inverse_impedances(layout: ElectrodeLayout, op: CEMOperator) -> np.ndarray:
+    """1/z of the layout's electrodes, checked against the operator's."""
+    if layout.J != op.J:
+        raise ModelError(f"layout has {layout.J} electrodes but the mesh tags {op.J}")
+    if not np.all(np.isfinite(layout.contact_impedances) & (layout.contact_impedances > 0)):
+        raise ModelError("contact impedances must be finite and positive")
+    return 1.0 / layout.contact_impedances
 
 
 @dataclass
 class CEMSystem:
-    """Assembled gauge-constrained CEM system over (u, U, multiplier), its
-    `matrix` in the operator's factor order.
+    """The gauge-constrained CEM system over (u, U, multiplier) of the
+    per-element tensors g (T, 3) and the per-electrode 1/z (J,): its
+    `matrix`, in the operator's factor order, is formed at first use.
 
-    `factor` serves the electrode-only solves (`solve_many` with
-    `nodes=False`); a full-field solve goes through the operator's band
-    plan and does not form it.  It is formed at the first electrode-only
-    solve, once per system, with diagonal pivots: SuperLU in symmetric
-    mode, with no column ordering of its own and a zero pivot threshold, so
-    it leaves a diagonal only when it is an exact zero (the order makes
-    every diagonal pivot sound).  A right-hand side that is zero on every
-    node row then leaves the forward substitution zero there, so the
-    electrode potentials of a drive solve with the trailing (J + 1) x
-    (J + 1) blocks of L and U alone (`_tail_lu`)."""
+    A full-field solve fills the operator's band plan from g and 1/z and
+    does not form `matrix`.  `factor` serves the electrode-only solves
+    (`solve_many` with `nodes=False`); it is formed at the first of them,
+    once per system, with diagonal pivots: SuperLU in symmetric mode, with
+    no column ordering of its own and a zero pivot threshold, so it leaves
+    a diagonal only when it is an exact zero (the order makes every
+    diagonal pivot sound).  A right-hand side that is zero on every node
+    row then leaves the forward substitution zero there, so the electrode
+    potentials of a drive solve with the trailing (J + 1) x (J + 1) blocks
+    of L and U alone (`_tail_lu`)."""
 
-    matrix: sp.csc_matrix
+    g: np.ndarray
+    inv_z: np.ndarray
     operator: CEMOperator
+
+    @cached_property
+    def matrix(self) -> sp.csc_matrix:
+        return self.operator.matrix(self.g, self.inv_z)
 
     @cached_property
     def factor(self):
@@ -289,19 +357,14 @@ class CEMSystem:
 
 
 def assemble(mesh: Mesh, fld: TensorField, layout: ElectrodeLayout) -> CEMSystem:
-    """Assemble the bordered CEM matrix for a tensor field.
+    """The bordered CEM system of a tensor field.
 
     The field is SPD by construction (`TensorField` validates every element).
     """
     op = mesh.cem_operator
     if fld.n_elements != mesh.n_elements:
         raise ModelError("tensor field does not match mesh")
-    if layout.J != op.J:
-        raise ModelError(f"layout has {layout.J} electrodes but the mesh tags {op.J}")
-    if not np.all(np.isfinite(layout.contact_impedances) & (layout.contact_impedances > 0)):
-        raise ModelError("contact impedances must be finite and positive")
-    mat = op.matrix(fld.g, 1.0 / layout.contact_impedances)
-    return CEMSystem(matrix=mat, operator=op)
+    return CEMSystem(g=fld.g, inv_z=_inverse_impedances(layout, op), operator=op)
 
 
 def solve_current_drive(system: CEMSystem, pattern: np.ndarray):
@@ -319,11 +382,12 @@ def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
     patterns (K, J).  Each pattern must be finite and sum to zero
     (Kirchhoff).  With `nodes=True` the node block is eliminated in
     electrode space by the operator's band Cholesky plan
-    (`CEMOperator.node_band`), one factorization per call.  With
-    `nodes=False` the nodal potentials are None and the electrode
-    potentials come from the SuperLU factor's trailing block alone
-    (`CEMSystem._tail_lu`): the patterns go straight into its electrode rows,
-    read back by `rank`, with no sweep over the node rows."""
+    (`CEMOperator.node_band`, filled through its `element_map`), one
+    factorization per call.  With `nodes=False` the nodal potentials are
+    None and the electrode potentials come from the SuperLU factor's
+    trailing block alone (`CEMSystem._tail_lu`): the patterns go straight
+    into its electrode rows, read back by `rank`, with no sweep over the
+    node rows."""
     patterns = np.atleast_2d(np.asarray(patterns, dtype=float))
     op = system.operator
     n, J = op.n_nodes, op.J
@@ -337,12 +401,27 @@ def solve_many(system: CEMSystem, patterns: np.ndarray, nodes: bool = True):
     if len(unbalanced):
         raise ModelError(f"current pattern {unbalanced[0]} must sum to zero (Kirchhoff)")
     if nodes:
-        return op.node_band.solve(system.matrix.data, patterns)
+        plan = op.node_band
+        return plan.solve(plan.element_map, _inputs(system.g, system.inv_z), patterns)
     electrodes = op.rank[n:n + J] - n  # rows of the trailing block
     rhs = np.zeros((J + 1, len(patterns)))
     rhs[electrodes] = patterns.T
     y, _ = getrs(system._tail_lu, np.arange(J + 1, dtype=np.int32), rhs)
     return None, y[electrodes].T
+
+
+def solve_pixels(mesh: Mesh, lattice: PixelLattice, g: np.ndarray, layout: ElectrodeLayout,
+                 protocol: MeasurementProtocol):
+    """Nodal (K, n) and electrode (K, J) potentials of the protocol's drive
+    patterns for the pixel tensors g (M, 3) on `lattice`, each element
+    carrying its pixel's tensor: `solve_many` of that field, with the band
+    plan filled straight from the pixels (`NodeBand.pixel_map`) and no
+    per-element field or matrix formed.  g is trusted to be SPD
+    (`tensors.pixel_tensors` checks it)."""
+    op = mesh.cem_operator
+    inputs = _inputs(g, _inverse_impedances(layout, op))
+    plan = op.node_band
+    return plan.solve(plan.pixel_map(lattice), inputs, protocol.patterns)
 
 
 def electrode_matrix(system: CEMSystem):
@@ -370,7 +449,9 @@ class MeasurementProtocol:
     at electrode k and -1 at k+1 (cyclic); its L = J - 3 measurements are
     U_m - U_{m+1} over the pairs m touching neither driven electrode, in
     increasing order (`retained_pairs`).  The row of pair m is pattern m, so
-    the drive solutions are also the adjoint fields (see `inverse._Fold`)."""
+    the drive solutions are also the adjoint fields (see `inverse._Fold`).
+    `patterns`, `retained_pairs` and the index arrays of `measure` are
+    formed once per protocol and kept read-only."""
 
     J: int
 
@@ -390,22 +471,35 @@ class MeasurementProtocol:
     def N(self) -> int:
         return self.K * self.L
 
-    @property
+    @cached_property
     def patterns(self) -> np.ndarray:
-        """(K, J) current patterns, each summing to zero."""
+        """(K, J) current patterns, each summing to zero; read-only."""
         eye = np.eye(self.J)
-        return eye - np.roll(eye, 1, axis=1)
+        return _read_only(eye - np.roll(eye, 1, axis=1))
 
-    @property
+    @cached_property
     def retained_pairs(self) -> np.ndarray:
-        """(K, L) pair index m of each measurement, sorted per pattern."""
-        return np.sort((np.arange(self.J)[:, None] + np.arange(2, self.J - 1)) % self.J, axis=1)
+        """(K, L) pair index m of each measurement, sorted per pattern; read-only."""
+        return _read_only(np.sort((np.arange(self.J)[:, None] + np.arange(2, self.J - 1))
+                                  % self.J, axis=1))
+
+    @cached_property
+    def _terminals(self):
+        """The row k and the electrodes m and m + 1 of each measurement, as
+        index arrays into the (K, J) potentials."""
+        m = self.retained_pairs
+        return _read_only(np.arange(self.K)[:, None]), m, _read_only((m + 1) % self.J)
 
     def measure(self, U: np.ndarray) -> np.ndarray:
         """Stacked measurements (N,) from the electrode potentials (K, J) of
         the K patterns: U[k, m] - U[k, m + 1] over the retained pairs m."""
-        k, m = np.arange(self.K)[:, None], self.retained_pairs
-        return (U[k, m] - U[k, (m + 1) % self.J]).ravel()
+        k, m, m_next = self._terminals
+        return (U[k, m] - U[k, m_next]).ravel()
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def adjacent_protocol(J: int) -> MeasurementProtocol:

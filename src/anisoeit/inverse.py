@@ -47,14 +47,26 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg import blas, lapack
 from scipy.linalg.lapack import dpbtrf as pbtrf
 from scipy.sparse import _sparsetools
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice, _finite, _integer
-from anisoeit.tensors import UniformAnisoParams, canonicalize, gamma_hat, gamma_hat_entries
+from anisoeit.tensors import (UniformAnisoParams, canonicalize, gamma_hat, gamma_hat_entries,
+                              pixel_tensors)
 from anisoeit import fem
+
+# the public names, with `gamma_hat` (the per-element field of a parameter
+# set) re-exported: perfbench's traced runs wrap `inverse.gamma_hat`
+__all__ = [
+    "ANISOTROPIC", "ISOTROPIC", "BarrierSchedule", "GNSettings", "ReconError", "ReconState",
+    "RegWeights", "barrier", "barrier_grad", "barrier_hess_diag", "forward_map",
+    "forward_map_isotropic", "gamma_hat", "gauss_newton_reconstruct", "isotropic_reconstruct",
+    "jacobian", "jacobian_isotropic", "objective", "penalty_eta", "penalty_eta_grad",
+    "penalty_hess", "penalty_theta", "penalty_theta_grad", "recon_state_to_csv",
+    "run_log_to_json",
+]
 
 
 # one INFO record per finished barrier stage; silent unless a handler is
@@ -283,9 +295,12 @@ class _Fold:
 def _solve_drives(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
                   mesh: Mesh, lattice: PixelLattice, layout: ElectrodeLayout):
     """Nodal potentials (K, n) of every drive pattern and the stacked
-    predicted measurements, from one factorization."""
-    system = fem.assemble(mesh, gamma_hat(params, lattice), layout)
-    u_nodal, U = fem.solve_many(system, protocol.patterns)
+    predicted measurements, from one factorization: the M pixel tensors
+    (`pixel_tensors`, checked per pixel) fill the mesh's band plan through
+    its pixel map (`fem.solve_pixels`), with no per-element field or
+    assembled matrix in between."""
+    u_nodal, U = fem.solve_pixels(mesh, lattice, pixel_tensors(params, lattice), layout,
+                                  protocol)
     return u_nodal, protocol.measure(U)
 
 
@@ -374,7 +389,7 @@ class _StepWork:
         self.factor = [np.zeros(band.size + 1) for band in bands]
         self.Zt = [np.empty((N, band.shape[1]), order="F") for band in bands]
         self.gram = [np.zeros((N, N), order="F") for _ in bands]
-        self.panels = {band.shape: _Panels(*band.shape) for band in bands}
+        self.panels = {shape: _Panels(*shape) for shape in {band.shape for band in bands}}
         self.C = np.empty((N, N), order="F")
 
 
@@ -420,9 +435,9 @@ class _Panels:
         np.take(storage, self._index, out=self._buffer, mode="clip")
         for p0, G, T in self._panels:
             if G.size:
-                scipy.linalg.blas.dgemm(-1.0, X[:, p0 - len(G):p0], G, 1.0,
-                                        X[:, p0:p0 + G.shape[1]], overwrite_c=1)
-            scipy.linalg.blas.dtrsm(1.0, T, X[:, p0:p0 + len(T)], side=1, overwrite_b=1)
+                blas.dgemm(-1.0, X[:, p0 - len(G):p0], G, 1.0, X[:, p0:p0 + G.shape[1]],
+                           overwrite_c=1)
+            blas.dtrsm(1.0, T, X[:, p0:p0 + len(T)], side=1, overwrite_b=1)
 
 
 def _unique_jacobian(params: UniformAnisoParams, u_nodal: np.ndarray, fold: _Fold,
@@ -665,13 +680,16 @@ class _StepSystem:
     Jacobian columns, Zt_k = J_k U_k^-1, in BLAS-3 panels (`_Panels`)
     straight from J's contiguous column block, so the band part
     B = R_z + 2 J_z^T J_z of H inverts through the N x N matrix
-    C = I/2 + sum_k Zt_k Zt_k^T (Woodbury):
-    B^-1 v = U^-1 (w - Zt^T C^-1 Zt w) with w = U^-T v.  A block is
-    factored again only when its shift changes; `factorizations` counts
-    the band factorizations made.  The lam column j is a scalar border
-    rather than part of R, because its curvature is often only the tiny
-    damping shift; its Schur complement is border + shift + j^T C^-1 j,
-    which is positive whenever C is.
+    C = I/2 + sum_k Zt_k Zt_k^T (Woodbury), factored by LAPACK `dpotrf`:
+    B^-1 v = U^-1 (w - Zt^T C^-1 Zt w) with w = U^-T v, each pass solved in
+    place by `dtbtrs`, `dgemv` and `dpotrs`.  A block is factored again only
+    when its shift changes; `factorizations` counts the band factorizations
+    made.  The lam column j is a scalar border rather than part of R,
+    because its curvature is often only the tiny damping shift; its Schur
+    complement is border + shift + j^T C^-1 j, which is positive whenever C
+    is.  A non-finite Jacobian, gradient or Woodbury matrix raises a
+    ReconError that names it, as does a Woodbury pass whose whitened
+    right-hand side overflows.
     """
 
     def __init__(self, bands, J, border=None, work: Optional[_StepWork] = None):
@@ -686,8 +704,13 @@ class _StepSystem:
         # ||J||_F^2 over a view of the contiguous J, by einsum: BLAS's dot
         # splits the sum over its threads, so its rounding hangs on their count
         flat = J.ravel(order="K")
-        self.trace = (2.0 * float(np.einsum("i,i->", flat, flat))
-                      + sum(float(b[-1].sum()) for b in bands) + (border or 0.0))
+        square = float(np.einsum("i,i->", flat, flat))
+        if not np.isfinite(square) and not np.isfinite(J).all():
+            row, col = np.argwhere(~np.isfinite(J))[0]
+            raise ReconError(f"GN step system: the Jacobian is not finite "
+                             f"(row {row}, unknown {col}: {J[row, col]})")
+        self.trace = (2.0 * square + sum(float(b[-1].sum()) for b in bands)
+                      + (border or 0.0))
         # per band block: (shift, U, Zt, Zt Zt^T); the Gram holds only its
         # lower triangle, the one the lower Cholesky factor of C reads
         self._factors = [None] * len(bands)
@@ -711,7 +734,7 @@ class _StepSystem:
             Zt, gram = work.Zt[k], work.gram[k]
             np.copyto(Zt, self._J[:, self._blocks[k]])
             work.panels[band.shape].solve(storage, Zt)
-            scipy.linalg.blas.dsyrk(1.0, Zt, lower=1, c=gram, overwrite_c=1)
+            blas.dsyrk(1.0, Zt, lower=1, c=gram, overwrite_c=1)
             self._factors[k] = cached = (shift, U, Zt, gram)
         return cached[1:]
 
@@ -720,16 +743,24 @@ class _StepSystem:
         step of iterative refinement: when R is tiny next to J^T J, C is
         far worse conditioned than H and the Woodbury solve alone loses
         digits."""
+        if not np.isfinite(g).all():
+            raise ReconError(f"GN step system: the gradient is not finite "
+                             f"(unknown {np.flatnonzero(~np.isfinite(g))[0]})")
         factors = [self._factor(k, shifts[k]) for k in range(len(self.bands))]
         C = self._work.C
         np.copyto(C, factors[0][2])
         for _, _, G in factors[1:]:
             C += G
         C[np.diag_indices(len(C))] += 0.5
-        C = scipy.linalg.cho_factor(C, lower=True, overwrite_a=True)
+        if not np.isfinite(C).all():  # the upper triangle is zero: the Grams fill the lower
+            raise ReconError("GN step system: the Woodbury matrix is not finite")
+        _, info = lapack.dpotrf(C, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise ReconError(f"GN step system: the Woodbury matrix is not positive "
+                             f"definite (leading minor {info})")
         lam = None  # (C^-1 j, Schur complement) of the lam border
         if self._j is not None:
-            Cj = scipy.linalg.cho_solve(C, self._j)
+            Cj, _ = lapack.dpotrs(C, self._j, lower=1)
             schur = self.border + shifts[-1] + self._j @ Cj
             if not schur > 0:
                 raise ReconError(f"GN step system is not positive definite "
@@ -739,37 +770,36 @@ class _StepSystem:
         return delta + self._inverse(factors, C, lam, -g - self._product(shifts, delta))
 
     def _inverse(self, factors, C, lam, v: np.ndarray) -> np.ndarray:
-        """x solving (H + block shifts) x = v through the Woodbury factors."""
-        w = [_band_solve(U, v[b], "T") for b, (U, _, _) in zip(self._blocks, factors)]
-        Ztw = sum(Zt @ wk for (_, Zt, _), wk in zip(factors, w))
-        x = np.empty_like(v)
+        """x solving (H + block shifts) x = v through the Woodbury factors,
+        each band block's w_k = U_k^-T v_k and then x_k solved in place in
+        x's slice."""
+        x = v.copy()
+        Ztw = np.zeros(len(C))
+        for b, (U, Zt, _) in zip(self._blocks, factors):
+            lapack.dtbtrs(U, x[b], trans="T", overwrite_b=1)
+            blas.dgemv(1.0, Zt, x[b], beta=1.0, y=Ztw, overwrite_y=1)
         if lam is not None:
             Cj, schur = lam
             x[-1] = (v[-1] - Cj @ Ztw) / schur
-            Ztw = Ztw + x[-1] * self._j
-        p = scipy.linalg.cho_solve(C, Ztw)
-        for b, (U, Zt, _), wk in zip(self._blocks, factors, w):
-            x[b] = _band_solve(U, wk - Zt.T @ p, "N")
+            Ztw += x[-1] * self._j
+        if not np.isfinite(Ztw).all():
+            raise ReconError("GN step system: the step overflows (its whitened right-hand "
+                             "side is not finite)")
+        p, _ = lapack.dpotrs(C, Ztw, lower=1, overwrite_b=1)
+        for b, (U, Zt, _) in zip(self._blocks, factors):
+            blas.dgemv(-1.0, Zt, p, beta=1.0, y=x[b], trans=1, overwrite_y=1)
+            lapack.dtbtrs(U, x[b], overwrite_b=1)
         return x
 
     def _product(self, shifts, d: np.ndarray) -> np.ndarray:
         """(H + block shifts) d from the bands, the border and J, without H."""
-        J, blocks = self._J, [d[b] for b in self._blocks]
-        Jd = sum(J[:, b] @ dk for b, dk in zip(self._blocks, blocks))
-        out = np.empty_like(d)
+        J = self._J
+        out = 2.0 * (J.T @ (J @ d))
         if self._j is not None:
-            Jd = Jd + self._j * d[-1]
-            out[-1] = (self.border + shifts[-1]) * d[-1] + 2.0 * (self._j @ Jd)
-        for k, (b, band, dk) in enumerate(zip(self._blocks, self.bands, blocks)):
-            out[b] = (scipy.linalg.blas.dsbmv(len(band) - 1, 1.0, band, dk)
-                      + shifts[k] * dk + 2.0 * (J[:, b].T @ Jd))
+            out[-1] += (self.border + shifts[-1]) * d[-1]
+        for k, (b, band) in enumerate(zip(self._blocks, self.bands)):
+            out[b] += blas.dsbmv(len(band) - 1, 1.0, band, d[b]) + shifts[k] * d[b]
         return out
-
-
-def _band_solve(U: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
-    """U^-1 rhs (trans "N") or U^-T rhs (trans "T") for an upper band factor U."""
-    x, _info = scipy.linalg.lapack.dtbtrs(U, rhs.reshape(len(rhs), -1), trans=trans)
-    return x.reshape(rhs.shape)
 
 
 def _trust_capped_step(system: _StepSystem, g, block_caps, shifts):

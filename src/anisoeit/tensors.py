@@ -31,22 +31,9 @@ class TensorField:
     g: np.ndarray  # (T, 3)
 
     def __post_init__(self):
-        g = self.g
-        if g.ndim != 2 or g.shape[1] != 3:
+        if self.g.ndim != 2 or self.g.shape[1] != 3:
             raise TensorError("tensor field must have shape (T, 3)")
-        bad = np.flatnonzero(~np.isfinite(g.ravel()))
-        if len(bad):
-            e, c = divmod(int(bad[0]), 3)
-            raise TensorError(f"element {e} tensor entry g{('11', '12', '22')[c]} "
-                              f"is not finite ({g[e, c]})")
-        det = g[:, 0] * g[:, 2] - g[:, 1] ** 2
-        if not (np.all(g[:, 0] > 0) and np.all(det > 0)):
-            bad = int(np.argmin(np.minimum(g[:, 0], det)))
-            raise TensorError(f"element {bad} tensor is not positive definite")
-        lam1, lam2 = _eigenvalues(g)
-        if np.any(lam1 / lam2 > MAX_EIG_RATIO):
-            bad = int(np.argmax(lam1 / lam2))
-            raise TensorError(f"element {bad} eigenvalue ratio exceeds {MAX_EIG_RATIO:g}")
+        _check_tensors(self.g, "element")
 
     @property
     def n_elements(self) -> int:
@@ -91,6 +78,25 @@ class UniformAnisoParams:
         return self.eta.shape[0]
 
 
+def _check_tensors(g: np.ndarray, what: str):
+    """Reject (n, 3) tensor triples that are not finite, not positive
+    definite or beyond `MAX_EIG_RATIO`, naming the first bad `what` (an
+    element or a pixel) by its row."""
+    bad = np.flatnonzero(~np.isfinite(g.ravel()))
+    if len(bad):
+        e, c = divmod(int(bad[0]), 3)
+        raise TensorError(f"{what} {e} tensor entry g{('11', '12', '22')[c]} "
+                          f"is not finite ({g[e, c]})")
+    det = g[:, 0] * g[:, 2] - g[:, 1] ** 2
+    if not (np.all(g[:, 0] > 0) and np.all(det > 0)):
+        bad = int(np.argmin(np.minimum(g[:, 0], det)))
+        raise TensorError(f"{what} {bad} tensor is not positive definite")
+    lam1, lam2 = _eigenvalues(g)
+    if np.any(lam1 / lam2 > MAX_EIG_RATIO):
+        bad = int(np.argmax(lam1 / lam2))
+        raise TensorError(f"{what} {bad} eigenvalue ratio exceeds {MAX_EIG_RATIO:g}")
+
+
 def _eigenvalues(g: np.ndarray):
     mean = 0.5 * (g[:, 0] + g[:, 2])
     disc = np.sqrt((0.5 * (g[:, 0] - g[:, 2])) ** 2 + g[:, 1] ** 2)
@@ -116,14 +122,21 @@ def gamma_hat_entries(eta, theta, lam):
     return g11, g12, g22
 
 
-def gamma_hat(params: UniformAnisoParams, lattice: PixelLattice) -> TensorField:
-    """Realize the pixel parameters as a per-element tensor field."""
+def pixel_tensors(params: UniformAnisoParams, lattice: PixelLattice) -> np.ndarray:
+    """The (M, 3) tensor triples of the lattice's pixels, checked as
+    `TensorField` checks an element's and named by pixel."""
     if params.M != lattice.n_active:
         raise TensorError(
             f"parameter length {params.M} does not match lattice size {lattice.n_active}")
-    e2p = lattice.element_to_pixel
-    g11, g12, g22 = gamma_hat_entries(params.eta[e2p], params.theta[e2p], params.lam)
-    return TensorField(g=np.column_stack([g11, g12, g22]))
+    g = np.column_stack(gamma_hat_entries(params.eta, params.theta, params.lam))
+    _check_tensors(g, "pixel")
+    return g
+
+
+def gamma_hat(params: UniformAnisoParams, lattice: PixelLattice) -> TensorField:
+    """Realize the pixel parameters as a per-element tensor field: each
+    element carries its pixel's tensor."""
+    return TensorField(g=pixel_tensors(params, lattice)[lattice.element_to_pixel])
 
 
 def det_sqrt(f: TensorField) -> np.ndarray:

@@ -191,7 +191,7 @@ def test_electrode_solve_needs_diagonal_pivots(monkeypatch, moved):
     stub = types.SimpleNamespace(shape=(6, 6), **perms)
     monkeypatch.setattr(fem, "splu", lambda *args, **kwargs: stub)
     op = CEMOperator(reference_triangle((0, 1, None)))  # 3 nodes, 2 electrodes, multiplier
-    system = fem.CEMSystem(op.matrix(TensorField.isotropic(1.0, 1).g, np.ones(2)), op)
+    system = fem.CEMSystem(TensorField.isotropic(1.0, 1).g, np.ones(2), op)
     with pytest.raises(ModelError, match=rf"moved pivot 3 \({moved}\)"):
         solve_many(system, np.array([[1.0, -1.0]]), nodes=False)
 
@@ -386,6 +386,31 @@ def test_measure_is_bitwise_the_pair_row_products():
         U = rng.normal(size=(J, J)) * 10.0 ** rng.uniform(-8, 8, (J, J))
         reference = np.einsum("klj,kj->kl", _pair_rows(prot), U).ravel()
         assert prot.measure(U).tobytes() == reference.tobytes()
+
+
+def test_protocol_arrays_are_cached_read_only_and_match_their_formulas():
+    """`patterns`, `retained_pairs` and the index arrays of `measure` are
+    formed once per protocol, cannot be written, and equal their defining
+    formulas."""
+    rng = np.random.default_rng(4)
+    for J in (4, 5, 16, 33):
+        prot = adjacent_protocol(J)
+        eye = np.eye(J)
+        formulas = {"patterns": eye - np.roll(eye, 1, axis=1),
+                    "retained_pairs": np.sort((np.arange(J)[:, None] + np.arange(2, J - 1)) % J,
+                                              axis=1)}
+        for name, expected in formulas.items():
+            array = getattr(prot, name)
+            assert getattr(prot, name) is array
+            assert np.array_equal(array, expected)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        assert all(not index.flags.writeable for index in prot._terminals)
+        U = rng.normal(size=(J, J))
+        k, m = np.arange(J)[:, None], formulas["retained_pairs"]
+        assert np.array_equal(prot.measure(U), (U[k, m] - U[k, (m + 1) % J]).ravel())
+        assert prot == adjacent_protocol(J) and hash(prot) == hash(adjacent_protocol(J))
 
 
 def test_adjacent_protocol_needs_4():

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -481,17 +484,17 @@ _SHARED_CASE1_FILES = {
 PINNED_CASE1_FILES = {
     "uniformly-anisotropic": dict(
         _SHARED_CASE1_FILES,
-        **{"recon.csv": "085801dd8ab2325ada13515d37661bf797252a153bd0f77539fc3c051e7fe88c",
-           "run_log.json": "afe5a35aa2bd5fd6f95fa3b3f1af101a5c776a59b3f1c1253fef92d0ff766004",
-           "eta.csv": "ab07cc9ae5ed2b336ca586f3b0d82aa8327b4f73494b13b96d9213ce7e89f8fc",
+        **{"recon.csv": "c88925f5c8e8e4686031bfa69b96bcdb5c5a2df0ba381271cf55868e0d70b187",
+           "run_log.json": "23fc9df8a171f5dfb84e9c67997164e576bda70ee8cb15b45f68cf0a1524d8dd",
+           "eta.csv": "125d377378c7c912b03306155455cabe1afca31a7ce2e210b1e52bf94a0dd064",
            "eta.pgm": "16f7f10f376844374c869eea46bba0d68f9111f479f4706ff5d13acd1a6d287b",
-           "theta.csv": "0227cbf24744f93a8583c6def64130880302be7af8a1b7e004964590c13a993c",
+           "theta.csv": "c18bbcb809439b9a2fc6f3bd6efd6d4784b2e05d5895a9e60f4ea2316fdb3f4b",
            "theta.pgm": "4dcf3dac7ad904b1162e1d1d2a7e7163f93fce964218f2ad496df5c0c7d3e587"}),
     "isotropic-mismodeled": dict(
         _SHARED_CASE1_FILES,
-        **{"recon.csv": "c4e5ce77f99d5959491c2384f57356ea8bcd0a29dd4595914c01c4bcc0cc9216",
-           "run_log.json": "d1b236b354e6c46d0a817eb77c963a4fb3a4aab5659e56a98f96b979c852a7fd",
-           "gamma.csv": "d4b1c43919c84ff60e5666186a24099cb4c7f9a4df6c4c212fa5b5b9084bbae2",
+        **{"recon.csv": "c300f08aa6f8832494897c9ef2153c633461b58d72df3b398dd170f72d303b1e",
+           "run_log.json": "992b90c33981562f5d8d2a5911648a086abfa6ce31abf1fd66c07d1951077197",
+           "gamma.csv": "a4b5d9861eaa4e9822366f38cabfbb31d54bca42a2dd72afb29c41f74bd34045",
            "gamma.pgm": "8930a43ff30a2af655fdcd62d8177b4eeb433c077afd851c4d0c74eed1b928fa"}),
 }
 
@@ -502,11 +505,11 @@ PINNED_CASE2_ANISO_FILES = {
     "data.csv": "6617ec314cd86d0bd79c4ab350c2b30cfda8bcbcad67341db9bd99ded4d1cf1c",
     "mesh_sim.json": "8fb9aa0c91e5ec31d23a6a0da90663d960a6a933d978d7088d22633857afa14a",
     "mesh_recon.json": "cdc1ba2ccca281b7663d2d75d3550596e54fccfd3f98aaad082a78dff419077c",
-    "recon.csv": "3853024929c1f2fa846878c2b5eaf72f09f0dadd2e91805d81ec8f7ae56d8d69",
-    "run_log.json": "4b51d8311ab63c81ff32fa260bd25e5c2f86053272d561c345d011304b1076ae",
-    "eta.csv": "49c029171638e1b2b0e45fb9b58eb6fabaf2b662f315eeec7a32d15696cd59f3",
+    "recon.csv": "19685eb7a5752af01783209baa8f9acd1b2bd2a4eb5c69b22bf94d9f4ea18e2b",
+    "run_log.json": "c585acafed3bf2b127511ad8dcec2da0bb7e706fcc5b39c85c487ebe1fce5110",
+    "eta.csv": "e760457ada70b4fa59633aa9d10310513ba21f860dba744b076557337f86f6f2",
     "eta.pgm": "73139a465512e4def62452c06e6ac8b9c7e62ba8acec8a0d9f9fb0a0de8c21d2",
-    "theta.csv": "54d9046f637cb449b976606b9f5f4fe38f56159d4fe3c558b40dfcf7574366f5",
+    "theta.csv": "ab371f202dd644103734ab4cdbca3547531699c9f12f889638fbf89596becc7f",
     "theta.pgm": "081fb0e689e80b737623f7bfbc80e09c02525f311a6cf2d6bfe43a84f00baa78",
 }
 # run id -> (case, mode, pinned digests); a case1 run is named by its mode
@@ -525,6 +528,48 @@ def test_case1_exports_match_pinned_digests(run, tmp_path):
     digests = {p.name.removeprefix(tag): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir() if not p.name.startswith("report_")}
     assert digests == pinned
+
+
+# run in a fresh interpreter, so the BLAS thread count is fixed before
+# numpy loads: argv[1] is the output directory, then the case1 modes
+_EXPORT_DIGESTS = """
+import hashlib, json, sys
+from pathlib import Path
+from anisoeit.harness import builtin_configs, run_experiment, with_mode
+out, digests = Path(sys.argv[1]), {}
+for mode in sys.argv[2:]:
+    config = with_mode(builtin_configs()["case1_ellipse"], mode)
+    report = run_experiment(config, out / mode)
+    assert report.success, report.message
+    tag = f"{config.name}-{mode}_"
+    digests[mode] = {p.name.removeprefix(tag): hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in (out / mode).iterdir() if not p.name.startswith("report_")}
+print(json.dumps(digests))
+"""
+
+
+def test_case1_digests_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The case1 exports in the main and the isotropic-mismodeled mode,
+    each made in a fresh process with BLAS at one and at two threads, have
+    the same digests, the pinned ones: no kernel on the path rounds by its
+    thread count."""
+    modes = ["uniformly-anisotropic", "isotropic-mismodeled"]
+    source = str(Path(harness.__file__).resolve().parents[1])
+    runs = {}
+    for threads in (1, 2):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])))
+        env.update({var: str(threads) for var in
+                    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+        runs[threads] = subprocess.Popen(
+            [sys.executable, "-c", _EXPORT_DIGESTS, str(tmp_path / str(threads)), *modes],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    digests = {}
+    for threads, run in runs.items():
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        digests[threads] = json.loads(out)
+    assert digests[1] == digests[2] == {mode: PINNED_CASE1_FILES[mode] for mode in modes}
 
 
 def test_seed_changes_noise_not_clean_data(tiny_config):

@@ -17,7 +17,7 @@ from anisoeit.inverse import (BarrierSchedule, GNSettings, ReconError,
                               isotropic_reconstruct, jacobian, jacobian_isotropic,
                               objective, penalty_eta, penalty_eta_grad,
                               penalty_theta, penalty_theta_grad, recon_state_to_csv)
-from anisoeit.tensors import TensorField, UniformAnisoParams, gamma_hat
+from anisoeit.tensors import TensorError, TensorField, UniformAnisoParams, gamma_hat
 
 
 TWO_PIXEL_PAIRS = np.array([[0, 1]])
@@ -921,6 +921,61 @@ def test_escalation_refactors_only_the_escalated_blocks(monkeypatch):
         previous = shifts
     assert any(len(diagonals) == 1 for _, diagonals in solves[1:])  # theta's cap never binds
     assert system.factorizations == len(factored)
+
+
+def test_anisotropic_workspace_plans_one_panel_solve_per_band_shape(small_problem, monkeypatch):
+    """The eta and theta bands of the anisotropic problem share one shape,
+    so its step workspace builds one `_Panels` plan for both."""
+    mesh, lattice, layout, prot = small_problem
+    data = fem.simulate_measurements(mesh, TensorField.isotropic(1.0, mesh.n_elements),
+                                     layout, prot, 0.0, None)
+    problem = inverse._Problem(inverse.ANISOTROPIC, data, prot, mesh, lattice, layout,
+                               RegWeights(1e-8, 1e-4, 1e-8, 5e-6))
+    built, panels = [], inverse._Panels
+
+    def counting_panels(rows, M):
+        built.append((rows, M))
+        return panels(rows, M)
+
+    monkeypatch.setattr(inverse, "_Panels", counting_panels)
+    assert len({band.shape for band in problem._pen_bands}) == 1 < len(problem._pen_bands)
+    work = problem._work
+    assert built == [problem._pen_bands[0].shape]
+    assert list(work.step.panels) == [problem._pen_bands[0].shape]
+
+
+def test_step_system_names_a_non_finite_input():
+    """A non-finite Jacobian, gradient or Woodbury matrix, or a Woodbury
+    pass that overflows, raises a ReconError that names it, not scipy's
+    anonymous complaint about infs or NaNs."""
+    rng = np.random.default_rng(8)
+    M, N = 6, 9
+    bands = [np.vstack([np.full((1, M), -0.25), np.full((1, M), 1.0)])]
+    J = np.asfortranarray(rng.normal(size=(N, M)))
+    J[4, 2] = np.nan
+    with pytest.raises(ReconError, match=r"Jacobian is not finite \(row 4, unknown 2: nan\)"):
+        inverse._StepSystem(bands, J)
+    J[4, 2] = 0.5
+    g = rng.normal(size=M)
+    g[3] = np.inf
+    with pytest.raises(ReconError, match=r"gradient is not finite \(unknown 3\)"):
+        inverse._StepSystem(bands, J).solve(g, [1e-6])
+    # finite entries whose Gram overflows
+    with pytest.raises(ReconError, match="Woodbury matrix is not finite"):
+        inverse._StepSystem(bands, 1e200 * J).solve(rng.normal(size=M), [1e-6])
+    # a finite gradient whose whitened right-hand side overflows
+    with pytest.raises(ReconError, match="the step overflows"):
+        inverse._StepSystem(bands, J).solve(np.full(M, 1e308), [1e-6])
+
+
+def test_forward_map_rejects_an_eigenvalue_ratio_beyond_the_guard(small_problem):
+    """lam = 2e6 gives every pixel's tensor an eigenvalue ratio above
+    `MAX_EIG_RATIO`: the forward map raises the tensor check's error."""
+    mesh, lattice, layout, prot = small_problem
+    M = lattice.n_active
+    params = UniformAnisoParams(eta=np.ones(M), theta=np.zeros(M), lam=2e6)
+    with pytest.raises(TensorError, match=r"eigenvalue ratio exceeds 1e\+06"):
+        forward_map(params, prot, mesh, lattice, layout)
 
 
 @pytest.mark.parametrize("reconstruct", [gauss_newton_reconstruct, isotropic_reconstruct])

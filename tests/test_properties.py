@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anisoeit import fem, harness, inverse
+from anisoeit import fem, harness, inverse, tensors
 from anisoeit.geometry import (DomainSpec, build_boundary, build_pixel_lattice,
                                place_electrodes, triangulate)
 from anisoeit.harness import ExperimentConfig, Inclusion, Phantom, with_mode
@@ -181,6 +181,55 @@ def test_ordered_factor_with_four_electrodes(seed):
     curve = build_boundary(DomainSpec("fourier", {"cos": [0.0, 0.08], "sin": [-0.05]}), 256)
     layout = place_electrodes(curve, 4, 0.5)
     check_ordered_factor(triangulate(curve, layout, 300), layout, seed, 6.0)
+
+
+def scattered_buffers(plan, A: np.ndarray):
+    """The band plan's buffers as the entry-by-entry scatter of the
+    node-order matrix A (dense, bordered) puts them: the node block in band
+    order as LAPACK upper band storage, the coupling rows in band order,
+    the bordered electrode block and the band's diagonal."""
+    n, J, kd = plan.n_nodes, plan.J, plan.kd
+    by_band = np.argsort(plan.rank)  # the node of each band row
+    Auu = A[:n, :n][np.ix_(by_band, by_band)]
+    band = np.zeros((kd + 1, n))
+    for d in range(kd + 1):
+        band[kd - d, d:] = np.diagonal(Auu, d)
+    return {"band": band, "coupling": A[:n, n:n + J][by_band], "bordered": A[n:, n:],
+            "diagonal": np.diagonal(Auu)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes(), seed=seeds, lam=lams, grid_n=st.sampled_from([6, 20]))
+def test_pixel_fill_matches_the_assembled_system(node_order, scene, seed, lam, grid_n):
+    """The band plan filled straight from the pixel tensors holds, to 1e-13
+    of each buffer's largest entry, the entries of the matrix that
+    `fem.assemble` builds from the per-element field `gamma_hat`, scattered
+    entry by entry; so does the fill from that field's element inputs.  The
+    GN forward (`_solve_drives`) then gives the nodal fields and
+    predictions of `fem.solve_many` on the assembled system to 1e-12.  The
+    lattices hold unequal element counts per pixel, so the pixel map sums
+    over pixels of different sizes."""
+    mesh, _, layout, protocol = scene
+    lattice = build_pixel_lattice(mesh, grid_n)
+    counts = np.bincount(lattice.element_to_pixel)
+    assert counts.min() < counts.max()
+    p = random_params(seed, lattice.n_active, lam)
+    system = fem.assemble(mesh, gamma_hat(p, lattice), layout)
+    plan = mesh.cem_operator.node_band
+    want = scattered_buffers(plan, node_order(system.operator, system.matrix).toarray())
+    inv_z = 1.0 / layout.contact_impedances
+    fills = [(plan.pixel_map(lattice), tensors.pixel_tensors(p, lattice)),
+             (plan.element_map, system.g)]
+    for fill_map, g in fills:
+        plan.fill(fill_map, np.concatenate([g.ravel(), inv_z, [1.0]]))
+        for name, expected in want.items():
+            got = getattr(plan, name)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), name
+
+    u_pixels, V_pixels = inverse._solve_drives(p, protocol, mesh, lattice, layout)
+    u_elements, U_elements = fem.solve_many(system, protocol.patterns)
+    for got, expected in ((u_pixels, u_elements), (V_pixels, protocol.measure(U_elements))):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @settings(max_examples=25, deadline=None)

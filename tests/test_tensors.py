@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anisoeit import tensors as tn
-from anisoeit.geometry import DomainSpec, build_boundary, place_electrodes, triangulate
+from anisoeit.geometry import (DomainSpec, build_boundary, build_pixel_lattice, place_electrodes,
+                               triangulate)
 from anisoeit.tensors import (Diffeo, TensorField, TensorError,
                               UniformAnisoParams, anisotropy,
                               beltrami_mu_field, canonicalize, det_sqrt, gamma_hat,
@@ -86,6 +87,23 @@ def test_tensor_field_rejects_non_finite_entries():
             TensorField(g=np.array([[1.0, 0.0, 1.0], [np.inf, 0.0, np.inf]]))
         with pytest.raises(TensorError, match=r"element 0 tensor entry g12 is not finite \(nan\)"):
             TensorField(g=np.array([[1.0, np.nan, 1.0]]))
+
+
+def test_pixel_tensors_are_the_checked_pixel_triples(small_disk_mesh):
+    """`pixel_tensors` gives each pixel's (g11, g12, g22), the rows that
+    `gamma_hat` hands to the pixel's elements, and rejects an eigenvalue
+    ratio beyond `MAX_EIG_RATIO` naming the pixel."""
+    lattice = build_pixel_lattice(small_disk_mesh, 12)
+    M = lattice.n_active
+    rng = np.random.default_rng(2)
+    params = UniformAnisoParams(eta=rng.uniform(0.5, 2.0, M), theta=rng.uniform(0, np.pi, M),
+                                lam=3.0)
+    g = tn.pixel_tensors(params, lattice)
+    assert np.array_equal(g, np.column_stack(gamma_hat_entries(params.eta, params.theta, 3.0)))
+    assert np.array_equal(gamma_hat(params, lattice).g, g[lattice.element_to_pixel])
+    flat = UniformAnisoParams(eta=params.eta, theta=params.theta, lam=2e6)
+    with pytest.raises(TensorError, match=r"pixel \d+ eigenvalue ratio exceeds 1e\+06"):
+        tn.pixel_tensors(flat, lattice)
 
 
 def test_isotropic_scalar_needs_element_count():

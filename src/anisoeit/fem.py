@@ -16,7 +16,7 @@ entry, so the mat-vec gives the matrix that is factored.
 
 A drive is zero on every node row, so the node block can be eliminated
 in electrode space.  Callers that need the nodal potentials factor the SPD
-node block A_uu by a LAPACK band Cholesky in reverse Cuthill-McKee order
+node block A_uu by `band_cholesky` in reverse Cuthill-McKee order
 (`NodeBand`, planned once per mesh), form the J x J Schur complement
 S = A_UU - A_uU^T A_uu^-1 A_uU, solve for U with the gauge border, and
 back-substitute u = -A_uu^-1 A_uU U.  The plan's buffers are filled by one
@@ -31,7 +31,10 @@ operator's order: the nodes in multiple-minimum-degree order (Liu 1985),
 then the electrode potentials with the multiplier before the last one.
 Under that order every pivot is diagonal and a drive's forward
 substitution leaves the node rows zero, so the electrode potentials solve
-with the factor's trailing (J + 1) x (J + 1) block alone.
+with the factor's trailing (J + 1) x (J + 1) block alone.  Both paths
+reject a node block that is singular to working precision by one rule
+(`_round_off_pivot`): a pivot at most n eps times the largest diagonal
+entry.
 The measurement protocol is the adjacent pair drive, held as J alone; its
 measured pair rows are drive patterns, which the inverse solver relies on.
 """
@@ -61,6 +64,29 @@ class ModelError(ValueError):
     """Invalid forward-model input (incompatible pattern, bad tensor, ...)."""
 
 
+def _round_off_pivot(pivots: np.ndarray, largest: float, n: int) -> int:
+    """1 + the index of the first of the leading `pivots` of an SPD matrix A
+    of order n (its d_i in A = L D L^T, or r_ii^2 in A = R^T R) at most
+    n eps times `largest`, A's largest diagonal entry, or 0: A is then
+    singular to working precision.  Round-off in a pivot scales with the
+    largest entries the elimination passes through, not with the pivot's
+    own diagonal entry, which at high contrast is far smaller."""
+    small = np.flatnonzero(pivots <= n * np.finfo(float).eps * largest)
+    return small[0] + 1 if len(small) else 0
+
+
+def band_cholesky(band: np.ndarray) -> int:
+    """Factor the SPD matrix in `band`, F-ordered LAPACK upper band storage,
+    in place as U^T U (`dpbtrf`).  Returns 0, or the 1-based index of the
+    first pivot that is not positive or fails `_round_off_pivot`."""
+    if not band.flags.f_contiguous:
+        raise ValueError("band_cholesky factors in place: the band must be F-contiguous")
+    largest, n = band[-1].max(initial=0), band.shape[1]  # dpbtrf overwrites the diagonal
+    _, info = pbtrf(band, overwrite_ab=1)
+    taken = info - 1 if info else n  # the pivots dpbtrf took
+    return _round_off_pivot(band[-1, :taken] ** 2, largest, n) or info
+
+
 def _csc_pattern(keys: np.ndarray, size: int):
     """(indices, indptr) of the sorted unique entry keys col * size + row."""
     indptr = np.cumsum(np.bincount(keys // size + 1, minlength=size + 1))
@@ -85,6 +111,8 @@ class CEMOperator:
     3e..3e+2, 1/z_j is input 3T + j and the constant last input carries the
     gauge border: an element's three inputs share the pattern slot of each
     of its 9 entries.  On an element, grad(phi_i) = (b_i, c_i) / (2 area).
+    `node_diagonal` holds the data slots of the node block's diagonal, in
+    factor order.
 
     `node_band`, the plan of the full-field solve, is built at the first
     full-field solve (`solve_many` with `nodes=True` or `solve_pixels`)
@@ -143,6 +171,8 @@ class CEMOperator:
         keys, position = np.unique(rank[cols] * size + rank[rows], return_inverse=True)
         del rows, cols
         self.indices, self.indptr = _csc_pattern(keys, size)
+        # key r (size + 1) is diagonal entry r; the nodes lead the order
+        self.node_diagonal = np.flatnonzero(keys % (size + 1) == 0)[:n]
         # int32 indices, which the CSR conversion below keeps without a copy
         position = np.concatenate([np.repeat(position[:9 * T], 3), position[9 * T:]],
                                   dtype=np.int32)
@@ -179,9 +209,7 @@ class NodeBand:
     Cuthill-McKee order (Cuthill and McKee 1969) with half-bandwidth `kd`
     (`band`), the coupling A_uU (n x J, rows in that order; `coupling`),
     the electrode block A_UU bordered by the gauge multiplier ((J + 1) x
-    (J + 1); `bordered`) and the band's diagonal, which the pivot test
-    reads after the factor has overwritten the band (`diagonal`).  `rank`
-    maps a node to its band row.
+    (J + 1); `bordered`).  `rank` maps a node to its band row.
 
     A solve fills the buffer with one sparse mat-vec of a fill map: a row
     per buffer entry and a column per input, stored by column, so the map
@@ -210,22 +238,18 @@ class NodeBand:
         rank[rcm] = np.arange(n)
         slots, r, c = np.flatnonzero(node), rank[rows[node]], rank[cols[node]]
         kd = self.kd = int(np.abs(r - c).max(initial=0))
-        start = np.cumsum([0, (kd + 1) * n, n * J, (J + 1) ** 2, n])
+        start = np.cumsum([0, (kd + 1) * n, n * J, (J + 1) ** 2])
         buffer = self._buffer = np.zeros(start[-1])
         self.band = buffer[:start[1]].reshape((kd + 1, n), order="F")
         self.coupling = buffer[start[1]:start[2]].reshape((n, J), order="F")
-        self.bordered = buffer[start[2]:start[3]].reshape((J + 1, J + 1), order="F")
-        self.diagonal = buffer[start[3]:]
+        self.bordered = buffer[start[2]:].reshape((J + 1, J + 1), order="F")
         # the buffer entry each CSC slot goes to: A_uu[r, c], r <= c, at
-        # band[kd + r - c, c]; its diagonal again in `diagonal`; A_Uu[j, c]
-        # at coupling[c, j]; and every entry of the electrode and gauge rows
-        # and columns in `bordered`
-        upper, diagonal = r <= c, r == c
+        # band[kd + r - c, c]; A_Uu[j, c] at coupling[c, j]; and every entry
+        # of the electrode and gauge rows and columns in `bordered`
         coupling = (cols < n) & (n <= rows) & (rows < n + J)
         block = (n <= rows) & (n <= cols)
-        src = np.concatenate([slots[upper], slots[diagonal], np.flatnonzero(coupling),
-                              np.flatnonzero(block)])
-        dst = np.concatenate([(kd + r - c + (kd + 1) * c)[upper], start[3] + r[diagonal],
+        src = np.concatenate([slots[r <= c], np.flatnonzero(coupling), np.flatnonzero(block)])
+        dst = np.concatenate([(kd + r - c + (kd + 1) * c)[r <= c],
                               start[1] + rank[cols[coupling]] + n * (rows[coupling] - n),
                               start[2] + rows[block] - n + (J + 1) * (cols[block] - n)])
         self._select = sp.coo_matrix((np.ones(len(src)), (dst, src)),
@@ -263,19 +287,16 @@ class NodeBand:
         """Nodal (K, n) and electrode (K, J) potentials of the zero-sum
         patterns (K, J) for the system that `fill_map` makes of `inputs`.
 
-        With A_uu = R^T R: W = R^-T A_uU, S = A_UU - W^T W, then U from the
-        (J + 1) x (J + 1) system of S bordered by the gauge multiplier, by LU
-        with partial pivoting (`dgesv`), and u = -R^-1 W U."""
-        n, J = self.n_nodes, self.J
+        With A_uu = R^T R (`band_cholesky`): W = R^-T A_uU, S = A_UU - W^T W,
+        then U from the (J + 1) x (J + 1) system of S bordered by the gauge
+        multiplier, by LU with partial pivoting (`dgesv`), and u = -R^-1 W U."""
+        n, J, factor = self.n_nodes, self.J, self.band
         self.fill(fill_map, inputs)
-        factor, info = pbtrf(self.band, overwrite_ab=1)
-        if info == 0:  # a pivot at round-off level of its diagonal is no pivot either
-            small = np.flatnonzero(factor[-1] ** 2 <= n * np.finfo(float).eps * self.diagonal)
-            info = small[0] + 1 if len(small) else 0
-        if info > 0:
+        pivot = band_cholesky(factor)
+        if pivot:
             raise ModelError(f"the node block is singular to working precision: band "
-                             f"Cholesky pivot {info} of {n} (node "
-                             f"{np.flatnonzero(self.rank == info - 1)[0]}) is not positive")
+                             f"Cholesky pivot {pivot} of {n} (node "
+                             f"{np.flatnonzero(self.rank == pivot - 1)[0]}) is not positive")
         W, _ = tbtrs(factor, self.coupling, trans="T", overwrite_b=1)
         self.bordered[:J, :J] -= W.T @ W
         rhs = np.zeros((J + 1, len(patterns)), order="F")
@@ -319,7 +340,9 @@ class CEMSystem:
     diagonal pivot sound).  A right-hand side that is zero on every node
     row then leaves the forward substitution zero there, so the electrode
     potentials of a drive solve with the trailing (J + 1) x (J + 1) blocks
-    of L and U alone (`_tail_lu`)."""
+    of L and U alone (`_tail_lu`).  The node rows' pivots, U's diagonal
+    there, meet `band_cholesky`'s round-off rule against the matrix's
+    diagonal, so both back-ends reject the same singular node blocks."""
 
     g: np.ndarray
     inv_z: np.ndarray
@@ -338,16 +361,25 @@ class CEMSystem:
     def _tail_lu(self) -> np.ndarray:
         """The trailing blocks of L (strictly below the diagonal) and U in
         one dense array, as LAPACK getrf leaves them; read straight from the
-        CSC arrays, once per factor."""
-        f, m = self.factor, self.operator.J + 1
+        CSC arrays, once per factor, after the node pivots are checked."""
+        f, op = self.factor, self.operator
+        m, n = op.J + 1, op.n_nodes
         for name in ("perm_r", "perm_c"):
             moved = np.flatnonzero(getattr(f, name) != np.arange(f.shape[0]))
-            if len(moved):
+            if len(moved) and (moved[0] >= n or name == "perm_c"):
                 raise ModelError(f"the factor moved pivot {moved[0]} ({name}); "
                                  "the electrode solve needs diagonal pivots")
+        L, U = f.L, f.U
+        # each column of U ends at its diagonal entry; SuperLU leaves the
+        # diagonal only at an exact zero, so a moved node pivot counts as 0
+        pivots = np.where(f.perm_r[:n] == np.arange(n), U.data[U.indptr[1:n + 1] - 1], 0.0)
+        pivot = _round_off_pivot(pivots, self.matrix.data[op.node_diagonal].max(initial=0), n)
+        if pivot:
+            raise ModelError(f"the node block is singular to working precision: LU pivot "
+                             f"{pivot} of {n} (node {op.order[pivot - 1]}) is not positive")
         start = f.shape[0] - m
         lu = np.zeros((m, m), order="F")
-        for part in (f.L, f.U):  # U last: its diagonal replaces L's unit one
+        for part in (L, U):  # U last: its diagonal replaces L's unit one
             first = part.indptr[start]
             rows = part.indices[first:] - start
             cols = np.repeat(np.arange(m), np.diff(part.indptr[start:]))

@@ -31,10 +31,10 @@ The GN step is solved in data space (`_StepSystem`): the penalty Hessians
 stay sparse and are stored once per problem as LAPACK bands in lattice
 order (pixels are numbered ix-major, so the bandwidth is at most `grid_n`);
 with the barrier curvature and a per-block shift they factor by banded
-Cholesky, each factor whitens its block of Jacobian columns in BLAS-3
-panels read straight from J (`_Panels`), and the Woodbury identity leaves
-one N x N Cholesky factorization over the N reciprocal-unique
-measurements.  The lam column enters as a scalar border.
+Cholesky (`fem.band_cholesky`), each factor whitens its block of Jacobian
+columns in BLAS-3 panels read straight from J (`_Panels`), and the
+Woodbury identity leaves one N x N Cholesky factorization over the N
+reciprocal-unique measurements.  The lam column enters as a scalar border.
 """
 
 from __future__ import annotations
@@ -49,13 +49,13 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 from scipy.linalg import blas, lapack
-from scipy.linalg.lapack import dpbtrf as pbtrf
 from scipy.sparse import _sparsetools
 
 from anisoeit.geometry import ElectrodeLayout, Mesh, PixelLattice, _finite, _integer
 from anisoeit.tensors import (UniformAnisoParams, canonicalize, gamma_hat, gamma_hat_entries,
                               pixel_tensors)
 from anisoeit import fem
+from anisoeit.fem import band_cholesky
 
 # the public names, with `gamma_hat` (the per-element field of a parameter
 # set) re-exported: perfbench's traced runs wrap `inverse.gamma_hat`
@@ -379,14 +379,15 @@ class _StepWork:
     """The arrays a `_StepSystem` over N measurements and the band blocks
     of `bands` (LAPACK upper band storage, (kd + 1, M) each) writes: per
     block the band of its factor U_k, as the flat F-ordered storage plus
-    one last entry that stays zero; its whitened Zt_k = J_k U_k^-1 as an
-    F-ordered (N, M) array; and the N x N Gram Zt_k Zt_k^T, whose lower
-    triangle alone is written, so its upper one stays zero.  Per distinct
-    band shape, the `_Panels` that whiten through it; and the Woodbury
-    matrix C (N, N), F-ordered, factored in place."""
+    one last entry that stays zero, and `U` its band view; its whitened
+    Zt_k = J_k U_k^-1 as an F-ordered (N, M) array; and the N x N Gram
+    Zt_k Zt_k^T, whose lower triangle alone is written, so its upper one
+    stays zero.  Per distinct band shape, the `_Panels` that whiten through
+    it; and the Woodbury matrix C (N, N), F-ordered, factored in place."""
 
     def __init__(self, N: int, bands):
         self.factor = [np.zeros(band.size + 1) for band in bands]
+        self.U = [f[:-1].reshape(band.shape, order="F") for f, band in zip(self.factor, bands)]
         self.Zt = [np.empty((N, band.shape[1]), order="F") for band in bands]
         self.gram = [np.zeros((N, N), order="F") for _ in bands]
         self.panels = {shape: _Panels(*shape) for shape in {band.shape for band in bands}}
@@ -674,18 +675,19 @@ class _StepSystem:
     data space without forming H.
 
     R is block diagonal: one M x M band per eta/theta block (LAPACK upper
-    band storage) plus a per-block shift,
-    and, in the anisotropic mode, the lam curvature `border` plus its shift.
-    Each band block factors as R_k = U_k^T U_k (`pbtrf`) and whitens its
-    Jacobian columns, Zt_k = J_k U_k^-1, in BLAS-3 panels (`_Panels`)
-    straight from J's contiguous column block, so the band part
-    B = R_z + 2 J_z^T J_z of H inverts through the N x N matrix
-    C = I/2 + sum_k Zt_k Zt_k^T (Woodbury), factored by LAPACK `dpotrf`:
-    B^-1 v = U^-1 (w - Zt^T C^-1 Zt w) with w = U^-T v, each pass solved in
-    place by `dtbtrs`, `dgemv` and `dpotrs`.  A block is factored again only
-    when its shift changes; `factorizations` counts the band factorizations
-    made.  The lam column j is a scalar border rather than part of R,
-    because its curvature is often only the tiny damping shift; its Schur
+    band storage) plus a per-block shift, and, in the anisotropic mode, the
+    lam curvature `border` plus its shift.  Each band block factors as
+    R_k = U_k^T U_k (`band_cholesky`) and whitens its Jacobian columns,
+    Zt_k = J_k U_k^-1, in BLAS-3 panels (`_Panels`) straight from J's
+    contiguous column block, so the band part B = R_z + 2 J_z^T J_z of H
+    inverts through the N x N matrix C = I/2 + sum_k Zt_k Zt_k^T
+    (Woodbury), factored by LAPACK `dpotrf`: B^-1 v = U^-1 (w - Zt^T C^-1
+    Zt w) with w = U^-T v, each pass solved in place by `dtbtrs`, `dgemv`
+    and `dpotrs`.  U_k, Zt_k and C live in the `_StepWork`; a block is
+    factored again only when its shift changes, and `factorizations` counts
+    the band factorizations made.  The lam column j is a scalar border
+    rather than part of R, because its curvature is often only the tiny
+    damping shift; its Schur
     complement is border + shift + j^T C^-1 j, which is positive whenever C
     is.  A non-finite Jacobian, gradient or Woodbury matrix raises a
     ReconError that names it, as does a Woodbury pass whose whitened
@@ -711,32 +713,24 @@ class _StepSystem:
                              f"(row {row}, unknown {col}: {J[row, col]})")
         self.trace = (2.0 * square + sum(float(b[-1].sum()) for b in bands)
                       + (border or 0.0))
-        # per band block: (shift, U, Zt, Zt Zt^T); the Gram holds only its
-        # lower triangle, the one the lower Cholesky factor of C reads
-        self._factors = [None] * len(bands)
+        self._shifts = [None] * len(bands)  # per block, the shift its factor holds
         self.factorizations = 0
 
     def _factor(self, k: int, shift: float):
-        cached = self._factors[k]
-        if cached is None or cached[0] != shift:
-            self._factors[k] = None  # its storage is overwritten below
-            work, band = self._work, self.bands[k]
-            storage = work.factor[k]
-            # F-ordered and contiguous, so the factor overwrites it in place
-            U = storage[:-1].reshape(band.shape, order="F")
+        if self._shifts[k] != shift:
+            self._shifts[k] = None  # its storage is overwritten below
+            work, band, U = self._work, self.bands[k], self._work.U[k]
             np.copyto(U, band)
             U[-1] += shift
-            _, info = pbtrf(U, overwrite_ab=1)
+            pivot = band_cholesky(U)
             self.factorizations += 1
-            if info != 0:
+            if pivot:
                 raise ReconError(f"GN step system is not positive definite "
-                                 f"(block {k}, leading minor {info})")
-            Zt, gram = work.Zt[k], work.gram[k]
-            np.copyto(Zt, self._J[:, self._blocks[k]])
-            work.panels[band.shape].solve(storage, Zt)
-            blas.dsyrk(1.0, Zt, lower=1, c=gram, overwrite_c=1)
-            self._factors[k] = cached = (shift, U, Zt, gram)
-        return cached[1:]
+                                 f"(block {k}, leading minor {pivot})")
+            np.copyto(work.Zt[k], self._J[:, self._blocks[k]])
+            work.panels[band.shape].solve(work.factor[k], work.Zt[k])
+            blas.dsyrk(1.0, work.Zt[k], lower=1, c=work.gram[k], overwrite_c=1)
+            self._shifts[k] = shift
 
     def solve(self, g: np.ndarray, shifts) -> np.ndarray:
         """The step delta solving (H + block shifts) delta = -g, with one
@@ -746,10 +740,11 @@ class _StepSystem:
         if not np.isfinite(g).all():
             raise ReconError(f"GN step system: the gradient is not finite "
                              f"(unknown {np.flatnonzero(~np.isfinite(g))[0]})")
-        factors = [self._factor(k, shifts[k]) for k in range(len(self.bands))]
+        for k in range(len(self.bands)):
+            self._factor(k, shifts[k])
         C = self._work.C
-        np.copyto(C, factors[0][2])
-        for _, _, G in factors[1:]:
+        np.copyto(C, self._work.gram[0])
+        for G in self._work.gram[1:]:
             C += G
         C[np.diag_indices(len(C))] += 0.5
         if not np.isfinite(C).all():  # the upper triangle is zero: the Grams fill the lower
@@ -766,16 +761,16 @@ class _StepSystem:
                 raise ReconError(f"GN step system is not positive definite "
                                  f"(lam Schur complement {schur:.3e})")
             lam = (Cj, schur)
-        delta = self._inverse(factors, C, lam, -g)
-        return delta + self._inverse(factors, C, lam, -g - self._product(shifts, delta))
+        delta = self._inverse(C, lam, -g)
+        return delta + self._inverse(C, lam, -g - self._product(shifts, delta))
 
-    def _inverse(self, factors, C, lam, v: np.ndarray) -> np.ndarray:
+    def _inverse(self, C, lam, v: np.ndarray) -> np.ndarray:
         """x solving (H + block shifts) x = v through the Woodbury factors,
         each band block's w_k = U_k^-T v_k and then x_k solved in place in
         x's slice."""
         x = v.copy()
         Ztw = np.zeros(len(C))
-        for b, (U, Zt, _) in zip(self._blocks, factors):
+        for b, U, Zt in zip(self._blocks, self._work.U, self._work.Zt):
             lapack.dtbtrs(U, x[b], trans="T", overwrite_b=1)
             blas.dgemv(1.0, Zt, x[b], beta=1.0, y=Ztw, overwrite_y=1)
         if lam is not None:
@@ -786,7 +781,7 @@ class _StepSystem:
             raise ReconError("GN step system: the step overflows (its whitened right-hand "
                              "side is not finite)")
         p, _ = lapack.dpotrs(C, Ztw, lower=1, overwrite_b=1)
-        for b, (U, Zt, _) in zip(self._blocks, factors):
+        for b, U, Zt in zip(self._blocks, self._work.U, self._work.Zt):
             blas.dgemv(-1.0, Zt, p, beta=1.0, y=x[b], trans=1, overwrite_y=1)
             lapack.dtbtrs(U, x[b], overwrite_b=1)
         return x

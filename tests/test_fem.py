@@ -4,7 +4,9 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from anisoeit import fem
@@ -226,6 +228,76 @@ def test_singular_node_block_names_its_pivot(small_disk_mesh, disk_layout):
                       layout)
     with pytest.raises(ModelError, match=r"band Cholesky pivot \d+ of \d+"):
         solve_many(system, adjacent_protocol(16).patterns)
+
+
+def test_predict_rejects_a_singular_node_block(small_disk_mesh, disk_layout, protocol16):
+    """The electrode-only solve behind `predict` meets the same singular
+    node block at contact impedance 1e300 and names the SuperLU pivot and
+    its node, instead of returning data near 1e292."""
+    layout = dataclasses.replace(disk_layout, contact_impedances=np.full(16, 1e300))
+    field = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
+    n = small_disk_mesh.n_nodes
+    with pytest.raises(ModelError, match=rf"LU pivot \d+ of {n} \(node \d+\)"):
+        predict(small_disk_mesh, field, layout, protocol16)
+
+
+def spd_band(rng, n: int, kd: int) -> np.ndarray:
+    """A random diagonally dominant SPD matrix of order n as LAPACK upper
+    band storage (kd + 1, n), F-ordered."""
+    band = np.zeros((kd + 1, n), order="F")
+    for d in range(1, kd + 1):
+        band[kd - d, d:] = rng.uniform(-1, 1, n - d)
+    rows = np.abs(band[:-1]).sum(axis=0)  # entries above each diagonal entry
+    for d in range(1, kd + 1):  # and the entries to its right
+        rows[:n - d] += np.abs(band[kd - d, d:])
+    band[-1] = rows + rng.uniform(0.1, 2.0, n)
+    return band
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 60), kd=st.integers(1, 6),
+       coupled=st.booleans(), data=st.data())
+def test_band_cholesky_pivot_rule(seed, n, kd, coupled, data):
+    """`band_cholesky` leaves in place the factor `cholesky_banded` returns
+    and reports 0 on a diagonally dominant SPD band; on an indefinite band it
+    reports LAPACK's index.  A band whose leading m x m block is a path-graph
+    Laplacian with 2^-50 added to its last diagonal entry has m-th pivot
+    r_mm^2 = 2^-50 exactly: positive, so LAPACK takes it, but at most n eps
+    times the largest diagonal entry, so `band_cholesky` reports m.  It does
+    so also when the block is coupled to the rest, where LAPACK fails only
+    at a later pivot."""
+    kd = min(kd, n - 1)
+    rng = np.random.default_rng(seed)
+    band = spd_band(rng, n, kd)
+    expected = scipy.linalg.cholesky_banded(band)
+    assert fem.band_cholesky(band) == 0
+    assert np.array_equal(band, expected)
+
+    indefinite = spd_band(rng, n, kd)
+    p = data.draw(st.integers(0, n - 1), label="negative pivot")
+    indefinite[-1, p] = -1.0
+    _, info = scipy.linalg.lapack.dpbtrf(indefinite)
+    assert fem.band_cholesky(indefinite) == info == p + 1
+
+    m = data.draw(st.integers(4, n), label="Laplacian order")
+    singular = spd_band(rng, n, kd)
+    singular[:, :m] = 0.0
+    singular[-1, :m] = 2.0
+    singular[-1, [0, m - 1]] = 1.0
+    singular[-1, m - 1] += 2.0 ** -50
+    singular[-2, 1:m] = -1.0
+    if not coupled:
+        for c in range(m, min(m + kd, n)):
+            singular[:kd - (c - m), c] = 0.0  # column c's entries in the leading rows
+    _, info = scipy.linalg.lapack.dpbtrf(singular)
+    assert info > m if coupled and m < n else info == 0
+    assert fem.band_cholesky(singular) == m
+
+
+def test_band_cholesky_needs_an_f_ordered_band():
+    """A C-ordered band cannot be factored in place, so it is refused."""
+    with pytest.raises(ValueError, match="F-contiguous"):
+        fem.band_cholesky(np.ascontiguousarray(spd_band(np.random.default_rng(0), 5, 2)))
 
 
 def test_solution_residual_small(disk_system, node_order):

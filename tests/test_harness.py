@@ -592,16 +592,17 @@ def test_failure_report_is_stage_tagged(tiny_config, tmp_path):
     assert path.exists()
 
 
-def test_overflowing_misfit_fails_the_reconstruct_stage(tmp_path):
-    """A contact impedance of 1e300 leaves the data finite, but the node
-    block of the reconstruction's CEM system is then singular to working
-    precision: the run fails in its reconstruct stage, naming the band
-    Cholesky pivot, instead of ending as a success with an infinite misfit."""
+def test_overflowing_impedance_fails_the_simulate_stage(tmp_path):
+    """A contact impedance of 1e300 makes the node block of the CEM system
+    singular to working precision, so the simulation's factor meets a pivot
+    at round-off level of its diagonal: the run fails in its simulate
+    stage, naming the LU pivot and its node, instead of simulating data
+    near 1e292 that only the reconstruction rejects."""
     config = dataclasses.replace(builtin_configs()["case1_ellipse"], sim_elements=600,
                                  recon_elements=500, pixels=60, contact_impedance=1e300)
     report = run_experiment(config, tmp_path)
-    assert not report.success and report.stage == "reconstruct"
-    assert "band Cholesky pivot" in report.message
+    assert not report.success and report.stage == "simulate"
+    assert "LU pivot" in report.message and "(node " in report.message
 
 
 def numbers(value):

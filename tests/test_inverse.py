@@ -561,17 +561,17 @@ def test_one_factorization_per_feasible_point(small_problem, reconstruct, monkey
         mesh, TensorField.isotropic(gtruth[lattice.element_to_pixel]), layout, prot, 0.01, 11)
     w = RegWeights(alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6)
     factorizations, feasible = [], []
-    pbtrf, is_feasible = fem.pbtrf, inverse._Problem.feasible
+    band_cholesky, is_feasible = fem.band_cholesky, inverse._Problem.feasible
 
-    def counting_pbtrf(band, **options):
+    def counting_band_cholesky(band):
         factorizations.append(band.shape)
-        return pbtrf(band, **options)
+        return band_cholesky(band)
 
     def counting_feasible(problem, x):
         feasible.append(is_feasible(problem, x))
         return feasible[-1]
 
-    monkeypatch.setattr(fem, "pbtrf", counting_pbtrf)
+    monkeypatch.setattr(fem, "band_cholesky", counting_band_cholesky)
     monkeypatch.setattr(inverse._Problem, "feasible", counting_feasible)
     state = reconstruct(data, prot, mesh, lattice, layout, w,
                         BarrierSchedule.geometric(1e-5, 1e-8, 3),
@@ -595,17 +595,17 @@ def test_run_log_counts_step_factorizations(small_problem, reconstruct, monkeypa
         mesh, TensorField.isotropic(gtruth[lattice.element_to_pixel]), layout, prot, 0.01, 11)
     w = RegWeights(alpha0=1e-8, alpha1=1e-4, beta0=1e-8, beta1=5e-6)
     counts = []  # per linearization, the step's band factorizations
-    pbtrf, linearize = inverse.pbtrf, inverse._Problem.linearize
+    band_cholesky, linearize = inverse.band_cholesky, inverse._Problem.linearize
 
-    def counting_pbtrf(band, **options):
+    def counting_band_cholesky(band):
         counts[-1] += 1
-        return pbtrf(band, **options)
+        return band_cholesky(band)
 
     def counting_linearize(problem, x, xi):
         counts.append(0)
         return linearize(problem, x, xi)
 
-    monkeypatch.setattr(inverse, "pbtrf", counting_pbtrf)
+    monkeypatch.setattr(inverse, "band_cholesky", counting_band_cholesky)
     monkeypatch.setattr(inverse._Problem, "linearize", counting_linearize)
     monkeypatch.setattr(inverse, "_ETA_STEP_CAP", 0.02)
     monkeypatch.setattr(inverse, "_THETA_STEP_CAP", 0.02)
@@ -821,6 +821,22 @@ def test_step_solve_rejects_indefinite_system():
         inverse._trust_capped_step(negative_border, g, caps, np.zeros(3))
 
 
+def test_step_solve_rejects_a_block_singular_to_working_precision():
+    """A band block whose last pivot is at round-off level of its largest
+    diagonal entry, here a path-graph Laplacian with 2^-50 added to its last
+    diagonal entry, so that LAPACK's Cholesky takes the pivot 2^-25, is no
+    factor: the step names the block and the pivot instead of returning a
+    step through it."""
+    M, N = 8, 5
+    laplacian = np.zeros((2, M))
+    laplacian[0, 1:] = -1.0
+    laplacian[1] = [1.0] + [2.0] * (M - 2) + [1.0 + 2.0 ** -50]
+    system = inverse._StepSystem([np.array([np.ones(M)]), laplacian],
+                                 np.random.default_rng(2).normal(size=(N, 2 * M)))
+    with pytest.raises(ReconError, match=rf"not positive definite \(block 1, leading minor {M}\)"):
+        system.solve(np.ones(2 * M), [1e-6, 0.0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(1, 25), N=st.integers(1, 70),
        anisotropic=st.booleans(), beta2=st.sampled_from([0.0, 0.4]))
@@ -894,11 +910,11 @@ def test_escalation_refactors_only_the_escalated_blocks(monkeypatch):
     system = inverse._StepSystem([np.ones((1, M)), np.ones((1, M))], J, border=1.0)
     g = 1e3 * rng.normal(size=2 * M + 1)
     factored, solves = [], []  # diagonals factored; per solve, (shifts, diagonals factored)
-    pbtrf, solve = inverse.pbtrf, system.solve
+    band_cholesky, solve = inverse.band_cholesky, system.solve
 
-    def counting_pbtrf(band, **options):
+    def counting_band_cholesky(band):
         factored.append(band[-1].copy())
-        return pbtrf(band, **options)
+        return band_cholesky(band)
 
     def recording_solve(g, shifts):
         before = len(factored)
@@ -906,7 +922,7 @@ def test_escalation_refactors_only_the_escalated_blocks(monkeypatch):
         solves.append((shifts.copy(), factored[before:]))
         return delta
 
-    monkeypatch.setattr(inverse, "pbtrf", counting_pbtrf)
+    monkeypatch.setattr(inverse, "band_cholesky", counting_band_cholesky)
     monkeypatch.setattr(system, "solve", recording_solve)
     blocks = [slice(0, M), slice(M, 2 * M), slice(2 * M, 2 * M + 1)]
     caps = list(zip(blocks, (1e-3, np.inf, 0.05)))

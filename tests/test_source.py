@@ -116,3 +116,33 @@ def test_unused_import_scan_finds_one():
                      "    '''Not spilu.'''\n"
                      "    return splu(x), os\n")
     assert _unused_imports(tree) == ["spilu"]
+
+
+def _binders(trees: dict, name: str) -> list:
+    """Every module that binds `name` by an import, under any alias, or
+    reads it as an attribute (`lapack.name`)."""
+    return [module for module, tree in trees.items()
+            if any(isinstance(node, ast.alias) and node.name == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   for node in ast.walk(tree))]
+
+
+def test_one_module_binds_the_band_cholesky():
+    """`dpbtrf` is reached by `fem` alone, whose `band_cholesky` holds the
+    pivot rule every band Cholesky of the package applies."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert _binders(trees, "dpbtrf") == ["fem"]
+
+
+def test_binder_scan_finds_each_form():
+    trees = {"a": ast.parse("from scipy.linalg.lapack import dpbtrf as pbtrf\n"),
+             "b": ast.parse("def f():\n"
+                            "    from scipy.linalg import lapack\n"
+                            "    return lapack.dpbtrf\n"),
+             "c": ast.parse("class C:\n"
+                            "    def m(self):\n"
+                            "        from scipy.linalg.lapack import dpbtrf\n"
+                            "        return dpbtrf\n"),
+             "d": ast.parse("'''Not dpbtrf.'''\n"
+                            "from scipy.linalg.lapack import dpbtrs, dpotrf\n")}
+    assert _binders(trees, "dpbtrf") == ["a", "b", "c"]

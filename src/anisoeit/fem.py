@@ -75,6 +75,19 @@ def _round_off_pivot(pivots: np.ndarray, largest: float, n: int) -> int:
     return small[0] + 1 if len(small) else 0
 
 
+def _singular_node_block(name: str, i: int, n: int, node: int, pivot: float,
+                         largest: float) -> ModelError:
+    """The error for pivot i of n (of `node`) that a node-block factor
+    refused: it is not positive, or it is at round-off level of `largest`
+    (`_round_off_pivot`), and then the message gives its ratio to it."""
+    head = f"the node block is singular to working precision: {name} pivot {i} of {n} (node {node})"
+    if not pivot > 0:
+        return ModelError(f"{head} is not positive")
+    return ModelError(f"{head} is {pivot:.3g}: {pivot / largest:.3g} times the largest "
+                      f"diagonal entry {largest:.3g}, at most n eps = "
+                      f"{n * np.finfo(float).eps:.3g}")
+
+
 def band_cholesky(band: np.ndarray) -> int:
     """Factor the SPD matrix in `band`, F-ordered LAPACK upper band storage,
     in place as U^T U (`dpbtrf`).  Returns 0, or the 1-based index of the
@@ -294,9 +307,13 @@ class NodeBand:
         self.fill(fill_map, inputs)
         pivot = band_cholesky(factor)
         if pivot:
-            raise ModelError(f"the node block is singular to working precision: band "
-                             f"Cholesky pivot {pivot} of {n} (node "
-                             f"{np.flatnonzero(self.rank == pivot - 1)[0]}) is not positive")
+            # dpbtrf leaves r_ii on the diagonal, and at a pivot it refuses
+            # that pivot itself, which is not positive
+            r = factor[-1, pivot - 1]
+            self.fill(fill_map, inputs)  # the diagonal, which the factor overwrote
+            raise _singular_node_block("band Cholesky", pivot, n,
+                                       np.flatnonzero(self.rank == pivot - 1)[0],
+                                       r * r if r > 0 else r, factor[-1].max())
         W, _ = tbtrs(factor, self.coupling, trans="T", overwrite_b=1)
         self.bordered[:J, :J] -= W.T @ W
         rhs = np.zeros((J + 1, len(patterns)), order="F")
@@ -373,10 +390,11 @@ class CEMSystem:
         # each column of U ends at its diagonal entry; SuperLU leaves the
         # diagonal only at an exact zero, so a moved node pivot counts as 0
         pivots = np.where(f.perm_r[:n] == np.arange(n), U.data[U.indptr[1:n + 1] - 1], 0.0)
-        pivot = _round_off_pivot(pivots, self.matrix.data[op.node_diagonal].max(initial=0), n)
+        largest = self.matrix.data[op.node_diagonal].max(initial=0)
+        pivot = _round_off_pivot(pivots, largest, n)
         if pivot:
-            raise ModelError(f"the node block is singular to working precision: LU pivot "
-                             f"{pivot} of {n} (node {op.order[pivot - 1]}) is not positive")
+            raise _singular_node_block("LU", pivot, n, op.order[pivot - 1], pivots[pivot - 1],
+                                       largest)
         start = f.shape[0] - m
         lu = np.zeros((m, m), order="F")
         for part in (L, U):  # U last: its diagonal replaces L's unit one
@@ -603,13 +621,40 @@ def data_vector_to_csv(data: DataVector) -> str:
 
 
 def data_vector_from_csv(text: str) -> DataVector:
-    lines = text.strip().splitlines()
-    meta = {}
-    for token in lines[0].lstrip("# ").split():
-        key, _, val = token.partition("=")
-        meta[key] = val
-    values = np.array([float(ln.split(",")[2]) for ln in lines[2:] if ln])
-    seed = None if meta["seed"] == "None" else int(meta["seed"])
-    return DataVector(values=values, noise_fraction=float(meta["noise_fraction"]),
-                      seed=seed, J=int(meta["J"]), K=int(meta["K"]), L=int(meta["L"]),
-                      contact_impedances=np.array([float(v) for v in meta["z"].split(";")]))
+    """The `DataVector` that `data_vector_to_csv` wrote.  Raises ModelError
+    naming a header key that is missing or does not parse, the first data
+    row that is not `pattern,index,value` in measurement order, or the
+    counts that disagree: the data rows with N, N with K * L, and the
+    contact impedances with J."""
+    lines = text.strip().splitlines() or [""]
+    meta = dict(token.partition("=")[::2] for token in lines[0].lstrip("# ").split())
+    parsers = {"J": int, "K": int, "L": int, "N": int, "noise_fraction": float,
+               "seed": lambda v: None if v == "None" else int(v),
+               "z": lambda v: np.array([float(x) for x in v.split(";")])}
+    head = {}
+    for key, parse in parsers.items():
+        if key not in meta:
+            raise ModelError(f"data CSV header has no key {key!r}")
+        try:
+            head[key] = parse(meta[key])
+        except ValueError:
+            raise ModelError(f"data CSV header {key}={meta[key]!r} does not parse") from None
+    N, K, L = head.pop("N"), head["K"], head["L"]
+    rows = [line for line in lines[2:] if line]
+    if not len(rows) == N == K * L:
+        raise ModelError(f"data CSV counts disagree: {len(rows)} data rows, N={N}, "
+                         f"K*L={K}*{L}={K * L}")
+    if len(head["z"]) != head["J"]:
+        raise ModelError(f"data CSV counts disagree: {len(head['z'])} contact impedances "
+                         f"(z), J={head['J']}")
+    values = np.empty(N)
+    for m, line in enumerate(rows):
+        try:
+            pattern, index, value = line.split(",")
+            values[m] = float(value)
+            parsed = (int(pattern), int(index)) == divmod(m, L)
+        except ValueError:
+            parsed = False
+        if not parsed:
+            raise ModelError(f"data CSV row {m} is not '{m // L},{m % L},value': {line!r}")
+    return DataVector(values=values, contact_impedances=head.pop("z"), **head)

@@ -16,16 +16,16 @@ The GN loop does not call `forward_map` or `jacobian`.  The problem solves
 the drive fields once per distinct iterate (`_solve_drives`) and keeps the
 last solved set, so the accepted line-search trial serves the next
 Jacobian and the next stage start; the Jacobian is then formed from those
-fields (`_unique_jacobian`) for the reciprocal-unique measurements only
-(`_Fold`); under the adjacent protocol the drive fields are the adjoint
-fields too.  It is a per-pixel Gram of the drive gradients: a sparse map
-built once per problem (`_pixel_gradients`) takes the drive fields to
-their area-weighted element gradients grouped by pixel, and each free
-tensor family contracts them with its 2 x 2 derivative tensor in one
-batched matrix product over the pixels, so the isotropic mode forms the
-eta columns alone.  The problem allocates these arrays, the Jacobian and
-the step's arrays once (`_Workspace`) and overwrites them on every
-iteration.
+fields for the reciprocal-unique measurements only (`_Fold`); under the
+adjacent protocol the drive fields are the adjoint fields too.  It is a
+per-pixel Gram of the drive gradients: a sparse map (`_pixel_gradients`)
+takes the drive fields to their area-weighted element gradients grouped
+by pixel, and each free tensor family contracts them with its 2 x 2
+derivative tensor in one batched matrix product over the pixels, so the
+isotropic mode forms the eta columns alone.  A problem keeps one
+`_Jacobian`, which holds that map and the Jacobian's arrays, and one
+`_StepWork` for the step's, and overwrites them on every iteration; the
+public `jacobian` computes through a `_Jacobian` of its own.
 
 The GN step is solved in data space (`_StepSystem`): the penalty Hessians
 stay sparse and are stored once per problem as LAPACK bands in lattice
@@ -354,27 +354,6 @@ def forward_map(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     return _solve_drives(params, protocol, mesh, lattice, layout)[1]
 
 
-class _Workspace:
-    """The arrays of one problem's linearization, allocated once for its
-    shapes and overwritten by every call, so that a warm GN iteration
-    allocates no array of Jacobian size: the drive fields uT (n, K), their
-    pixel gradients A (2wM, K) and its per-pixel transpose At (M, K, 2w),
-    the tensor products TA, the per-pixel Gram (M, K, K), the Jacobian J
-    (N, n_free) and the arrays of a `_StepSystem` over the penalty `bands`.
-    J is F-ordered: each unknown's column is contiguous, so J^T r is a dot
-    product per column and each band block's columns J_k are one
-    contiguous (N, M) array."""
-
-    def __init__(self, grad: scipy.sparse.csr_matrix, K: int, M: int, N: int, families: int,
-                 bands=()):
-        rows, n_nodes = grad.shape
-        self.uT, self.A = np.empty((n_nodes, K)), np.empty((rows, K))
-        self.At, self.TA = np.empty((M, K, rows // M)), np.empty((M, 2, rows // (2 * M) * K))
-        self.gram = np.empty((M, K, K))
-        self.J = np.empty((N, min(families, 2) * M + (families > 2)), order="F")
-        self.step = _StepWork(N, bands)
-
-
 class _StepWork:
     """The arrays a `_StepSystem` over N measurements and the band blocks
     of `bands` (LAPACK upper band storage, (kd + 1, M) each) writes: per
@@ -441,42 +420,56 @@ class _Panels:
             blas.dtrsm(1.0, T, X[:, p0:p0 + len(T)], side=1, overwrite_b=1)
 
 
-def _unique_jacobian(params: UniformAnisoParams, u_nodal: np.ndarray, fold: _Fold,
-                     grad: scipy.sparse.csr_matrix, families: int = 3,
-                     work: Optional[_Workspace] = None) -> np.ndarray:
+class _Jacobian:
     """The reciprocal-unique rows of `jacobian` over the first `families`
-    unknown families of (eta, theta, lam), from the drive fields `u_nodal`
-    (K, n) at params and the map `grad` of `_pixel_gradients`; written into
-    `work.J` (a fresh workspace by default), which is returned.
+    unknown families of (eta, theta, lam), for the measurement pairs of
+    `fold` and the map `grad` of `_pixel_gradients`.
 
     With A_m the weighted gradients (2w, K) of the drive fields on pixel m
     and T_m the 2 x 2 derivative of pixel m's tensor along a family, the
     derivative of measurement (drive d, adjoint a) is -(A_m^T T_m A_m)[d, a]:
     one batched Gram over the pixels per family, read at the unique pairs.
     The lam family moves every pixel, so its Gram is summed over them.
-    """
-    K, M = len(u_nodal), params.M
-    w = work or _Workspace(grad, K, M, len(fold.drive), families)
-    # grad @ u_nodal.T, by the routine scipy's product calls, written into w.A
-    np.copyto(w.uT, u_nodal.T)
-    w.A.fill(0.0)
-    _sparsetools.csr_matvecs(*grad.shape, K, grad.indptr, grad.indices, grad.data,
-                             w.uT.reshape(-1), w.A.reshape(-1))
-    A = w.A.reshape(M, 2, -1)  # per pixel: component, then (slot, drive)
-    # a contiguous copy: the batched product is about 3x slower on the view
-    np.copyto(w.At, A.reshape(M, -1, K).transpose(0, 2, 1))
-    pairs = fold.drive * K + fold.adjoint
-    for f, D in enumerate(_aniso_derivative_tensors(params, families)):
-        np.matmul(-D[:, [0, 1, 1, 2]].reshape(M, 2, 2), A, out=w.TA)
-        TA = w.TA.reshape(M, -1, K)
-        if f < 2:  # eta or theta: one column per pixel
-            np.matmul(w.At, TA, out=w.gram)
-            # the pairs are in range; mode "raise" would buffer the output
-            np.take(w.gram.reshape(M, K * K), pairs, axis=1, out=w.J[:, f * M:(f + 1) * M].T,
-                    mode="clip")
-        else:  # lam: one column
-            w.J[:, -1] = (w.A.T @ TA.reshape(-1, K)).take(pairs)
-    return w.J
+
+    The arrays are allocated once for these shapes and overwritten by every
+    call, so that a warm GN iteration allocates no array of Jacobian size:
+    the pixel gradients A (2wM, K) and their per-pixel transpose At
+    (M, K, 2w), the tensor products TA, the per-pixel Gram (M, K, K) and J
+    (N, n_free).  J is F-ordered: each unknown's column is contiguous, so
+    J^T r is a dot product per column and each band block's columns J_k are
+    one contiguous (N, M) array."""
+
+    def __init__(self, grad: scipy.sparse.csr_matrix, fold: _Fold, K: int, M: int,
+                 families: int):
+        rows = grad.shape[0]
+        self.grad, self.families = grad, families
+        self.pairs = fold.drive * K + fold.adjoint
+        self.A, self.gram = np.empty((rows, K)), np.empty((M, K, K))
+        self.At, self.TA = np.empty((M, K, rows // M)), np.empty((M, 2, rows // (2 * M) * K))
+        self.J = np.empty((len(self.pairs), min(families, 2) * M + (families > 2)), order="F")
+
+    def __call__(self, params: UniformAnisoParams, u_nodal: np.ndarray) -> np.ndarray:
+        """J at params from the drive fields `u_nodal` (K, n) there."""
+        grad, (M, K) = self.grad, self.gram.shape[:2]
+        # grad @ u_nodal.T, by the routine scipy's product calls, written into
+        # A; the band solve's u_nodal.T is C-contiguous, so it is not copied
+        self.A.fill(0.0)
+        _sparsetools.csr_matvecs(*grad.shape, K, grad.indptr, grad.indices, grad.data,
+                                 u_nodal.T.reshape(-1), self.A.reshape(-1))
+        A = self.A.reshape(M, 2, -1)  # per pixel: component, then (slot, drive)
+        # a contiguous copy: the batched product is about 3x slower on the view
+        np.copyto(self.At, A.reshape(M, -1, K).transpose(0, 2, 1))
+        for f, D in enumerate(_aniso_derivative_tensors(params, self.families)):
+            np.matmul(-D[:, [0, 1, 1, 2]].reshape(M, 2, 2), A, out=self.TA)
+            TA = self.TA.reshape(M, -1, K)
+            if f < 2:  # eta or theta: one column per pixel
+                np.matmul(self.At, TA, out=self.gram)
+                # the pairs are in range; mode "raise" would buffer the output
+                np.take(self.gram.reshape(M, K * K), self.pairs, axis=1,
+                        out=self.J[:, f * M:(f + 1) * M].T, mode="clip")
+            else:  # lam: one column
+                self.J[:, -1] = (self.A.T @ TA.reshape(-1, K)).take(self.pairs)
+        return self.J
 
 
 def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
@@ -489,8 +482,8 @@ def jacobian(params: UniformAnisoParams, protocol: fem.MeasurementProtocol,
     """
     u_nodal, U_pred = _solve_drives(params, protocol, mesh, lattice, layout)
     fold = _Fold(protocol)
-    grad = _pixel_gradients(mesh, lattice)
-    return U_pred, _unique_jacobian(params, u_nodal, fold, grad)[fold.twin]
+    unique = _Jacobian(_pixel_gradients(mesh, lattice), fold, protocol.K, lattice.n_active, 3)
+    return U_pred, unique(params, u_nodal)[fold.twin]
 
 
 def _isotropic_params(gamma: np.ndarray) -> UniformAnisoParams:
@@ -593,24 +586,25 @@ class _Problem:
         return self._last[1:]
 
     @cached_property
-    def _grad(self) -> scipy.sparse.csr_matrix:
-        """`_pixel_gradients` of the model, built at the first linearization."""
-        return _pixel_gradients(*self.model[1:3])
+    def _jacobian(self) -> _Jacobian:
+        """The Jacobian every linearization overwrites, built at the first."""
+        protocol, mesh, lattice, _ = self.model
+        return _Jacobian(_pixel_gradients(mesh, lattice), self.fold, protocol.K, self.M,
+                         len(self.blocks))
 
     @cached_property
-    def _work(self) -> _Workspace:
-        """The workspace every linearization and step system reuses."""
-        return _Workspace(self._grad, self.model[0].K, self.M, len(self.fold.drive),
-                          len(self.blocks), self._pen_bands)
+    def _step_work(self) -> _StepWork:
+        """The arrays every step system overwrites."""
+        return _StepWork(len(self.fold.drive), self._pen_bands)
 
     def linearize(self, x, xi: float):
         """(g, Js) at x: the objective gradient over the free unknowns, and
         the reciprocal-unique Jacobian rows scaled by sqrt(multiplicity), so
         that 2 Js^T Js is the Gauss-Newton term 2 J^T J.  Js is the
-        workspace's J, overwritten by the next call."""
+        `_Jacobian`'s array, overwritten by the next call."""
         params = self.unpack(x)
         u_nodal, U_pred = self._fields(x)
-        J = _unique_jacobian(params, u_nodal, self.fold, self._grad, len(self.blocks), self._work)
+        J = self._jacobian(params, u_nodal)
         if self.mode == ANISOTROPIC:
             J[:, -1] *= params.lam  # chain rule to the internal log-lam variable
         g = -2.0 * (J.T @ self.fold.residual_sums(self.data.values - U_pred)) + self.penalty_grad(x)
@@ -642,7 +636,7 @@ class _Problem:
         eta_band = self._pen_bands[0].copy()
         eta_band[-1] += barrier_hess_diag(x[:self.M], xi)
         border = self._lam_curvature if self.mode == ANISOTROPIC else None
-        return _StepSystem([eta_band] + self._pen_bands[1:], Jm, border, self._work.step)
+        return _StepSystem([eta_band] + self._pen_bands[1:], Jm, self._step_work, border)
 
 
 def objective(state: UniformAnisoParams, data: fem.DataVector,
@@ -694,11 +688,10 @@ class _StepSystem:
     right-hand side overflows.
     """
 
-    def __init__(self, bands, J, border=None, work: Optional[_StepWork] = None):
+    def __init__(self, bands, J, work: _StepWork, border=None):
         self.bands, self.border = bands, border
         M = bands[0].shape[1]
-        self._work = work or _StepWork(J.shape[0], bands)
-        self._J = J
+        self._work, self._J = work, J
         self._blocks = [slice(k * M, (k + 1) * M) for k in range(len(bands))]
         self._j = J[:, -1] if border is not None else None
         n = J.shape[1]

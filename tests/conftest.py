@@ -115,6 +115,18 @@ def random_step_penalty():
     return _random_step_penalty
 
 
+def _step_system(bands, J, border=None):
+    """`inverse._StepSystem` over the band blocks `bands` and the Jacobian
+    J, writing into a `_StepWork` of its own."""
+    return inverse._StepSystem(bands, J, inverse._StepWork(len(J), bands), border)
+
+
+@pytest.fixture(scope="session")
+def step_system():
+    """`_step_system`, shared by the step-system tests."""
+    return _step_system
+
+
 def _element_products(operator, u_nodal: np.ndarray, drive: np.ndarray,
                       adjoint: np.ndarray) -> np.ndarray:
     """Per-element adjoint products (T, 3, N) of the measurements with the

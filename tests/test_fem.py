@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import types
 
@@ -239,6 +240,31 @@ def test_predict_rejects_a_singular_node_block(small_disk_mesh, disk_layout, pro
     n = small_disk_mesh.n_nodes
     with pytest.raises(ModelError, match=rf"LU pivot \d+ of {n} \(node \d+\)"):
         predict(small_disk_mesh, field, layout, protocol16)
+
+
+def test_round_off_pivot_is_named_as_such():
+    """On the case1 true mesh with every contact impedance at 1e300 both
+    back-ends take a last node pivot that is positive, but at most n eps
+    times the largest diagonal entry: the message gives the pivot and its
+    ratio to that entry, and does not call it not positive."""
+    cfg = builtin_configs()["case1_ellipse"]
+    curve = build_boundary(cfg.true_domain, cfg.boundary_samples)
+    layout = place_electrodes(curve, cfg.n_electrodes, cfg.coverage, contact_impedance=1e300)
+    mesh = triangulate(curve, layout, cfg.sim_elements)
+    system = assemble(mesh, TensorField.isotropic(1.0, mesh.n_elements), layout)
+    n, eps = mesh.n_nodes, np.finfo(float).eps
+    number = r"([-+.e\d]+)"
+    for nodes, name in ((True, "band Cholesky"), (False, "LU")):
+        with pytest.raises(ModelError, match=rf"{name} pivot {n} of {n} \(node \d+\)") as info:
+            solve_many(system, adjacent_protocol(cfg.n_electrodes).patterns, nodes=nodes)
+        message = str(info.value)
+        assert "not positive" not in message
+        found = re.search(rf"is {number}: {number} times the largest diagonal entry {number}, "
+                          rf"at most n eps = {number}$", message)
+        pivot, ratio, largest, bound = map(float, found.groups())
+        assert 0 < pivot and 0 < ratio <= bound
+        assert bound == pytest.approx(n * eps, rel=1e-2)
+        assert ratio == pytest.approx(pivot / largest, rel=1e-2)
 
 
 def spd_band(rng, n: int, kd: int) -> np.ndarray:
@@ -618,6 +644,34 @@ def test_data_vector_csv_roundtrip(small_disk_mesh, disk_layout, protocol16):
     assert np.array_equal(back.contact_impedances, dv.contact_impedances)
     header = text.splitlines()[0]
     assert "J=16" in header and "N=208" in header and "seed=9" in header
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3], r"counts disagree: 1 data rows, N=208, K\*L=16\*13=208"),
+    (lambda lines: [], "header has no key 'J'"),
+    (lambda lines: [lines[0].replace(" seed=9", "")] + lines[1:], "header has no key 'seed'"),
+    (lambda lines: [lines[0].replace("N=208", "N=2o8")] + lines[1:],
+     "header N='2o8' does not parse"),
+    (lambda lines: [lines[0].replace("L=13", "L=12")] + lines[1:],
+     r"counts disagree: 208 data rows, N=208, K\*L=16\*12=192"),
+    (lambda lines: [lines[0].replace(";", ";0.5;", 1)] + lines[1:],
+     r"counts disagree: 17 contact impedances \(z\), J=16"),
+    (lambda lines: lines[:45] + ["3,4,O.5"] + lines[46:], r"row 43 is not '3,4,value': '3,4,O.5'"),
+    (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], "row 0 is not '0,0,value'"),
+], ids=["one row", "empty", "no seed", "bad N", "N against K*L", "z against J", "bad value",
+        "row order"])
+def test_data_vector_csv_reader_checks_what_it_reads(small_disk_mesh, disk_layout, protocol16,
+                                                     edit, message):
+    """The reader returns what the writer wrote, bit for bit, and names a
+    missing or unparsable header key, the first row that is not the next
+    measurement's, or the counts that disagree, instead of returning a
+    vector of the wrong size or raising IndexError or KeyError."""
+    field = TensorField.isotropic(1.0, small_disk_mesh.n_elements)
+    text = data_vector_to_csv(
+        simulate_measurements(small_disk_mesh, field, disk_layout, protocol16, 0.01, 9))
+    assert data_vector_to_csv(data_vector_from_csv(text)) == text
+    with pytest.raises(ModelError, match=message):
+        data_vector_from_csv("\n".join(edit(text.splitlines())))
 
 
 @pytest.mark.parametrize("check, message", [

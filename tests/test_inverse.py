@@ -302,8 +302,8 @@ def test_jacobian_column_locality(small_problem, element_products):
     rows = grad.shape[0] // M
     cut = grad.copy()
     cut.data[cut.indptr[i * rows]:cut.indptr[(i + 1) * rows]] = 0.0
-    J_u = inverse._unique_jacobian(params, u_nodal, fold, grad)
-    J_cut = inverse._unique_jacobian(params, u_nodal, fold, cut)
+    J_u = inverse._Jacobian(grad, fold, prot.K, M, 3)(params, u_nodal)
+    J_cut = inverse._Jacobian(cut, fold, prot.K, M, 3)(params, u_nodal)
     assert np.linalg.norm(J_cut[:, [i, M + i]]) == 0.0
     others = np.delete(np.arange(2 * M), [i, M + i])
     assert np.array_equal(J_cut[:, others], J_u[:, others])
@@ -733,7 +733,7 @@ def test_rejected_step_is_resolved_with_more_damping(small_problem, monkeypatch)
         assert row["escalations"] == sum(esc for _, esc, _ in steps) + len(steps) - 1
 
 
-def test_trust_cap_escalation_contract(monkeypatch):
+def test_trust_cap_escalation_contract(step_system, monkeypatch):
     """Each escalation multiplies the shift of every block that breaks its
     trust cap by at least ten, and by its overshoot of the cap when that is
     larger, and leaves the other blocks alone; the step returned respects
@@ -742,7 +742,7 @@ def test_trust_cap_escalation_contract(monkeypatch):
     rng = np.random.default_rng(5)
     M, N = 6, 9
     J = rng.normal(size=(N, 2 * M + 1))
-    system = inverse._StepSystem([np.ones((1, M)), np.ones((1, M))], J, border=1.0)
+    system = step_system([np.ones((1, M)), np.ones((1, M))], J, border=1.0)
     g = 1e3 * rng.normal(size=2 * M + 1)
     solves = []  # (shifts, delta) of every solve
     solve = system.solve
@@ -805,23 +805,22 @@ def test_tiny_eta_start_is_infeasible(small_problem, xi):
     assert not problem.feasible(problem.initial(x0))
 
 
-def test_step_solve_rejects_indefinite_system():
+def test_step_solve_rejects_indefinite_system(step_system):
     """A step system that is not positive definite raises instead of
     falling back to a least-squares step: once through an indefinite band
     block, once through a negative lam border."""
     J = np.zeros((4, 3))
-    indefinite_band = inverse._StepSystem([np.array([[2.0, 1.0, -3.0]])], J)
+    indefinite_band = step_system([np.array([[2.0, 1.0, -3.0]])], J)
     g = np.array([0.1, -0.2, 0.3])
     with pytest.raises(ReconError, match="not positive definite"):
         inverse._trust_capped_step(indefinite_band, g, [(slice(0, 3), 1.0)], np.zeros(1))
-    negative_border = inverse._StepSystem([np.array([[2.0]]), np.array([[1.0]])], J,
-                                          border=-3.0)
+    negative_border = step_system([np.array([[2.0]]), np.array([[1.0]])], J, border=-3.0)
     caps = [(slice(0, 1), 1.0), (slice(1, 2), 1.0), (slice(2, 3), 1.0)]
     with pytest.raises(ReconError, match="not positive definite"):
         inverse._trust_capped_step(negative_border, g, caps, np.zeros(3))
 
 
-def test_step_solve_rejects_a_block_singular_to_working_precision():
+def test_step_solve_rejects_a_block_singular_to_working_precision(step_system):
     """A band block whose last pivot is at round-off level of its largest
     diagonal entry, here a path-graph Laplacian with 2^-50 added to its last
     diagonal entry, so that LAPACK's Cholesky takes the pivot 2^-25, is no
@@ -831,8 +830,8 @@ def test_step_solve_rejects_a_block_singular_to_working_precision():
     laplacian = np.zeros((2, M))
     laplacian[0, 1:] = -1.0
     laplacian[1] = [1.0] + [2.0] * (M - 2) + [1.0 + 2.0 ** -50]
-    system = inverse._StepSystem([np.array([np.ones(M)]), laplacian],
-                                 np.random.default_rng(2).normal(size=(N, 2 * M)))
+    system = step_system([np.array([np.ones(M)]), laplacian],
+                         np.random.default_rng(2).normal(size=(N, 2 * M)))
     with pytest.raises(ReconError, match=rf"not positive definite \(block 1, leading minor {M}\)"):
         system.solve(np.ones(2 * M), [1e-6, 0.0])
 
@@ -842,7 +841,8 @@ def test_step_solve_rejects_a_block_singular_to_working_precision():
        anisotropic=st.booleans(), beta2=st.sampled_from([0.0, 0.4]))
 # tiny theta penalty next to J^T J: C is badly conditioned although H is not
 @example(seed=299, M=1, N=32, anisotropic=True, beta2=0.0)
-def test_step_system_matches_dense_solve(random_step_penalty, seed, M, N, anisotropic, beta2):
+def test_step_system_matches_dense_solve(random_step_penalty, step_system, seed, M, N,
+                                         anisotropic, beta2):
     """The data-space step equals a dense solve of the explicit shifted
     H = penalty Hessians + barrier diagonal + lam curvature + 2 J^T J, on
     random lattices (numbered at random, so of any bandwidth) and Jacobians
@@ -851,7 +851,7 @@ def test_step_system_matches_dense_solve(random_step_penalty, seed, M, N, anisot
     bands, border, R = random_step_penalty(rng, M, anisotropic, beta2)
     n = len(R)
     J = rng.normal(size=(N, n)) * rng.uniform(0.1, 10.0)
-    system = inverse._StepSystem(bands, J, border)
+    system = step_system(bands, J, border)
     g = rng.normal(size=n)
 
     H = R + 2.0 * J.T @ J
@@ -899,7 +899,7 @@ def test_blocked_whitening_matches_band_triangular_solve(seed, M, kd, N):
     assert np.abs(X - expected.T).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_escalation_refactors_only_the_escalated_blocks(monkeypatch):
+def test_escalation_refactors_only_the_escalated_blocks(step_system, monkeypatch):
     """In the setting of `test_trust_cap_escalation_contract`, the first
     solve factors every band block and each later solve exactly the blocks
     whose shift the escalation changed, with that shift on the diagonal;
@@ -907,7 +907,7 @@ def test_escalation_refactors_only_the_escalated_blocks(monkeypatch):
     rng = np.random.default_rng(5)
     M, N = 6, 9
     J = rng.normal(size=(N, 2 * M + 1))
-    system = inverse._StepSystem([np.ones((1, M)), np.ones((1, M))], J, border=1.0)
+    system = step_system([np.ones((1, M)), np.ones((1, M))], J, border=1.0)
     g = 1e3 * rng.normal(size=2 * M + 1)
     factored, solves = [], []  # diagonals factored; per solve, (shifts, diagonals factored)
     band_cholesky, solve = inverse.band_cholesky, system.solve
@@ -955,12 +955,12 @@ def test_anisotropic_workspace_plans_one_panel_solve_per_band_shape(small_proble
 
     monkeypatch.setattr(inverse, "_Panels", counting_panels)
     assert len({band.shape for band in problem._pen_bands}) == 1 < len(problem._pen_bands)
-    work = problem._work
+    work = problem._step_work
     assert built == [problem._pen_bands[0].shape]
-    assert list(work.step.panels) == [problem._pen_bands[0].shape]
+    assert list(work.panels) == [problem._pen_bands[0].shape]
 
 
-def test_step_system_names_a_non_finite_input():
+def test_step_system_names_a_non_finite_input(step_system):
     """A non-finite Jacobian, gradient or Woodbury matrix, or a Woodbury
     pass that overflows, raises a ReconError that names it, not scipy's
     anonymous complaint about infs or NaNs."""
@@ -970,18 +970,18 @@ def test_step_system_names_a_non_finite_input():
     J = np.asfortranarray(rng.normal(size=(N, M)))
     J[4, 2] = np.nan
     with pytest.raises(ReconError, match=r"Jacobian is not finite \(row 4, unknown 2: nan\)"):
-        inverse._StepSystem(bands, J)
+        step_system(bands, J)
     J[4, 2] = 0.5
     g = rng.normal(size=M)
     g[3] = np.inf
     with pytest.raises(ReconError, match=r"gradient is not finite \(unknown 3\)"):
-        inverse._StepSystem(bands, J).solve(g, [1e-6])
+        step_system(bands, J).solve(g, [1e-6])
     # finite entries whose Gram overflows
     with pytest.raises(ReconError, match="Woodbury matrix is not finite"):
-        inverse._StepSystem(bands, 1e200 * J).solve(rng.normal(size=M), [1e-6])
+        step_system(bands, 1e200 * J).solve(rng.normal(size=M), [1e-6])
     # a finite gradient whose whitened right-hand side overflows
     with pytest.raises(ReconError, match="the step overflows"):
-        inverse._StepSystem(bands, J).solve(np.full(M, 1e308), [1e-6])
+        step_system(bands, J).solve(np.full(M, 1e308), [1e-6])
 
 
 def test_forward_map_rejects_an_eigenvalue_ratio_beyond_the_guard(small_problem):

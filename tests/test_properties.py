@@ -345,8 +345,8 @@ def test_reciprocal_jacobian_rows_are_bitwise_equal(scene, seed, lam):
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, M=st.integers(1, 25), electrodes=st.integers(4, 32),
        anisotropic=st.booleans(), beta2=st.sampled_from([0.0, 0.4]))
-def test_folded_step_matches_dense_solve_over_all_rows(random_step_penalty, seed, M,
-                                                       electrodes, anisotropic, beta2):
+def test_folded_step_matches_dense_solve_over_all_rows(random_step_penalty, step_system, seed,
+                                                       M, electrodes, anisotropic, beta2):
     """The step from the reciprocal-unique rows scaled by sqrt(multiplicity)
     equals a dense solve of R + 2 J^T J with every row of J, twins included."""
     rng = np.random.default_rng(seed)
@@ -354,7 +354,7 @@ def test_folded_step_matches_dense_solve_over_all_rows(random_step_penalty, seed
     fold = inverse._Fold(fem.adjacent_protocol(electrodes))
     J_unique = rng.normal(size=(len(fold.drive), len(R))) * rng.uniform(0.1, 10.0)
     J = J_unique[fold.twin]
-    system = inverse._StepSystem(bands, fold.root_weight[:, None] * J_unique, border)
+    system = step_system(bands, fold.root_weight[:, None] * J_unique, border)
     g = rng.normal(size=len(R))
     shifts = 10.0 ** rng.uniform(-8, 0, len(bands) + anisotropic)
     H = R + 2.0 * J.T @ J + np.diag(np.repeat(shifts, [M] * len(bands) + [1] * anisotropic))

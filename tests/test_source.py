@@ -146,3 +146,78 @@ def test_binder_scan_finds_each_form():
              "d": ast.parse("'''Not dpbtrf.'''\n"
                             "from scipy.linalg.lapack import dpbtrs, dpotrf\n")}
     assert _binders(trees, "dpbtrf") == ["a", "b", "c"]
+
+
+def _none_fallbacks(tree: ast.Module, module: str) -> list:
+    """`module.function` for every module-level private function, and
+    `module.Class.method` for every method of a module-level private class,
+    that builds an object in place of a parameter defaulting to None, as
+    `p or Ctor(...)` or as `if p is None:` over an assignment of a call.
+    Public functions may default that way (`settings or GNSettings()`)."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    scanned = [(node.name, node) for node in tree.body
+               if isinstance(node, functions) and private(node.name)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and private(cls.name):
+            scanned += [(f"{cls.name}.{node.name}", node) for node in cls.body
+                        if isinstance(node, functions)]
+    found = []
+    for name, fn in scanned:
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        none = {arg.arg for arg, default in zip(positional + args.kwonlyargs,
+                                                defaults + args.kw_defaults)
+                if isinstance(default, ast.Constant) and default.value is None}
+        for node in (node for stmt in fn.body for node in ast.walk(stmt)):
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                hit = (isinstance(node.values[0], ast.Name) and node.values[0].id in none
+                       and any(isinstance(v, ast.Call) for v in node.values[1:]))
+            elif isinstance(node, ast.If) and isinstance(node.test, ast.Compare):
+                test = node.test
+                hit = (isinstance(test.left, ast.Name) and test.left.id in none
+                       and isinstance(test.ops[0], ast.Is)
+                       and isinstance(test.comparators[0], ast.Constant)
+                       and test.comparators[0].value is None
+                       and any(isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                               and isinstance(stmt.value, ast.Call) for stmt in node.body))
+            else:
+                hit = False
+            if hit:
+                found.append(f"{module}.{name}")
+                break
+    return found
+
+
+def test_no_private_code_builds_on_a_none_default():
+    """Private plans take the arrays they write as required arguments, so
+    no caller gets a fresh one by passing nothing."""
+    found = [hit for path in sorted(SOURCE.glob("*.py"))
+             for hit in _none_fallbacks(ast.parse(path.read_text()), path.stem)]
+    assert found == []
+
+
+def test_none_fallback_scan_finds_each_form():
+    tree = ast.parse("def _f(a=None, *, b=None, c=1):\n"
+                     "    a = a or list()\n"
+                     "    if b is None:\n"
+                     "        b = dict()\n"
+                     "    return a, b, c or set()\n"
+                     "def _g(a, b=None):\n"
+                     "    if b is None:\n"
+                     "        b = 0\n"
+                     "    if a is None:\n"
+                     "        a = dict()\n"
+                     "    return b or 1, a or list()\n"
+                     "def public(a=None):\n"
+                     "    return a or list()\n"
+                     "class _C:\n"
+                     "    def __init__(self, w=None):\n"
+                     "        self.w = w or dict()\n"
+                     "class D:\n"
+                     "    def _m(self, w=None):\n"
+                     "        return w or dict()\n")
+    assert _none_fallbacks(tree, "a") == ["a._f", "a._C.__init__"]
